@@ -44,11 +44,7 @@
 pub mod escape;
 pub mod loc;
 pub mod osa;
-pub mod osa_incr;
 
 pub use escape::{run_escape, EscapeResult};
 pub use loc::{LocId, LocTable};
 pub use osa::{run_osa, run_osa_bounded, Access, MemKey, OsaResult, SharingEntry};
-pub use osa_incr::{
-    memkey_from_db, memkey_from_db_cached, memkey_to_db, run_osa_incremental, KeyResolver, OsaIncr,
-};

@@ -9,8 +9,8 @@
 //!
 //! `LocId`s are an accident of interning order and are valid only within
 //! one analysis run: they never enter rendered reports or database images.
-//! Everything that crosses a run boundary (db artifacts, report text) goes
-//! through the canonical name/digest form instead, so the table can assign
+//! Everything that crosses a run boundary (report text) goes through the
+//! canonical name form instead, so the table can assign
 //! ids in whatever order the scan visits locations without affecting any
 //! serialized output. Deterministic *report* order is recovered on demand
 //! via [`LocTable::sorted_ids`], which orders ids by their [`MemKey`] —
@@ -163,8 +163,6 @@ mod tests {
     /// Property: the canonical view of a table — the key sequence under
     /// [`LocTable::sorted_ids`] — depends only on the key *set*, never on
     /// the order the keys were interned in (or how often they repeat).
-    /// This is the invariant that lets the incremental replay paths
-    /// intern in whatever order the replayed artifacts arrive.
     #[test]
     fn sorted_view_is_insertion_order_independent() {
         let mut pool: Vec<MemKey> = Vec::new();

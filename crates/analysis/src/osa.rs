@@ -190,7 +190,7 @@ pub fn run_osa(ctx: &ProgramCtx<'_>, pta: &PtaResult) -> OsaResult {
 
 /// Returns the dense slot for an interned id, growing the store on first
 /// sight of a new location.
-pub(crate) fn entry_slot(entries: &mut Vec<SharingEntry>, id: LocId) -> &mut SharingEntry {
+fn entry_slot(entries: &mut Vec<SharingEntry>, id: LocId) -> &mut SharingEntry {
     if id.index() >= entries.len() {
         entries.resize_with(id.index() + 1, SharingEntry::default);
     }
@@ -257,7 +257,7 @@ pub fn run_osa_bounded(
     }
 }
 
-pub(crate) fn record_access(
+fn record_access(
     entry: &mut SharingEntry,
     mi: Mi,
     stmt: GStmt,

@@ -346,9 +346,7 @@ fn pr8_group(iters: usize, out: &str) {
     let report = pr8::run(&opts);
     print!("{}", report.render());
     if !report.all_pass() {
-        eprintln!(
-            "pr8: batch output diverged across worker counts or scored no cross-program hits"
-        );
+        eprintln!("pr8: batch output diverged across worker counts");
         std::process::exit(1);
     }
     println!("wrote {out}");
@@ -404,7 +402,7 @@ fn pr2_group(iters: usize, out: &str) {
 }
 
 /// The PR 3 harness: cold vs warm analysis after a single-function edit,
-/// with the database's replay/re-check counters, written to `out` as JSON.
+/// written to `out` as JSON.
 fn pr3_group(iters: usize, out: &str) {
     let opts = pr3::Pr3Options {
         iters,
@@ -448,7 +446,7 @@ fn pr7_group(iters: usize, out: &str) {
     let report = pr7::run(&opts);
     print!("{}", report.render());
     if !report.all_pass() {
-        eprintln!("pr7: a fixture missed its expected race count or warm replay");
+        eprintln!("pr7: a fixture missed its expected race count or warm identity");
         std::process::exit(1);
     }
     println!("wrote {out}");

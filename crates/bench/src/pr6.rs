@@ -10,8 +10,8 @@
 //!   eliminated by each pre-loop stage (read-only, single-origin,
 //!   common-guard) versus the pairs that reach the pair loop.
 //! - `mega_cold_warm` — best-of-N cold [`O2::analyze`] per mega preset,
-//!   plus a warm `analyze_with_db_prepared` replay of the *same* program
-//!   from its own image; `identical_warm` asserts the rendered race
+//!   plus a warm `analyze_with_db_prepared` of the *same* program
+//!   against its own image; `identical_warm` asserts the rendered race
 //!   report is byte-identical across the two paths.
 //! - `detect_scaling` — the PR 1 scaling shape on a mega preset (frozen
 //!   pipeline prefix, detection re-run per worker count), with the
@@ -96,17 +96,17 @@ pub struct MegaRow {
     pub races: usize,
     /// Best-of-N cold [`O2::analyze`] wall time.
     pub cold: Duration,
-    /// Best-of-N warm `analyze_with_db_prepared` replay of the same
-    /// program from its own image.
+    /// Best-of-N warm `analyze_with_db_prepared` of the same program
+    /// against its own image.
     pub warm: Duration,
-    /// `true` if the warm replay rendered a byte-identical race report.
+    /// `true` if the warm run rendered a byte-identical race report.
     pub identical_warm: bool,
     /// Per-structure heap estimates from the cold run.
     pub footprint: MemoryFootprint,
 }
 
 impl MegaRow {
-    /// `warm / cold`; < 1.0 means replay beats recomputation.
+    /// `warm / cold`: the database path's overhead over a cold run.
     pub fn warm_over_cold(&self) -> f64 {
         self.warm.as_secs_f64() / self.cold.as_secs_f64().max(1e-9)
     }
@@ -160,8 +160,8 @@ pub fn mega_row(name: &str, iters: usize) -> Option<MegaRow> {
     }
     let cold_report = cold_report.expect("at least one cold iteration");
 
-    // Image built once outside the timed region; the warm loop replays
-    // the *unchanged* program, so every stage should come from the db.
+    // Image built once outside the timed region; the warm loop re-runs
+    // the *unchanged* program against it.
     let image = {
         let mut db = AnalysisDb::new(engine.config_sig());
         engine.analyze_with_db(&w.program, &mut db);

@@ -1,7 +1,8 @@
 //! The PR 7 synchronization-semantics harness: the reader-writer-lock,
 //! condition-variable, and async-executor fixtures (Java- and C-surface)
-//! timed cold and replayed warm, with their pre-loop prune taxonomy and
-//! expected-vs-found race counts, written to `BENCH_pr7.json`.
+//! timed cold and re-run through the database path, with their pre-loop
+//! prune taxonomy and expected-vs-found race counts, written to
+//! `BENCH_pr7.json`.
 //!
 //! One row per fixture:
 //!
@@ -15,9 +16,8 @@
 //! - `cold_ms` — best-of-N cold end-to-end time, gated by
 //!   `bench --regress` against the committed baseline like the other
 //!   groups.
-//! - `identical_warm` — the warm database replay of the unchanged
-//!   program renders a byte-identical race report (rw elements, cond
-//!   events, and executor elements all round-trip through the v2 image).
+//! - `identical_warm` — the database-path run of the unchanged program
+//!   renders a byte-identical race report.
 //!
 //! Std-only and hand-rolled JSON, like every other harness here.
 
@@ -59,7 +59,8 @@ pub struct FixtureRow {
     pub prune: PruneStats,
     /// Best-of-N cold end-to-end wall time.
     pub cold: Duration,
-    /// Warm replay of the unchanged program renders byte-identically.
+    /// The database-path run of the unchanged program renders
+    /// byte-identically.
     pub identical_warm: bool,
 }
 
@@ -132,7 +133,7 @@ pub fn run(opts: &Pr7Options) -> Pr7Report {
 
 impl Pr7Report {
     /// `true` when every fixture found exactly its expected race count
-    /// and replayed warm byte-identically.
+    /// and its database-path run rendered byte-identically.
     pub fn all_pass(&self) -> bool {
         self.fixtures.iter().all(|f| f.pass && f.identical_warm)
     }

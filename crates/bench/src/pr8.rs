@@ -1,16 +1,12 @@
 //! The PR 8 whole-corpus (`o2 batch`) harness: one fixed 8-program
 //! corpus spanning all four workload registries, analyzed end-to-end at
-//! 1, 2, and 4 workers over the shared artifact pool, written to
-//! `BENCH_pr8.json`.
+//! 1, 2, and 4 workers, written to `BENCH_pr8.json`.
 //!
 //! One row per worker count:
 //!
 //! - `cold_ms` — best-of-N wall time of the whole batch, gated by
 //!   `bench --regress` against the committed baseline like the other
 //!   groups (the row name is `batch-wN`).
-//! - `cross_program_hits` / `hit_rate` — artifacts replayed from another
-//!   program's publication; the corpus contains overlapping preset
-//!   shapes, so the pool must score hits at every worker count.
 //! - `identical` — the merged JSON and SARIF reports byte-match the
 //!   1-worker run (the batch determinism contract).
 //!
@@ -23,8 +19,7 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// The fixed PR 8 corpus: Table 5 presets, a mega preset, and real-bug
-/// models from both frontends. `luindex`/`lusearch` overlap in generated
-/// shape, guaranteeing cross-program digest hits.
+/// models from both frontends.
 pub const CORPUS: [&str; 8] = [
     "avrora",
     "luindex",
@@ -64,10 +59,6 @@ pub struct BatchRow {
     pub workers: usize,
     /// Best-of-N wall time of the whole batch.
     pub cold: Duration,
-    /// Cross-program digest hits of the measured run.
-    pub hits: usize,
-    /// Fraction of artifact lookups served by replay.
-    pub hit_rate: f64,
     /// Total surviving races (must agree across rows).
     pub races: usize,
     /// Merged JSON and SARIF byte-match the 1-worker run.
@@ -124,8 +115,6 @@ pub fn run(opts: &Pr8Options) -> Pr8Report {
         rows.push(BatchRow {
             workers,
             cold,
-            hits: report.cross_program_hits(),
-            hit_rate: report.hit_rate(),
             races: report.total_races(),
             identical,
         });
@@ -144,10 +133,9 @@ pub fn run(opts: &Pr8Options) -> Pr8Report {
 }
 
 impl Pr8Report {
-    /// `true` when every row byte-matched the 1-worker reports and
-    /// scored at least one cross-program hit.
+    /// `true` when every row byte-matched the 1-worker reports.
     pub fn all_pass(&self) -> bool {
-        self.rows.iter().all(|r| r.identical && r.hits > 0)
+        self.rows.iter().all(|r| r.identical)
     }
 
     /// Serializes the report (hand-rolled JSON, stable schema; one row
@@ -162,13 +150,10 @@ impl Pr8Report {
             let _ = writeln!(
                 out,
                 "    {{\"workload\": \"batch-w{}\", \"workers\": {}, \"cold_ms\": {:.3}, \
-                 \"cross_program_hits\": {}, \"hit_rate\": {:.4}, \"races\": {}, \
-                 \"identical\": {}}}{}",
+                 \"races\": {}, \"identical\": {}}}{}",
                 r.workers,
                 r.workers,
                 r.cold.as_secs_f64() * 1e3,
-                r.hits,
-                r.hit_rate,
                 r.races,
                 r.identical,
                 if i + 1 < self.rows.len() { "," } else { "" }
@@ -187,7 +172,7 @@ impl Pr8Report {
 
     /// Renders the human-readable summary printed by the harness.
     pub fn render(&self) -> String {
-        let mut out = String::from("## PR 8 whole-corpus batch (shared artifact pool)\n\n");
+        let mut out = String::from("## PR 8 whole-corpus batch\n\n");
         let _ = writeln!(
             out,
             "host_parallelism: {} | corpus: {} programs\n",
@@ -196,17 +181,15 @@ impl Pr8Report {
         );
         let _ = writeln!(
             out,
-            "{:>10} {:>10} {:>11} {:>9} {:>6} {:>10}",
-            "workers", "cold", "xprog-hits", "hit-rate", "races", "identical"
+            "{:>10} {:>10} {:>6} {:>10}",
+            "workers", "cold", "races", "identical"
         );
         for r in &self.rows {
             let _ = writeln!(
                 out,
-                "{:>10} {:>10} {:>11} {:>8.1}% {:>6} {:>10}",
+                "{:>10} {:>10} {:>6} {:>10}",
                 r.workers,
                 fmt_dur(r.cold),
-                r.hits,
-                r.hit_rate * 100.0,
                 r.races,
                 r.identical,
             );
@@ -221,7 +204,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn harness_scores_hits_and_stays_deterministic() {
+    fn harness_stays_deterministic() {
         let report = run(&Pr8Options {
             iters: 1,
             workers: vec![1, 2],

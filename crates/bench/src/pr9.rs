@@ -5,14 +5,13 @@
 //! Per preset, the harness boots a fresh in-process server (real TCP on
 //! a loopback port) and measures:
 //!
-//! - `cold_ms` — best-of-N first-request latency against an empty
-//!   artifact pool (one fresh server per iteration; this is the row the
-//!   `--regress` gate compares);
+//! - `cold_ms` — best-of-N first-request latency against empty caches
+//!   (one fresh server per iteration; this is the row the `--regress`
+//!   gate compares);
 //! - `warm_p50_ms` — median of repeat requests for the digest-identical
 //!   program (the rendered-report fast path);
 //! - `edit_ms` — one request for a 1-function-edited variant, which
-//!   misses the report cache but replays unchanged artifacts from the
-//!   pool;
+//!   misses the report cache and runs the cold pipeline;
 //! - `identical` — cold, warm, and edited responses byte-match the solo
 //!   CLI oracle.
 //!
@@ -69,15 +68,12 @@ impl Default for Pr9Options {
 pub struct ServeRow {
     /// The preset driven through the daemon.
     pub preset: String,
-    /// Best-of-N first-request latency against an empty pool (ms).
+    /// Best-of-N first-request latency against empty caches (ms).
     pub cold_ms: f64,
     /// Median repeat-request latency (ms).
     pub warm_p50_ms: f64,
-    /// Latency of one edited-variant request (report-cache miss,
-    /// artifact-pool hit), in ms.
+    /// Latency of one edited-variant request (report-cache miss), in ms.
     pub edit_ms: f64,
-    /// Artifacts the edited request replayed from the pool.
-    pub edit_replays: u64,
     /// `warm_p50_ms / cold_ms`.
     pub warm_over_cold: f64,
     /// Cold, warm, and edited outputs byte-match the solo oracle.
@@ -175,9 +171,8 @@ fn preset_row(engine: &O2, preset: &str, opts: &Pr9Options) -> ServeRow {
     }
     let warm_p50_ms = p50(warm);
 
-    // Edited variant: misses the report cache, replays from the pool.
+    // Edited variant: misses the report cache.
     let (edit_ms, map) = timed_request(&mut client, &edit_line);
-    let edit_replays = map.get("replays").and_then(|v| v.as_u64()).unwrap_or(0);
     identical &= output_of(&map) == edited_solo.text;
     server.shutdown().expect("clean shutdown");
 
@@ -186,7 +181,6 @@ fn preset_row(engine: &O2, preset: &str, opts: &Pr9Options) -> ServeRow {
         cold_ms,
         warm_p50_ms,
         edit_ms,
-        edit_replays,
         warm_over_cold: if cold_ms > 0.0 {
             warm_p50_ms / cold_ms
         } else {
@@ -279,15 +273,9 @@ impl Pr9Report {
             let _ = writeln!(
                 out,
                 "    {{\"workload\": \"serve-{}\", \"cold_ms\": {:.3}, \
-                 \"warm_p50_ms\": {:.3}, \"edit_ms\": {:.3}, \"edit_replays\": {}, \
+                 \"warm_p50_ms\": {:.3}, \"edit_ms\": {:.3}, \
                  \"warm_over_cold\": {:.4}, \"identical\": {}}},",
-                r.preset,
-                r.cold_ms,
-                r.warm_p50_ms,
-                r.edit_ms,
-                r.edit_replays,
-                r.warm_over_cold,
-                r.identical,
+                r.preset, r.cold_ms, r.warm_p50_ms, r.edit_ms, r.warm_over_cold, r.identical,
             );
         }
         let l = &self.load;
@@ -329,20 +317,14 @@ impl Pr9Report {
         let _ = writeln!(out, "host_parallelism: {}\n", self.host_parallelism);
         let _ = writeln!(
             out,
-            "{:<12} {:>9} {:>9} {:>9} {:>8} {:>10} {:>10}",
-            "preset", "cold", "warm-p50", "edit", "replays", "warm/cold", "identical"
+            "{:<12} {:>9} {:>9} {:>9} {:>10} {:>10}",
+            "preset", "cold", "warm-p50", "edit", "warm/cold", "identical"
         );
         for r in &self.rows {
             let _ = writeln!(
                 out,
-                "{:<12} {:>7.2}ms {:>7.2}ms {:>7.2}ms {:>8} {:>9.3}x {:>10}",
-                r.preset,
-                r.cold_ms,
-                r.warm_p50_ms,
-                r.edit_ms,
-                r.edit_replays,
-                r.warm_over_cold,
-                r.identical,
+                "{:<12} {:>7.2}ms {:>7.2}ms {:>7.2}ms {:>9.3}x {:>10}",
+                r.preset, r.cold_ms, r.warm_p50_ms, r.edit_ms, r.warm_over_cold, r.identical,
             );
         }
         let l = &self.load;

@@ -1,28 +1,25 @@
 //! Whole-corpus analysis: the engine behind `o2 batch <manifest>`.
 //!
 //! A batch run analyzes every program of a manifest under one engine
-//! configuration, sharing a single digest-keyed artifact pool
-//! ([`SharedStore`]) across all workers. Each program is claimed by
-//! exactly one worker, checked out a private database seeded from the
-//! pool, analyzed with the ordinary incremental pipeline, and published
-//! back — so any function body two programs share is analyzed once and
-//! replayed everywhere else. Because each program is analyzed exactly
-//! once per batch, every replay its [`IncrStats`] counts is necessarily
-//! a *cross-program* hit, and [`run_batch`] records it as such.
+//! configuration. Each program is claimed by exactly one worker and
+//! analyzed cold under its own [`ProgramCtx`]; workers share no analysis
+//! state. [`run_batch_with_db`] additionally renders every analyzed
+//! program's reports into an [`AnalysisDb`] keyed by program digest —
+//! the image `o2 batch --save-db` writes, from which `o2 serve --load-db`
+//! answers each saved program as a digest hit.
 //!
 //! Scheduling is a std-only work-stealing pool: `workers` scoped threads
 //! race on one atomic claim counter; whoever claims index `i` analyzes
 //! entry `i`. The merged JSON and SARIF reports are byte-identical for
 //! every worker count and claim order — they are pure functions of the
-//! per-program reports sorted by program name, and replay is
-//! byte-identical to recompute by the store's invariant. Only the
-//! [`BatchReport::summary`] table (wall times, hit counts) is
-//! scheduling-dependent, which is why it is a separate artifact.
+//! per-program reports sorted by program name. Only the
+//! [`BatchReport::summary`] table (wall times) is scheduling-dependent,
+//! which is why it is a separate artifact.
 
-use crate::incremental::IncrStats;
-use crate::{AnalysisReport, O2};
-use o2_db::{SharedStore, StoreStats};
-use o2_ir::{O2Error, Program, ProgramCtx, ProgramId};
+use crate::incremental::render_reports;
+use crate::O2;
+use o2_db::AnalysisDb;
+use o2_ir::{digest_program, O2Error, Program, ProgramCtx, ProgramId};
 use o2_passes::{PipelineReport, Tier};
 use std::fmt::Write as _;
 use std::panic::AssertUnwindSafe;
@@ -122,8 +119,6 @@ pub struct ProgramOutcome {
     /// Surviving races by tier: (high, medium, low). All zero when the
     /// entry failed.
     pub tiers: (usize, usize, usize),
-    /// Replay/recompute counters, with `cross_program_hits` set.
-    pub stats: IncrStats,
     /// Wall time of this program's analysis (scheduling-dependent).
     pub wall_ms: f64,
     /// Why this entry produced no report: a load failure carried in
@@ -141,8 +136,6 @@ pub struct BatchReport {
     pub json: String,
     /// The merged SARIF report ([`o2_passes::corpus_sarif`] bytes).
     pub sarif: String,
-    /// Shared-store accounting for the whole run.
-    pub store: StoreStats,
     /// Wall time of the whole batch.
     pub wall_ms: f64,
 }
@@ -159,14 +152,6 @@ impl BatchReport {
         self.programs.iter().filter(|p| p.error.is_some()).count()
     }
 
-    /// Total cross-program digest hits across all programs.
-    pub fn cross_program_hits(&self) -> usize {
-        self.programs
-            .iter()
-            .map(|p| p.stats.cross_program_hits)
-            .sum()
-    }
-
     /// Total surviving races across all programs.
     pub fn total_races(&self) -> usize {
         self.programs
@@ -175,30 +160,14 @@ impl BatchReport {
             .sum()
     }
 
-    /// Fraction of artifact lookups served by replay, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let (mut hits, mut total) = (0usize, 0usize);
-        for p in &self.programs {
-            let s = &p.stats;
-            hits += s.total_replays();
-            total +=
-                s.total_replays() + s.mis_rescanned + s.origins_walked + s.candidates_rechecked;
-        }
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
-    }
-
-    /// The corpus summary table. Wall times and hit counts here depend
-    /// on scheduling; everything byte-pinned lives in `json`/`sarif`.
+    /// The corpus summary table. Wall times here depend on scheduling;
+    /// everything byte-pinned lives in `json`/`sarif`.
     pub fn summary(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<28} {:>5} {:>6} {:>4} {:>10} {:>9}",
-            "program", "high", "medium", "low", "xprog-hits", "wall-ms"
+            "{:<28} {:>5} {:>6} {:>4} {:>9}",
+            "program", "high", "medium", "low", "wall-ms"
         );
         for p in &self.programs {
             if let Some(err) = &p.error {
@@ -213,33 +182,17 @@ impl BatchReport {
             }
             let _ = writeln!(
                 out,
-                "{:<28} {:>5} {:>6} {:>4} {:>10} {:>9.1}",
-                p.name, p.tiers.0, p.tiers.1, p.tiers.2, p.stats.cross_program_hits, p.wall_ms
+                "{:<28} {:>5} {:>6} {:>4} {:>9.1}",
+                p.name, p.tiers.0, p.tiers.1, p.tiers.2, p.wall_ms
             );
         }
         let _ = writeln!(
             out,
-            "corpus: {} programs, {} races, {} errors, {} cross-program hits \
-             ({:.1}% replay rate), {:.1} ms",
+            "corpus: {} programs, {} races, {} errors, {:.1} ms",
             self.programs.len(),
             self.total_races(),
             self.error_count(),
-            self.cross_program_hits(),
-            self.hit_rate() * 100.0,
             self.wall_ms
-        );
-        let s = &self.store;
-        let _ = writeln!(
-            out,
-            "store: {} checkouts, {} publishes, {} artifacts pooled ({} offered, \
-             {} digest collisions, {:.1}% collision rate), {:.1}% cross-program hit rate",
-            s.checkouts,
-            s.publishes,
-            s.artifacts_accepted,
-            s.artifacts_offered,
-            s.digest_collisions(),
-            s.collision_rate() * 100.0,
-            self.hit_rate() * 100.0,
         );
         out
     }
@@ -255,29 +208,36 @@ fn error_outcome(name: &str, error: O2Error, wall_ms: f64) -> ProgramOutcome {
     ProgramOutcome {
         name: name.to_string(),
         tiers: (0, 0, 0),
-        stats: IncrStats::default(),
         wall_ms,
         error: Some(error),
     }
 }
 
 /// Analyzes every entry under `engine`'s configuration with `workers`
-/// threads sharing one artifact pool. See the module docs for the
-/// determinism contract.
+/// threads. See the module docs for the determinism contract.
 pub fn run_batch(engine: &O2, entries: &[BatchEntry], workers: usize) -> BatchReport {
-    let store = SharedStore::new(engine.config_sig());
-    run_batch_with_store(engine, entries, workers, &store)
+    run_entries(engine, entries, workers, None)
 }
 
-/// [`run_batch`] against a caller-provided artifact pool. The pool must
-/// carry `engine.config_sig()` (checkout/publish assert it); after the
-/// run its accumulated artifacts can be snapshotted and persisted, which
-/// is how `o2 batch --save-db` seeds a daemon's warm start.
-pub fn run_batch_with_store(
+/// [`run_batch`] that also returns an [`AnalysisDb`] holding every
+/// analyzed program's rendered reports, keyed by program digest under
+/// `engine`'s configuration — how `o2 batch --save-db` seeds a daemon's
+/// warm start.
+pub fn run_batch_with_db(
     engine: &O2,
     entries: &[BatchEntry],
     workers: usize,
-    store: &SharedStore,
+) -> (BatchReport, AnalysisDb) {
+    let mut db = AnalysisDb::new(engine.config_sig());
+    let report = run_entries(engine, entries, workers, Some(&mut db));
+    (report, db)
+}
+
+fn run_entries(
+    engine: &O2,
+    entries: &[BatchEntry],
+    workers: usize,
+    db: Option<&mut AnalysisDb>,
 ) -> BatchReport {
     let workers = workers.max(1);
     let t0 = Instant::now();
@@ -309,18 +269,11 @@ pub fn run_batch_with_store(
                 // Panic backstop: a bug in one program's analysis becomes
                 // that entry's error; the worker claims the next entry.
                 let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    let mut db = store.checkout();
-                    let (report, mut stats): (AnalysisReport, IncrStats) =
-                        engine.analyze_with_db_ctx(&ctx, &mut db);
-                    // Each program runs once per batch, so every replay
-                    // came from an artifact another program published.
-                    stats.cross_program_hits = stats.total_replays();
-                    store.publish(&db);
-                    (report.run_pipeline(program), stats)
+                    engine.analyze_ctx(&ctx).run_pipeline(program)
                 }));
                 let wall_ms = t.elapsed().as_secs_f64() * 1000.0;
                 let slot = match run {
-                    Ok((pipeline, stats)) => {
+                    Ok(pipeline) => {
                         let outcome = ProgramOutcome {
                             name: entry.name.clone(),
                             tiers: (
@@ -328,7 +281,6 @@ pub fn run_batch_with_store(
                                 pipeline.tier_count(Tier::Medium),
                                 pipeline.tier_count(Tier::Low),
                             ),
-                            stats,
                             wall_ms,
                             error: None,
                         };
@@ -372,12 +324,19 @@ pub fn run_batch_with_store(
         .collect();
     let json = o2_passes::corpus_json_with_errors(&merged, &errors);
     let sarif = o2_passes::corpus_sarif_with_errors(&merged, &errors);
+    if let Some(db) = db {
+        for (_, pipeline, program) in &merged {
+            db.reports.insert(
+                digest_program(program).program,
+                render_reports(pipeline, program),
+            );
+        }
+    }
 
     BatchReport {
         programs: done.into_iter().map(|(_, s)| s.outcome).collect(),
         json,
         sarif,
-        store: store.stats(),
         wall_ms: t0.elapsed().as_secs_f64() * 1000.0,
     }
 }

@@ -16,11 +16,12 @@
 //! SARIF 2.1.0 document covering races, deadlocks, and over-sync. The
 //! legacy `--json` flag still prints the raw detector report.
 //!
-//! `--save-db`/`--load-db` persist the incremental analysis database
-//! between runs: a warm run replays stored per-origin artifacts for
-//! everything the edit did not touch and produces output byte-identical
-//! to a cold run. `diff-analyze` runs both versions in one process and
-//! reports what was re-analyzed.
+//! `--save-db`/`--load-db` persist the report cache between runs: a
+//! `--format` run on a program whose whole-program digest (and analysis
+//! configuration) matches a cached entry prints the cached bytes without
+//! analyzing; any other program is analyzed cold and its reports are
+//! cached. `diff-analyze` prints the function-level digest diff of two
+//! versions and the report of the new one.
 
 //! # Exit codes
 //!
@@ -31,7 +32,8 @@
 //! panic) 19.
 
 use o2::prelude::*;
-use o2_db::{AnalysisDb, CachedReports};
+use o2::render_reports;
+use o2_db::AnalysisDb;
 use std::panic::AssertUnwindSafe;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -358,9 +360,9 @@ fn usage() {
     );
 }
 
-/// `o2 serve <addr>`: bind, optionally pre-seed the artifact pool from
+/// `o2 serve <addr>`: bind, optionally pre-seed the report cache from
 /// `--load-db`, and run the accept loop until a `shutdown` request.
-/// With `--save-db` the pool is snapshotted to disk on the way out.
+/// With `--save-db` the cache is snapshotted to disk on the way out.
 fn run_serve_mode(engine: &O2, opts: &Options) -> ExitCode {
     use std::sync::Arc;
     let state = Arc::new(o2::serve::ServeState::new(engine.clone()));
@@ -371,7 +373,7 @@ fn run_serve_mode(engine: &O2, opts: &Options) -> ExitCode {
                 Ok(image) => match state.preseed(&image) {
                     Ok(n) => {
                         if !opts.quiet {
-                            eprintln!("o2 serve: pre-seeded {n} artifacts from {path}");
+                            eprintln!("o2 serve: pre-seeded {n} reports from {path}");
                         }
                     }
                     Err(e) => {
@@ -423,20 +425,14 @@ fn run_serve_mode(engine: &O2, opts: &Options) -> ExitCode {
             return ExitCode::from(2);
         }
         if !opts.quiet {
-            eprintln!("o2 serve: saved artifact pool to {path}");
+            eprintln!("o2 serve: saved report cache to {path}");
         }
     }
     if !opts.quiet {
         let s = state.stats();
         eprintln!(
-            "o2 serve: {} requests ({} analyze, {} diff, {} errors), \
-             {} report hits, {:.1}% replay rate",
-            s.requests,
-            s.analyze_ok,
-            s.diff_ok,
-            s.errors,
-            s.report_hits,
-            s.replay_rate() * 100.0
+            "o2 serve: {} requests ({} analyze, {} diff, {} errors), {} report hits",
+            s.requests, s.analyze_ok, s.diff_ok, s.errors, s.report_hits,
         );
     }
     ExitCode::SUCCESS
@@ -501,8 +497,7 @@ fn run_loadgen_mode(engine: &O2, opts: &Options) -> ExitCode {
     }
 }
 
-/// `o2 batch manifest`: analyze the whole corpus over a shared artifact
-/// pool. The merged report (JSON or SARIF, byte-identical for every
+/// `o2 batch manifest`: analyze the whole corpus. The merged report (JSON or SARIF, byte-identical for every
 /// `--workers` value and manifest order) goes to stdout; the
 /// scheduling-dependent summary table goes to stderr.
 fn run_batch_mode(engine: &O2, opts: &Options) -> ExitCode {
@@ -527,17 +522,19 @@ fn run_batch_mode(engine: &O2, opts: &Options) -> ExitCode {
             .map(|n| n.get())
             .unwrap_or(1)
     });
-    let store = o2_db::SharedStore::new(engine.config_sig());
-    let report = o2::run_batch_with_store(engine, &entries, workers, &store);
-    if let Some(path) = &opts.save_db {
-        if let Err(e) = store.snapshot().save(std::path::Path::new(path)) {
+    let report = if let Some(path) = &opts.save_db {
+        let (report, db) = o2::run_batch_with_db(engine, &entries, workers);
+        if let Err(e) = db.save(std::path::Path::new(path)) {
             eprintln!("error: cannot write {path}: {e}");
             return ExitCode::from(2);
         }
         if !opts.quiet {
-            eprintln!("o2 batch: saved artifact pool to {path}");
+            eprintln!("o2 batch: saved {} reports to {path}", db.reports.len());
         }
-    }
+        report
+    } else {
+        o2::run_batch(engine, &entries, workers)
+    };
     match opts.format {
         Some(Format::Sarif) => print!("{}", report.sarif),
         Some(Format::Text) | None => {}
@@ -579,9 +576,8 @@ fn load_program(path: &str, force_c: bool) -> Result<Program, O2Error> {
     Ok(program)
 }
 
-/// `o2 diff-analyze old new`: analyze `old` cold, then `new` warm from
-/// `old`'s in-memory database, print the function-level digest diff and
-/// the replay counters, then the triaged report of `new`.
+/// `o2 diff-analyze old new`: print the function-level digest diff of
+/// the two versions, then the triaged report of `new`.
 fn run_diff(engine: &O2, opts: &Options, old: &Program, new: &Program) -> ExitCode {
     let d = match run_guarded(|| engine.diff_analyze(old, new)) {
         Ok(d) => d,
@@ -604,16 +600,18 @@ fn run_diff(engine: &O2, opts: &Options, old: &Program, new: &Program) -> ExitCo
         for name in &d.diff.removed {
             println!("  - {name}");
         }
-        println!("{}", d.stats.summary());
         println!();
     }
+    let pipeline = d.new.run_pipeline(new);
     if let Some(path) = &opts.save_db {
-        if let Err(e) = d.db.save(std::path::Path::new(path)) {
+        let mut db = AnalysisDb::new(engine.config_sig());
+        db.reports
+            .insert(d.new_digest, render_reports(&pipeline, new));
+        if let Err(e) = db.save(std::path::Path::new(path)) {
             eprintln!("error: cannot write {path}: {e}");
             return ExitCode::from(2);
         }
     }
-    let pipeline = d.new.run_pipeline(new);
     match opts.format {
         Some(Format::Json) => print!("{}", pipeline.to_json(new)),
         Some(Format::Sarif) => print!("{}", pipeline.to_sarif(new)),
@@ -684,8 +682,8 @@ fn main() -> ExitCode {
         return run_diff(&engine, &opts, &program, &new);
     }
 
-    // Incremental database: load (or start fresh at a not-yet-existing
-    // path, so `--load-db X --save-db X` works from the first run on).
+    // Report cache: load (or start fresh at a not-yet-existing path, so
+    // `--load-db X --save-db X` works from the first run on).
     let use_db = opts.load_db.is_some() || opts.save_db.is_some();
     let mut db = match &opts.load_db {
         Some(path) if std::path::Path::new(path).exists() => {
@@ -712,62 +710,53 @@ fn main() -> ExitCode {
         || opts.dot_shb
         || opts.dot_callgraph
         || opts.html.is_some();
-    // Digest once: the cached-report check and the warm analysis both
-    // need the program digests, and recomputing them is a measurable
-    // slice of a warm run on large programs.
+    // Digest once: the cache probe and the commit after a miss both
+    // need the program digests.
     let digests = if use_db {
         Some(o2_ir::digest_program(&program))
     } else {
         None
     };
-    if use_db && !wants_full_report {
-        if let Some(format) = opts.format {
-            if db.config_sig == engine.config_sig()
-                && Some(db.program_sig) == digests.as_ref().map(|d| d.program)
-            {
-                if let Some(reports) = db.reports.clone() {
-                    if !opts.quiet {
-                        eprintln!("o2: replayed cached reports from database");
-                    }
-                    match format {
-                        Format::Text => print!("{}", reports.text),
-                        Format::Json => print!("{}", reports.json),
-                        Format::Sarif => print!("{}", reports.sarif),
-                    }
-                    if let Some(path) = &opts.save_db {
-                        if let Err(e) = db.save(std::path::Path::new(path)) {
-                            eprintln!("error: cannot write {path}: {e}");
-                            return ExitCode::from(2);
-                        }
-                    }
-                    return if reports.n_races == 0 {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::from(1)
-                    };
+    if let (Some(digests), Some(format), false) = (&digests, opts.format, wants_full_report) {
+        if let Some(reports) = db.lookup(engine.config_sig(), digests.program) {
+            if !opts.quiet {
+                eprintln!("o2: replayed cached reports from database");
+            }
+            match format {
+                Format::Text => print!("{}", reports.text),
+                Format::Json => print!("{}", reports.json),
+                Format::Sarif => print!("{}", reports.sarif),
+            }
+            let code = if reports.n_races == 0 {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::from(1)
+            };
+            if let Some(path) = &opts.save_db {
+                if let Err(e) = db.save(std::path::Path::new(path)) {
+                    eprintln!("error: cannot write {path}: {e}");
+                    return ExitCode::from(2);
                 }
             }
+            return code;
         }
     }
 
-    let run = run_guarded(|| {
-        if let Some(digests) = &digests {
-            let (r, s) = engine.analyze_with_db_prepared(&program, &mut db, digests);
-            (r, Some(s))
-        } else {
-            (engine.analyze(&program), None)
+    let run = run_guarded(|| match &digests {
+        Some(digests) => {
+            engine
+                .analyze_with_db_prepared(&program, &mut db, digests)
+                .0
         }
+        None => engine.analyze(&program),
     });
-    let (report, incr_stats) = match run {
+    let report = match run {
         Ok(v) => v,
         Err(e) => return fail(&e),
     };
 
     if !opts.quiet {
         println!("{}", report.summary());
-        if let Some(s) = incr_stats {
-            println!("{}", s.summary());
-        }
         println!();
     }
     if opts.origins {
@@ -817,18 +806,14 @@ fn main() -> ExitCode {
         // *triaged* race list, so `@suppress(race)` and pruning make a
         // clean run exit 0.
         let pipeline = report.run_pipeline(&program);
-        if use_db {
-            db.reports = Some(CachedReports {
-                n_races: pipeline.races.len() as u64,
-                text: pipeline.render(&program),
-                json: pipeline.to_json(&program),
-                sarif: pipeline.to_sarif(&program),
-            });
-        }
         match format {
             Format::Text => print!("{}", pipeline.render(&program)),
             Format::Json => print!("{}", pipeline.to_json(&program)),
             Format::Sarif => print!("{}", pipeline.to_sarif(&program)),
+        }
+        if let Some(digests) = &digests {
+            db.reports
+                .insert(digests.program, render_reports(&pipeline, &program));
         }
         if pipeline.races.is_empty() {
             ExitCode::SUCCESS

@@ -1,98 +1,73 @@
-//! Incremental orchestration: the whole pipeline against an
-//! [`AnalysisDb`].
+//! The whole-program digest cache, orchestrated over an [`AnalysisDb`].
 //!
-//! [`O2::analyze_with_db`] runs the same stages as [`O2::analyze`], but
-//! threads the analysis database through them: OSA replays stored
-//! per-method-instance artifacts, SHB replays stored per-origin
-//! subgraphs, and detection replays cached per-candidate verdicts —
-//! wherever the corresponding content signature is unchanged. The
-//! pointer analysis itself is always re-solved (it is the cheap stage
-//! and its dense ids anchor every replay), so a warm run produces a
-//! report *byte-identical* to a cold run on the same program.
+//! O2 keeps one incremental mechanism: the rendered reports of a program,
+//! keyed by its whole-program digest under one configuration signature.
+//! A digest-identical program under the same configuration is answered
+//! from the cache — by the CLI's `--load-db` fast path, by the `o2 serve`
+//! report cache, and by a daemon preseeded from an `o2 batch --save-db`
+//! image — without running the pipeline. Every other program runs the
+//! ordinary cold pipeline; the cached bytes are exactly what that
+//! pipeline rendered, so a hit is byte-identical to a cold run.
 //!
-//! Invalidation rule: an artifact is reused iff its stored content
-//! signature equals the signature recomputed from this run's program
-//! and solver state. There is no dependency tracking to get wrong —
-//! a stale artifact simply fails its signature match and the stage
-//! recomputes it.
+//! Per-stage replay (OSA rescan, SHB per-origin subgraphs, detect
+//! verdicts) was measured slower than a cold run on every edit chain of
+//! the benchmark and removed; see EXPERIMENTS.md.
 
-use crate::{AnalysisReport, Timings, O2};
-use o2_analysis::{run_osa_bounded, run_osa_incremental};
-use o2_db::{AnalysisDb, Digest, DigestHasher};
-use o2_detect::{detect_budgeted, detect_incremental_budgeted, DetectConfig};
-use o2_ir::{digest_diff, digest_program, Budget, DigestDiff, O2Error, Program, ProgramCtx};
-use o2_pta::{CanonIndex, Policy};
-use o2_shb::{build_shb, build_shb_incremental, ShbConfig};
-use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use crate::{AnalysisReport, O2};
+use o2_db::{AnalysisDb, CachedReports, Digest, DigestHasher};
+use o2_ir::{digest_diff, digest_program, DigestDiff, Program, ProgramDigests};
+use o2_passes::PipelineReport;
+use o2_pta::Policy;
+use std::time::Duration;
 
-/// Rewrites `dst` to equal `src`, reusing the existing `String` keys of
-/// unchanged entries. A warm run commits the full per-method digest maps
-/// every time; cloning them key-by-key re-allocates every method name.
-fn update_digest_map(dst: &mut BTreeMap<String, Digest>, src: &BTreeMap<String, Digest>) {
-    dst.retain(|k, _| src.contains_key(k));
-    for (k, &v) in src {
-        if let Some(d) = dst.get_mut(k) {
-            *d = v;
-        } else {
-            dst.insert(k.clone(), v);
-        }
+/// The three report forms of `pipeline` — exactly what the solo CLI
+/// prints per `--format` (with `--quiet`) — ready for the digest cache.
+pub fn render_reports(pipeline: &PipelineReport, program: &Program) -> CachedReports {
+    CachedReports {
+        n_races: pipeline.races.len() as u64,
+        text: pipeline.render(program),
+        json: pipeline.to_json(program),
+        sarif: pipeline.to_sarif(program),
     }
 }
 
-/// Replay/recompute counters of one [`O2::analyze_with_db`] run.
+/// Stage totals of one [`O2::analyze_with_db`] run, in the shape of the
+/// replay/recompute counters of the per-stage replay caches this crate
+/// no longer has. Kept for the benchmark, which reads these six fields:
+/// every run is cold, so the `*_replayed` counts are 0 and the others
+/// are the stage totals.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IncrStats {
-    /// `false` when the run bypassed the database (pointer analysis hit
-    /// its budget, so dense ids were unstable and nothing was replayed
-    /// or stored).
-    pub incremental: bool,
-    /// OSA method instances replayed from stored artifacts.
+    /// Always 0. Kept for the benchmark.
     pub mis_replayed: usize,
-    /// OSA method instances rescanned.
+    /// Method instances the pointer analysis discovered (the OSA scans
+    /// every one). Kept for the benchmark.
     pub mis_rescanned: usize,
-    /// SHB origins replayed from stored subgraphs.
+    /// Always 0. Kept for the benchmark.
     pub origins_replayed: usize,
-    /// SHB origins re-walked.
+    /// Origins the SHB walk traced. Kept for the benchmark.
     pub origins_walked: usize,
-    /// Race candidates whose verdict was replayed.
+    /// Always 0. Kept for the benchmark.
     pub candidates_replayed: usize,
-    /// Race candidates actually re-checked.
+    /// Candidate locations detection checked pair by pair. Kept for the
+    /// benchmark.
     pub candidates_rechecked: usize,
-    /// Access pairs accounted from cached verdicts.
-    pub pairs_replayed: u64,
-    /// Access pairs examined by this run's checks.
-    pub pairs_rechecked: u64,
-    /// Artifacts replayed from another program's run of the shared batch
-    /// store (set by `o2 batch` orchestration; always 0 in solo runs).
-    pub cross_program_hits: usize,
 }
 
 impl IncrStats {
-    /// One-line textual rendering (used by `--load-db` diagnostics and
-    /// `diff-analyze`).
-    pub fn summary(&self) -> String {
-        if !self.incremental {
-            return "incremental: bypassed (pointer analysis timed out)".to_string();
+    /// The stage totals of `report`.
+    pub(crate) fn of(report: &AnalysisReport) -> IncrStats {
+        IncrStats {
+            mis_rescanned: report.pta.stats.num_mis,
+            origins_walked: report.shb.traces.len(),
+            candidates_rechecked: report.races.prune.candidate_locs as usize,
+            ..IncrStats::default()
         }
-        format!(
-            "incremental: mis {}r/{}s, origins {}r/{}w, candidates {}r/{}c, pairs {}r/{}c",
-            self.mis_replayed,
-            self.mis_rescanned,
-            self.origins_replayed,
-            self.origins_walked,
-            self.candidates_replayed,
-            self.candidates_rechecked,
-            self.pairs_replayed,
-            self.pairs_rechecked,
-        )
     }
 
-    /// Total artifacts replayed across all three stages. In a batch run,
-    /// where each program is analyzed exactly once against the shared
-    /// store, every replay is necessarily a cross-program hit.
-    pub fn total_replays(&self) -> usize {
-        self.mis_replayed + self.origins_replayed + self.candidates_replayed
+    /// Sum of the three stage totals.
+    pub(crate) fn recomputes(&self) -> usize {
+        self.mis_rescanned + self.origins_walked + self.candidates_rechecked
     }
 }
 
@@ -136,8 +111,9 @@ fn write_timeout(h: &mut DigestHasher, t: Option<Duration>) {
 
 impl O2 {
     /// Digest of every configuration field that can influence analysis
-    /// *results*. A database recorded under a different signature is
-    /// cleared before use. `detect.threads` is deliberately excluded:
+    /// *results*: cached reports rendered under a different signature
+    /// are never served. Kept for the benchmark, which binds its images
+    /// to it. `detect.threads` is deliberately excluded:
     /// the report is byte-identical for every worker count, so warm
     /// databases are shareable across `--threads` settings.
     pub fn config_sig(&self) -> Digest {
@@ -173,231 +149,63 @@ impl O2 {
         h.finish()
     }
 
-    /// Runs the full pipeline against `db`, replaying stored artifacts
-    /// for every unchanged origin / method instance / candidate and
-    /// rewriting the database to exactly this run's artifacts.
-    ///
-    /// The report is equal to what [`O2::analyze`] computes on the same
-    /// program (asserted byte-identical over rendered outputs by the
-    /// equivalence tests). If the pointer analysis hits its budget the
-    /// run bypasses the database entirely — a truncated solve has
-    /// unstable dense ids, so nothing is replayed and the stored
-    /// artifacts are left untouched for the next full run.
+    /// Runs the ordinary cold pipeline on `program` and commits its
+    /// identity to `db` (see [`AnalysisDb::commit_program`]): the
+    /// database then holds at most this program's cached reports, which
+    /// the caller renders and inserts. Kept for the benchmark, which
+    /// primes its edit chains with it.
     pub fn analyze_with_db(
         &self,
         program: &Program,
         db: &mut AnalysisDb,
     ) -> (AnalysisReport, IncrStats) {
-        self.analyze_with_db_ctx(&ProgramCtx::solo(program), db)
-    }
-
-    /// [`O2::analyze_with_db`] under an explicit [`ProgramCtx`] — the
-    /// entry point batch workers use, each with its own context and
-    /// checked-out database.
-    pub fn analyze_with_db_ctx(
-        &self,
-        ctx: &ProgramCtx<'_>,
-        db: &mut AnalysisDb,
-    ) -> (AnalysisReport, IncrStats) {
-        let digests = digest_program(ctx.program());
-        self.analyze_with_db_prepared_ctx(ctx, db, &digests)
+        self.analyze_with_db_prepared(program, db, &digest_program(program))
     }
 
     /// [`O2::analyze_with_db`] with the program digests supplied by the
-    /// caller. Digesting a large program is a measurable slice of a warm
-    /// run, and callers such as `--load-db` verification have already
-    /// computed the digests to validate the image — this entry point lets
-    /// them be reused instead of recomputed.
+    /// caller, who has usually computed them already to probe the cache.
+    /// Kept for the benchmark, which times it as the warm analysis.
     pub fn analyze_with_db_prepared(
         &self,
         program: &Program,
         db: &mut AnalysisDb,
-        digests: &o2_ir::ProgramDigests,
+        digests: &ProgramDigests,
     ) -> (AnalysisReport, IncrStats) {
-        self.analyze_with_db_prepared_ctx(&ProgramCtx::solo(program), db, digests)
+        let report = self.analyze(program);
+        db.commit_program(self.config_sig(), digests.program);
+        let stats = IncrStats::of(&report);
+        (report, stats)
     }
 
-    /// [`O2::analyze_with_db_prepared`] under an explicit [`ProgramCtx`].
-    pub fn analyze_with_db_prepared_ctx(
-        &self,
-        ctx: &ProgramCtx<'_>,
-        db: &mut AnalysisDb,
-        digests: &o2_ir::ProgramDigests,
-    ) -> (AnalysisReport, IncrStats) {
-        self.try_analyze_with_db_prepared_ctx(ctx, db, digests, &Budget::unlimited())
-            .expect("unlimited budget cannot trip")
-    }
-
-    /// [`O2::analyze_with_db_prepared_ctx`] under a [`Budget`]. The
-    /// budget is checked at every stage boundary and polled inside the
-    /// solver and detection loops; when it trips, the run aborts with a
-    /// typed [`O2Error`]. Artifacts committed by stages that finished
-    /// before the trip are valid and signature-matched, so they replay
-    /// on the next run; the final program-identity commit is skipped,
-    /// which keeps cached rendered reports describing a completed run.
-    pub fn try_analyze_with_db_prepared_ctx(
-        &self,
-        ctx: &ProgramCtx<'_>,
-        db: &mut AnalysisDb,
-        digests: &o2_ir::ProgramDigests,
-        budget: &Budget,
-    ) -> Result<(AnalysisReport, IncrStats), O2Error> {
-        let t0 = Instant::now();
-        let cfg_sig = self.config_sig();
-        if !db.compatible_with(cfg_sig) {
-            db.clear_artifacts();
-        }
-        db.config_sig = cfg_sig;
-
-        let pta = o2_pta::analyze_budgeted(ctx, &self.pta, budget)?;
-        let t_pta = pta.duration;
-        let down_budget = if pta.timed_out {
-            Some(Duration::from_millis(500))
-        } else {
-            self.pta.timeout
-        };
-
-        if pta.timed_out {
-            budget.check("osa entry")?;
-            let mut osa = run_osa_bounded(ctx, &pta, down_budget);
-            let t_osa = osa.duration;
-            budget.check("shb entry")?;
-            let shb_cfg = ShbConfig {
-                timeout: self.shb.timeout.or(down_budget),
-                ..self.shb.clone()
-            };
-            let shb = build_shb(ctx, &pta, &shb_cfg, &mut osa.locs);
-            let t_shb = shb.duration;
-            let detect_cfg = DetectConfig {
-                timeout: Some(Duration::from_millis(500)),
-                ..self.detect.clone()
-            };
-            let races = detect_budgeted(ctx, &pta, &osa, &shb, &detect_cfg, budget)?;
-            let t_detect = races.duration;
-            let report = AnalysisReport {
-                pta,
-                osa,
-                shb,
-                races,
-                timings: Timings {
-                    pta: t_pta,
-                    osa: t_osa,
-                    shb: t_shb,
-                    detect: t_detect,
-                    total: t0.elapsed(),
-                },
-            };
-            return Ok((report, IncrStats::default()));
-        }
-
-        budget.check("osa entry")?;
-        let canon = CanonIndex::build(ctx, &pta, digests);
-        let mut osa = run_osa_incremental(ctx, &pta, &canon, db, down_budget);
-        let t_osa = osa.result.duration;
-        budget.check("shb entry")?;
-        let shb_cfg = ShbConfig {
-            timeout: self.shb.timeout.or(down_budget),
-            ..self.shb.clone()
-        };
-        let shb = build_shb_incremental(ctx, &pta, &shb_cfg, &canon, &mut osa.result.locs, db);
-        let t_shb = shb.graph.duration;
-        let detect_cfg = DetectConfig {
-            timeout: self.detect.timeout.or(self.pta.timeout),
-            ..self.detect.clone()
-        };
-        let det = detect_incremental_budgeted(
-            ctx,
-            &pta,
-            &osa.result,
-            &shb.graph,
-            &detect_cfg,
-            &canon,
-            &shb.fresh_base,
-            db,
-            budget,
-        )?;
-        let t_detect = det.report.duration;
-
-        // Commit the program identity the database now describes. Cached
-        // rendered reports survive only a digest-identical program.
-        if db.program_sig != digests.program {
-            db.reports = None;
-        }
-        db.program_sig = digests.program;
-        update_digest_map(&mut db.fn_digests, &digests.fns);
-        update_digest_map(&mut db.closure_digests, &digests.closures);
-        db.origin_sigs = pta
-            .arena
-            .origins()
-            .map(|(o, _)| (canon.origin_digest(o), canon.origin_sig(o)))
-            .collect();
-
-        let stats = IncrStats {
-            incremental: true,
-            mis_replayed: osa.mis_replayed,
-            mis_rescanned: osa.mis_rescanned,
-            origins_replayed: shb.origins_replayed,
-            origins_walked: shb.origins_walked,
-            candidates_replayed: det.candidates_replayed,
-            candidates_rechecked: det.candidates_rechecked,
-            pairs_replayed: det.pairs_replayed,
-            pairs_rechecked: det.pairs_rechecked,
-            cross_program_hits: 0,
-        };
-        let report = AnalysisReport {
-            pta,
-            osa: osa.result,
-            shb: shb.graph,
-            races: det.report,
-            timings: Timings {
-                pta: t_pta,
-                osa: t_osa,
-                shb: t_shb,
-                detect: t_detect,
-                total: t0.elapsed(),
-            },
-        };
-        Ok((report, stats))
-    }
-
-    /// Analyzes `old`, then `new` warm from `old`'s database, and
-    /// reports what changed: the function-level digest diff and the
-    /// replay counters of the warm run.
+    /// Diffs `old` against `new` by their function digests and analyzes
+    /// `new` once.
     pub fn diff_analyze(&self, old: &Program, new: &Program) -> DiffAnalysis {
-        let mut db = AnalysisDb::new(self.config_sig());
-        let (old_report, _) = self.analyze_with_db(old, &mut db);
-        let (new_report, stats) = self.analyze_with_db(new, &mut db);
-        let diff = digest_diff(&digest_program(old), &digest_program(new));
+        let new_digests = digest_program(new);
         DiffAnalysis {
-            diff,
-            old: old_report,
-            new: new_report,
-            stats,
-            db,
+            diff: digest_diff(&digest_program(old), &new_digests),
+            new_digest: new_digests.program,
+            new: self.analyze(new),
         }
     }
 }
 
-/// Result of [`O2::diff_analyze`]: both end-to-end reports plus the
-/// digest diff and the warm run's replay counters.
+/// Result of [`O2::diff_analyze`]: the digest diff and the report on the
+/// new version.
 #[derive(Debug)]
 pub struct DiffAnalysis {
     /// Function-level digest diff between the two versions.
     pub diff: DigestDiff,
-    /// Cold report on the old program.
-    pub old: AnalysisReport,
-    /// Warm report on the new program (byte-equal to a cold run).
+    /// Whole-program digest of the new version (its report-cache key).
+    pub new_digest: Digest,
+    /// Report on the new program.
     pub new: AnalysisReport,
-    /// Replay counters of the warm run.
-    pub stats: IncrStats,
-    /// The database after both runs (describes `new`).
-    pub db: AnalysisDb,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::O2Builder;
+    use o2_detect::DetectConfig;
     use o2_ir::parser::parse;
 
     const BASE: &str = r#"
@@ -451,60 +259,83 @@ mod tests {
         }
     "#;
 
-    fn render_all(program: &Program, report: &AnalysisReport) -> (String, String, String) {
-        let p = report.run_pipeline(program);
-        (p.render(program), p.to_json(program), p.to_sarif(program))
+    fn render_all(program: &Program, report: &AnalysisReport) -> CachedReports {
+        render_reports(&report.run_pipeline(program), program)
+    }
+
+    /// What the CLI does on a cache miss: analyze, commit, render, insert.
+    fn fill(o2: &O2, program: &Program, db: &mut AnalysisDb) {
+        let digests = digest_program(program);
+        let (report, _) = o2.analyze_with_db_prepared(program, db, &digests);
+        db.reports
+            .insert(digests.program, render_all(program, &report));
     }
 
     #[test]
-    fn warm_rerun_replays_everything() {
+    fn digest_hit_is_byte_identical_to_cold() {
         let program = parse(BASE).unwrap();
         let o2 = O2Builder::new().build();
         let mut db = AnalysisDb::new(o2.config_sig());
-        let (cold, s0) = o2.analyze_with_db(&program, &mut db);
-        assert!(s0.incremental);
-        assert_eq!(s0.mis_replayed, 0);
-        let (warm, s1) = o2.analyze_with_db(&program, &mut db);
-        assert_eq!(s1.mis_rescanned, 0, "{}", s1.summary());
-        assert_eq!(s1.origins_walked, 0, "{}", s1.summary());
-        assert_eq!(s1.candidates_rechecked, 0, "{}", s1.summary());
-        assert_eq!(render_all(&program, &cold), render_all(&program, &warm));
+        fill(&o2, &program, &mut db);
+        let digest = digest_program(&program).program;
+        let hit = db.lookup(o2.config_sig(), digest).expect("cached");
+        assert_eq!(hit, &render_all(&program, &o2.analyze(&program)));
     }
 
     #[test]
-    fn diff_analyze_matches_cold_and_recomputes_less() {
+    fn analyze_with_db_reports_stage_totals() {
+        let program = parse(BASE).unwrap();
+        let o2 = O2Builder::new().build();
+        let mut db = AnalysisDb::new(o2.config_sig());
+        let (report, s) = o2.analyze_with_db(&program, &mut db);
+        assert_eq!(
+            s.mis_replayed + s.origins_replayed + s.candidates_replayed,
+            0
+        );
+        assert_eq!(s.mis_rescanned, report.pta.stats.num_mis);
+        assert_eq!(s.origins_walked, report.num_origins());
+        assert!(s.candidates_rechecked > 0);
+    }
+
+    #[test]
+    fn editing_a_program_drops_its_old_reports() {
+        let (old, new) = (parse(BASE).unwrap(), parse(EDITED).unwrap());
+        let o2 = O2Builder::new().build();
+        let mut db = AnalysisDb::new(o2.config_sig());
+        fill(&o2, &old, &mut db);
+        fill(&o2, &new, &mut db);
+        let keys: Vec<Digest> = db.reports.keys().copied().collect();
+        assert_eq!(keys, vec![digest_program(&new).program]);
+    }
+
+    #[test]
+    fn diff_analyze_matches_cold() {
         let old = parse(BASE).unwrap();
         let new = parse(EDITED).unwrap();
         let o2 = O2Builder::new().build();
         let d = o2.diff_analyze(&old, &new);
         assert_eq!(d.diff.changed, vec!["W2.run/0".to_string()]);
-        assert!(d.stats.incremental);
-        assert!(d.stats.mis_replayed > 0, "{}", d.stats.summary());
-        assert!(d.stats.origins_replayed > 0, "{}", d.stats.summary());
-        let cold = o2.analyze(&new);
-        assert_eq!(render_all(&new, &cold), render_all(&new, &d.new));
-        // Strictly fewer re-checked candidates than a cold run checks.
-        let total = d.stats.candidates_replayed + d.stats.candidates_rechecked;
-        assert!(
-            d.stats.candidates_rechecked < total,
-            "{}",
-            d.stats.summary()
+        assert_eq!(d.new_digest, digest_program(&new).program);
+        assert_eq!(
+            render_all(&new, &o2.analyze(&new)),
+            render_all(&new, &d.new)
         );
     }
 
     #[test]
     fn config_change_invalidates_database() {
         let program = parse(BASE).unwrap();
+        let digest = digest_program(&program).program;
         let o2 = O2Builder::new().build();
         let mut db = AnalysisDb::new(o2.config_sig());
-        o2.analyze_with_db(&program, &mut db);
+        fill(&o2, &program, &mut db);
         let naive = O2Builder::new()
             .detect_config(DetectConfig::naive())
             .build();
         assert_ne!(o2.config_sig(), naive.config_sig());
-        let (_, s) = naive.analyze_with_db(&program, &mut db);
-        assert!(s.incremental);
-        assert_eq!(s.mis_replayed, 0, "cleared db replays nothing");
+        assert!(db.lookup(naive.config_sig(), digest).is_none());
+        naive.analyze_with_db(&program, &mut db);
+        assert!(db.reports.is_empty(), "cleared db holds nothing");
         assert_eq!(db.config_sig, naive.config_sig());
     }
 
@@ -513,14 +344,14 @@ mod tests {
         let program = parse(BASE).unwrap();
         let o2 = O2Builder::new().build();
         let mut db = AnalysisDb::new(o2.config_sig());
-        o2.analyze_with_db(&program, &mut db);
+        fill(&o2, &program, &mut db);
         let bytes = db.to_bytes();
         let back = AnalysisDb::from_bytes(&bytes).unwrap();
         assert_eq!(back.to_bytes(), bytes);
-        let mut db2 = back;
-        let (_, s) = o2.analyze_with_db(&program, &mut db2);
-        assert_eq!(s.mis_rescanned, 0, "{}", s.summary());
-        assert_eq!(s.origins_walked, 0, "{}", s.summary());
-        assert_eq!(s.candidates_rechecked, 0, "{}", s.summary());
+        let digest = digest_program(&program).program;
+        assert_eq!(
+            back.lookup(o2.config_sig(), digest),
+            db.lookup(o2.config_sig(), digest)
+        );
     }
 }

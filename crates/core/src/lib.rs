@@ -41,9 +41,9 @@ pub mod loadgen;
 pub mod serve;
 
 pub use batch::{
-    parse_manifest, run_batch, run_batch_with_store, BatchEntry, BatchReport, ProgramOutcome,
+    parse_manifest, run_batch, run_batch_with_db, BatchEntry, BatchReport, ProgramOutcome,
 };
-pub use incremental::{DiffAnalysis, IncrStats};
+pub use incremental::{render_reports, DiffAnalysis, IncrStats};
 pub use loadgen::{run_loadgen, LatencyStats, LoadgenConfig, LoadgenReport};
 pub use serve::{Client, ServeOptions, ServerHandle};
 

@@ -6,8 +6,8 @@
 //! (ROADMAP item 2): arrivals are Poisson — exponential inter-arrival
 //! times at a target rate — and each arrival draws its workload from a
 //! Zipf distribution over the configured specs, with a coin flip for
-//! "analyze an edited variant" (which exercises artifact-level warm
-//! replay instead of the whole-report digest hit).
+//! "analyze an edited variant" (a fresh program the daemon analyzes
+//! cold, instead of the whole-report digest hit).
 //!
 //! Latency is measured from each request's *scheduled* arrival time,
 //! not from when the client got around to sending it, so a server that
@@ -20,12 +20,13 @@
 //! [`LoadgenConfig::seed`]: same seed, same schedule, byte-for-byte.
 //! With [`LoadgenConfig::verify`] set, every response's `output` field
 //! is compared against a locally computed solo-CLI oracle
-//! ([`crate::serve::solo_reports`]) — sharing changes how fast the
+//! ([`crate::serve::solo_reports`]) — caching changes how fast the
 //! daemon answers, never what it answers.
 
-use crate::serve::{json_escape, solo_reports, Client, JsonValue};
+use crate::serve::{solo_reports, Client, JsonValue};
 use crate::O2;
 use o2_db::FastMap;
+use o2_ir::json_escape;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -240,7 +241,7 @@ pub struct LoadgenReport {
     /// Responses whose `output` differed from the solo oracle (always 0
     /// unless [`LoadgenConfig::verify`] was set — and must be 0 then).
     pub mismatches: usize,
-    /// Responses answered warm (`digest_hit` or ≥ 1 artifact replay).
+    /// Responses answered warm (`digest_hit`).
     pub warm_responses: usize,
     /// Injected malformed requests sent (`malformed_frac` > 0).
     pub malformed: usize,
@@ -405,8 +406,7 @@ fn classify(map: &BTreeMap<String, JsonValue>) -> (bool, bool) {
     let warm = map
         .get("digest_hit")
         .and_then(|v| v.as_bool())
-        .unwrap_or(false)
-        || map.get("replays").and_then(|v| v.as_u64()).unwrap_or(0) > 0;
+        .unwrap_or(false);
     (ok, warm)
 }
 

@@ -1,22 +1,16 @@
 //! The resident analysis daemon behind `o2 serve <addr>`.
 //!
-//! A server process holds one [`SharedStore`] — the digest-keyed
-//! artifact pool of PR 8 — plus two derived caches across *all*
-//! requests, so every client gets warm-replay latency instead of
-//! cold-run latency:
+//! A server process holds two caches across *all* requests:
 //!
-//! 1. **artifact pool** ([`SharedStore`]): every analyze request checks
-//!    out a private [`AnalysisDb`] seeded from the pool, runs the
-//!    ordinary incremental pipeline, and publishes its artifacts back.
-//!    A function body any earlier request has analyzed (same program,
-//!    an edited version, or a different program sharing the body)
-//!    replays instead of recomputing.
-//! 2. **rendered-report cache**: keyed by whole-program digest. A
+//! 1. **rendered-report cache**: keyed by whole-program digest. A
 //!    repeat request for a digest-identical program skips the pipeline
 //!    entirely and answers with the cached bytes (`digest_hit` in the
-//!    response) — the same fast path the solo CLI has behind
-//!    `--load-db`, shared across every client.
-//! 3. **resolved-program cache**: registry workloads and inline sources
+//!    response) — the same digest cache the solo CLI has behind
+//!    `--load-db`, shared across every client. `--load-db` preseeds it
+//!    from an [`AnalysisDb`] image (for example one written by
+//!    `o2 batch --save-db`) and `--save-db` snapshots it on exit. Any
+//!    other program runs the ordinary cold pipeline.
+//! 2. **resolved-program cache**: registry workloads and inline sources
 //!    are parsed/generated once per distinct request shape.
 //!
 //! # Protocol
@@ -35,7 +29,7 @@
 //! - `diff-analyze` — `workload`+`edit` (old = base, new = edited) or
 //!   `old_source`/`new_source`; answers with the digest diff counts and
 //!   the new version's report. Also honors `deadline_ms`.
-//! - `stats` — cumulative [`ServeStats`] + [`StoreStats`] counters.
+//! - `stats` — cumulative [`ServeStats`] counters.
 //! - `ping`, `shutdown`.
 //!
 //! # Errors
@@ -52,22 +46,22 @@
 //!
 //! The `output` field of an `analyze` response is **byte-identical** to
 //! the solo CLI's stdout for the same program and `--format` (with
-//! `--quiet`): replay is byte-identical to recompute (the store's
-//! invariant), and the report cache stores exactly the pipeline's
-//! rendered bytes. Sharing changes how fast a request answers, never
-//! what it answers.
+//! `--quiet`): the report cache stores exactly the pipeline's rendered
+//! bytes. Caching changes how fast a request answers, never what it
+//! answers.
 //!
 //! Reentrancy: the engine configuration is immutable, every request
 //! analyzes under its own [`ProgramCtx`] (a fresh [`ProgramId`] from an
 //! atomic counter — dense ids never leak across requests), and all
-//! shared state (`SharedStore`, the two caches, the counters) is behind
-//! mutexes held only for copies, never across an analysis.
+//! shared state (the two caches, the counters) is behind mutexes held
+//! only for copies, never across an analysis.
 
-use crate::incremental::IncrStats;
+use crate::incremental::{render_reports, IncrStats};
 use crate::{AnalysisReport, O2};
-use o2_db::{AnalysisDb, CachedReports, Digest, DigestHasher, FastMap, SharedStore, StoreStats};
+use o2_db::{AnalysisDb, CachedReports, Digest, DigestHasher, FastMap};
 use o2_ir::{
-    digest_diff, digest_program, Budget, O2Error, Program, ProgramCtx, ProgramDigests, ProgramId,
+    digest_diff, digest_program, json_escape, Budget, O2Error, Program, ProgramCtx, ProgramDigests,
+    ProgramId,
 };
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -134,31 +128,13 @@ impl JsonValue {
     }
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Parses one *flat* JSON object (`{"k": "v", "n": 3, "b": true}`) into
 /// a key → value map. Nested objects and arrays are rejected: the
 /// protocol is deliberately one level deep so both sides can stay
 /// dependency-free.
 pub fn parse_flat_json(line: &str) -> Result<BTreeMap<String, JsonValue>, String> {
     let mut p = FlatParser {
+        text: line,
         bytes: line.as_bytes(),
         pos: 0,
     };
@@ -191,6 +167,7 @@ pub fn parse_flat_json(line: &str) -> Result<BTreeMap<String, JsonValue>, String
 }
 
 struct FlatParser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -231,13 +208,22 @@ impl FlatParser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote or
+            // backslash with one push. Both stop bytes are ASCII and the
+            // input is a `&str`, so the run ends on a char boundary.
+            let start = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The backslash of an escape.
                     self.pos += 1;
                     let esc = self.peek().ok_or("unterminated escape")?;
                     self.pos += 1;
@@ -275,15 +261,6 @@ impl FlatParser<'_> {
                         }
                         other => return Err(format!("unknown escape '\\{}'", other as char)),
                     }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -550,18 +527,18 @@ pub struct ServeStats {
     pub diff_ok: u64,
     /// Error responses (malformed, unknown op, resolution failures).
     pub errors: u64,
-    /// Analyze requests answered wholesale from the rendered-report
+    /// Analyze/diff requests answered wholesale from the rendered-report
     /// cache (whole-program digest hit).
     pub report_hits: u64,
-    /// Artifacts replayed from the shared store across all requests.
+    /// Always 0: nothing is replayed below the whole-program report
+    /// cache. Kept for the benchmark.
     pub artifact_replays: u64,
-    /// Artifacts recomputed (rescanned / re-walked / re-checked).
+    /// Stage totals (method instances + origins + candidate locations)
+    /// summed over every analysis run. Kept for the benchmark.
     pub artifact_recomputes: u64,
-    /// Analyze/diff requests that replayed nothing (first sight of
-    /// every artifact).
+    /// Analyze/diff requests that ran the pipeline.
     pub cold_requests: u64,
-    /// Analyze/diff requests served at least partly from cache (report
-    /// hit or ≥1 artifact replay).
+    /// Analyze/diff requests answered from the report cache.
     pub warm_requests: u64,
     /// Total wall milliseconds spent answering cold requests.
     pub cold_ms_total: f64,
@@ -600,16 +577,14 @@ impl ServeStats {
             self.warm_ms_total / self.warm_requests as f64
         }
     }
+}
 
-    /// Fraction of artifact lookups served by replay, in `[0, 1]`.
-    pub fn replay_rate(&self) -> f64 {
-        let total = self.artifact_replays + self.artifact_recomputes;
-        if total == 0 {
-            0.0
-        } else {
-            self.artifact_replays as f64 / total as f64
-        }
-    }
+/// Kept for the benchmark, which reads `artifacts_accepted`. The
+/// artifact pool it counted is gone, so it always reads 0.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct StoreStats {
+    /// Always 0. Kept for the benchmark.
+    pub artifacts_accepted: usize,
 }
 
 struct ResolvedProgram {
@@ -679,14 +654,17 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> LruCache<K, V> {
     fn len(&self) -> usize {
         self.map.len()
     }
+
+    fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.map.iter().map(|(k, (v, _))| (k, v))
+    }
 }
 
 /// All state one server process shares across requests: the engine
-/// configuration, the artifact pool, the program / report caches, and
-/// the counters. See the module docs for the reentrancy contract.
+/// configuration, the program / report caches, and the counters. See the
+/// module docs for the reentrancy contract.
 pub struct ServeState {
     engine: O2,
-    store: SharedStore,
     /// LRU-bounded caches (cap 512 each): resolved request shapes and
     /// rendered whole-program reports.
     programs: Mutex<LruCache<String, Arc<ResolvedProgram>>>,
@@ -698,12 +676,10 @@ pub struct ServeState {
 }
 
 impl ServeState {
-    /// Creates server state for `engine` with an empty artifact pool.
+    /// Creates server state for `engine` with empty caches.
     pub fn new(engine: O2) -> ServeState {
-        let store = SharedStore::new(engine.config_sig());
         ServeState {
             engine,
-            store,
             programs: Mutex::new(LruCache::new(512)),
             reports: Mutex::new(LruCache::new(512)),
             stats: Mutex::new(ServeStats::default()),
@@ -720,18 +696,32 @@ impl ServeState {
         &self.engine
     }
 
-    /// Seeds the artifact pool from a persisted database image (the
-    /// `--load-db` warm-restart path). Returns how many artifacts were
+    /// Seeds the report cache from a persisted database image (the
+    /// `--load-db` warm-restart path). Returns how many reports were
     /// seeded; rejects an image recorded under a different
     /// configuration.
     pub fn preseed(&self, image: &AnalysisDb) -> Result<usize, String> {
-        self.store.preseed(image)
+        if image.config_sig != self.engine.config_sig() {
+            return Err(
+                "database image was recorded under a different analysis configuration".to_string(),
+            );
+        }
+        let mut cache = self.reports.lock().expect("report cache poisoned");
+        for (digest, reports) in &image.reports {
+            cache.insert(*digest, Arc::new(reports.clone()));
+        }
+        Ok(image.reports.len())
     }
 
-    /// A point-in-time image of the artifact pool (the `--save-db`
+    /// A point-in-time image of the report cache (the `--save-db`
     /// path).
     pub fn snapshot_db(&self) -> AnalysisDb {
-        self.store.snapshot()
+        let mut db = AnalysisDb::new(self.engine.config_sig());
+        let cache = self.reports.lock().expect("report cache poisoned");
+        for (digest, reports) in cache.iter() {
+            db.reports.insert(*digest, CachedReports::clone(reports));
+        }
+        db
     }
 
     /// Point-in-time copy of the request counters, with the cache
@@ -751,9 +741,9 @@ impl ServeState {
         s
     }
 
-    /// Point-in-time copy of the artifact pool's accounting.
+    /// Kept for the benchmark; always [`StoreStats::default`].
     pub fn store_stats(&self) -> StoreStats {
-        self.store.stats()
+        StoreStats::default()
     }
 
     /// Flags the server to stop accepting connections and wakes the
@@ -930,76 +920,69 @@ impl ServeState {
         }
     }
 
-    /// Runs the budgeted incremental pipeline under a panic backstop.
-    /// No `ServeState` lock is held across this call, so a caught panic
-    /// can never poison shared state; it surfaces as a structured
-    /// `internal` error and the worker returns to the pool.
+    /// Runs the budgeted cold pipeline under a panic backstop. No
+    /// `ServeState` lock is held across this call, so a caught panic can
+    /// never poison shared state; it surfaces as a structured `internal`
+    /// error and the worker returns to the pool.
     fn run_pipeline_guarded(
         &self,
         ctx: &ProgramCtx<'_>,
-        db: &mut AnalysisDb,
-        digests: &ProgramDigests,
         budget: &Budget,
-    ) -> Result<(AnalysisReport, IncrStats), O2Error> {
+    ) -> Result<AnalysisReport, O2Error> {
         match std::panic::catch_unwind(AssertUnwindSafe(|| {
-            self.engine
-                .try_analyze_with_db_prepared_ctx(ctx, db, digests, budget)
+            self.engine.try_analyze_ctx(ctx, budget)
         })) {
             Ok(result) => result,
             Err(payload) => Err(O2Error::from_panic(payload)),
         }
     }
 
-    /// Runs the incremental pipeline for `resolved` against a store
-    /// checkout and caches the rendered reports. Returns the reports and
-    /// the run's replay counters; a budget trip or caught panic aborts
-    /// the request without publishing and without caching.
-    fn analyze_uncached(
+    /// The rendered reports of `resolved`: from the report cache on a
+    /// digest hit, else from a cold run that is then cached. Returns the
+    /// reports, whether they were a hit, and the run's stage totals (0 on
+    /// a hit). A budget trip or caught panic aborts without caching.
+    fn reports_for(
         &self,
         resolved: &ResolvedProgram,
         budget: &Budget,
-    ) -> Result<(Arc<CachedReports>, IncrStats), O2Error> {
+    ) -> Result<(Arc<CachedReports>, bool, usize), O2Error> {
+        let digest = resolved.digests.program;
+        if let Some(r) = self
+            .reports
+            .lock()
+            .expect("report cache poisoned")
+            .get(&digest)
+        {
+            return Ok((r, true, 0));
+        }
         let ctx = ProgramCtx::new(self.fresh_program_id(), &resolved.name, &resolved.program);
-        let mut db = self.store.checkout();
-        let (report, stats) =
-            self.run_pipeline_guarded(&ctx, &mut db, &resolved.digests, budget)?;
-        self.store.publish(&db);
+        let report = self.run_pipeline_guarded(&ctx, budget)?;
+        let recomputes = IncrStats::of(&report).recomputes();
         let pipeline = report.run_pipeline(&resolved.program);
-        let cached = Arc::new(CachedReports {
-            n_races: pipeline.races.len() as u64,
-            text: pipeline.render(&resolved.program),
-            json: pipeline.to_json(&resolved.program),
-            sarif: pipeline.to_sarif(&resolved.program),
-        });
+        let cached = Arc::new(render_reports(&pipeline, &resolved.program));
         self.reports
             .lock()
             .expect("report cache poisoned")
-            .insert(resolved.digests.program, cached.clone());
-        Ok((cached, stats))
+            .insert(digest, cached.clone());
+        Ok((cached, false, recomputes))
     }
 
     fn account_analysis(
         &self,
         kind: AnalysisKind,
         digest_hit: bool,
-        stats: &IncrStats,
+        recomputes: usize,
         wall_ms: f64,
     ) {
-        let replays = stats.total_replays() as u64;
-        let recomputes =
-            (stats.mis_rescanned + stats.origins_walked + stats.candidates_rechecked) as u64;
         let mut s = self.stats.lock().expect("serve stats poisoned");
         s.requests += 1;
         match kind {
             AnalysisKind::Analyze => s.analyze_ok += 1,
             AnalysisKind::Diff => s.diff_ok += 1,
         }
+        s.artifact_recomputes += recomputes as u64;
         if digest_hit {
             s.report_hits += 1;
-        }
-        s.artifact_replays += replays;
-        s.artifact_recomputes += recomputes;
-        if digest_hit || replays > 0 {
             s.warm_requests += 1;
             s.warm_ms_total += wall_ms;
         } else {
@@ -1018,29 +1001,20 @@ impl ServeState {
         let budget = budget_for(deadline_ms);
         budget.check("request admission")?;
         let resolved = self.resolve_target(target)?;
-        let cached = self
-            .reports
-            .lock()
-            .expect("report cache poisoned")
-            .get(&resolved.digests.program);
-        let (reports, digest_hit, stats) = match cached {
-            Some(r) => (r, true, IncrStats::default()),
-            None => {
-                let (r, stats) = self.analyze_uncached(&resolved, &budget)?;
-                (r, false, stats)
-            }
-        };
+        let (reports, digest_hit, recomputes) = self.reports_for(&resolved, &budget)?;
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        self.account_analysis(AnalysisKind::Analyze, digest_hit, &stats, wall_ms);
+        self.account_analysis(AnalysisKind::Analyze, digest_hit, recomputes, wall_ms);
         let mut out = String::with_capacity(256);
         out.push_str("{\"ok\":true,\"op\":\"analyze\",\"program\":\"");
         out.push_str(&json_escape(&resolved.name));
         out.push('"');
-        push_counter_fields(&mut out, reports.n_races, digest_hit, &stats, wall_ms);
+        push_counter_fields(&mut out, reports.n_races, digest_hit, wall_ms);
         push_output(&mut out, format, &reports);
         Ok(out)
     }
 
+    /// Diffs the two versions by their function digests and answers with
+    /// the new version's reports (one analysis, or a digest hit).
     fn diff(
         &self,
         old_t: &Target,
@@ -1053,32 +1027,10 @@ impl ServeState {
         budget.check("request admission")?;
         let old = self.resolve_target(old_t)?;
         let new = self.resolve_target(new_t)?;
-        // One checkout, two runs: the new version runs warm from the old
-        // version's artifacts (plus whatever the pool already held).
-        // Both runs publish, so later requests replay either version.
-        let ctx_old = ProgramCtx::new(self.fresh_program_id(), &old.name, &old.program);
-        let mut db = self.store.checkout();
-        let (_old_report, _old_stats) =
-            self.run_pipeline_guarded(&ctx_old, &mut db, &old.digests, &budget)?;
-        self.store.publish(&db);
-        let ctx_new = ProgramCtx::new(self.fresh_program_id(), &new.name, &new.program);
-        let (new_report, stats) =
-            self.run_pipeline_guarded(&ctx_new, &mut db, &new.digests, &budget)?;
-        self.store.publish(&db);
         let diff = digest_diff(&old.digests, &new.digests);
-        let pipeline = new_report.run_pipeline(&new.program);
-        let reports = Arc::new(CachedReports {
-            n_races: pipeline.races.len() as u64,
-            text: pipeline.render(&new.program),
-            json: pipeline.to_json(&new.program),
-            sarif: pipeline.to_sarif(&new.program),
-        });
-        self.reports
-            .lock()
-            .expect("report cache poisoned")
-            .insert(new.digests.program, reports.clone());
+        let (reports, digest_hit, recomputes) = self.reports_for(&new, &budget)?;
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        self.account_analysis(AnalysisKind::Diff, false, &stats, wall_ms);
+        self.account_analysis(AnalysisKind::Diff, digest_hit, recomputes, wall_ms);
         let mut out = String::with_capacity(256);
         out.push_str("{\"ok\":true,\"op\":\"diff-analyze\",\"program\":\"");
         out.push_str(&json_escape(&new.name));
@@ -1092,7 +1044,7 @@ impl ServeState {
                 diff.removed.len()
             )
         };
-        push_counter_fields(&mut out, reports.n_races, false, &stats, wall_ms);
+        push_counter_fields(&mut out, reports.n_races, digest_hit, wall_ms);
         push_output(&mut out, format, &reports);
         Ok(out)
     }
@@ -1100,25 +1052,19 @@ impl ServeState {
     fn stats_response(&self) -> String {
         use std::fmt::Write as _;
         let s = self.stats();
-        let st = self.store_stats();
-        let (osa, shb, verdicts) = self.store.pooled();
         let cached = self.reports.lock().expect("report cache poisoned").len();
         let cached_programs = self.programs.lock().expect("program cache poisoned").len();
         let mut out = String::with_capacity(512);
         let _ = write!(
             out,
             "{{\"ok\":true,\"op\":\"stats\",\"requests\":{},\"analyze_ok\":{},\"diff_ok\":{},\
-             \"errors\":{},\"report_hits\":{},\"artifact_replays\":{},\"artifact_recomputes\":{},\
-             \"replay_rate\":{:.4},\"cold_requests\":{},\"warm_requests\":{},\
+             \"errors\":{},\"report_hits\":{},\"cold_requests\":{},\"warm_requests\":{},\
              \"cold_ms_mean\":{:.3},\"warm_ms_mean\":{:.3}",
             s.requests,
             s.analyze_ok,
             s.diff_ok,
             s.errors,
             s.report_hits,
-            s.artifact_replays,
-            s.artifact_recomputes,
-            s.replay_rate(),
             s.cold_requests,
             s.warm_requests,
             s.cold_ms_mean(),
@@ -1128,26 +1074,14 @@ impl ServeState {
             out,
             ",\"timeouts\":{},\"panics\":{},\"program_cache_hits\":{},\
              \"program_cache_evictions\":{},\"report_cache_hits\":{},\
-             \"report_cache_evictions\":{},\"cached_programs\":{cached_programs}",
+             \"report_cache_evictions\":{},\"cached_programs\":{cached_programs},\
+             \"cached_reports\":{cached}}}",
             s.timeouts,
             s.panics,
             s.program_cache_hits,
             s.program_cache_evictions,
             s.report_cache_hits,
             s.report_cache_evictions,
-        );
-        let _ = write!(
-            out,
-            ",\"store_checkouts\":{},\"store_publishes\":{},\"store_seeded\":{},\
-             \"store_accepted\":{},\"store_offered\":{},\"store_collisions\":{},\
-             \"pooled_osa\":{osa},\"pooled_shb\":{shb},\"pooled_verdicts\":{verdicts},\
-             \"cached_reports\":{cached}}}",
-            st.checkouts,
-            st.publishes,
-            st.artifacts_seeded,
-            st.artifacts_accepted,
-            st.artifacts_offered,
-            st.digest_collisions(),
         );
         out
     }
@@ -1169,20 +1103,11 @@ pub(crate) fn has_memory_access(p: &Program) -> bool {
 
 /// Writes the counter fields shared by analyze and diff responses. The
 /// caller has already closed the `"program"` string.
-fn push_counter_fields(
-    out: &mut String,
-    races: u64,
-    digest_hit: bool,
-    stats: &IncrStats,
-    wall_ms: f64,
-) {
+fn push_counter_fields(out: &mut String, races: u64, digest_hit: bool, wall_ms: f64) {
     use std::fmt::Write as _;
     let _ = write!(
         out,
-        ",\"races\":{races},\"digest_hit\":{digest_hit},\"replays\":{},\"recomputes\":{},\
-         \"wall_ms\":{wall_ms:.3}",
-        stats.total_replays(),
-        stats.mis_rescanned + stats.origins_walked + stats.candidates_rechecked,
+        ",\"races\":{races},\"digest_hit\":{digest_hit},\"wall_ms\":{wall_ms:.3}"
     );
 }
 
@@ -1370,7 +1295,7 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The shared server state (stats, store, preseed).
+    /// The shared server state (stats, caches, preseed).
     pub fn state(&self) -> &Arc<ServeState> {
         &self.state
     }
@@ -1462,14 +1387,7 @@ impl Client {
 /// PR 9 bench. This is exactly what the solo CLI prints per `--format`
 /// (with `--quiet`).
 pub fn solo_reports(engine: &O2, program: &Program) -> CachedReports {
-    let report = engine.analyze(program);
-    let pipeline = report.run_pipeline(program);
-    CachedReports {
-        n_races: pipeline.races.len() as u64,
-        text: pipeline.render(program),
-        json: pipeline.to_json(program),
-        sarif: pipeline.to_sarif(program),
-    }
+    render_reports(&engine.analyze(program).run_pipeline(program), program)
 }
 
 #[cfg(test)]
@@ -1494,6 +1412,40 @@ mod tests {
         assert!(parse_flat_json("not json").is_err());
         assert!(parse_flat_json("{\"a\":1} trailing").is_err());
         assert!(parse_flat_json("{}").unwrap().is_empty());
+    }
+
+    #[test]
+    fn megabyte_strings_parse_back_exactly() {
+        // Every escape `json_escape` writes, multibyte UTF-8 of every
+        // width, and plain ASCII runs, repeated past 1 MB.
+        let mut chunk: String = (0u8..0x20).map(char::from).collect();
+        chunk.push_str("\"\\/ plain ascii é ß € 😀 𝄞 中文 ");
+        let text = chunk.repeat((1 << 20) / chunk.len() + 1);
+        assert!(text.len() >= 1 << 20);
+        let line = format!("{{\"k\":\"{}\"}}", json_escape(&text));
+        let map = parse_flat_json(&line).unwrap();
+        assert_eq!(map["k"].as_str(), Some(text.as_str()));
+        // The escape forms `json_escape` never writes decode too.
+        let map = parse_flat_json("{\"k\":\"a\\/\\b\\f\\u00e9\\ud834\\udd1e\\u4e2dz\"}").unwrap();
+        assert_eq!(map["k"].as_str(), Some("a/\u{8}\u{c}é𝄞中z"));
+    }
+
+    #[test]
+    fn malformed_strings_are_rejected() {
+        for bad in [
+            "{\"k\":\"abc}",
+            "{\"k\":\"abc\\",
+            "{\"k\":\"a\\qb\"}",
+            "{\"k\":\"\\u12\"}",
+            "{\"k\":\"\\u12g4\"}",
+            "{\"k\":\"\\ud83dx\"}",
+            "{\"k\":\"\\ud83d\\n\"}",
+            "{\"k\":\"\\ud83d\\u0041\"}",
+            "{\"k\":\"\\ude00\"}",
+            "{\"k\":\"é",
+        ] {
+            assert!(parse_flat_json(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]
@@ -1550,7 +1502,7 @@ mod tests {
         let map = parse_flat_json(&resp).unwrap();
         assert_eq!(map["ok"].as_bool(), Some(true), "{resp}");
         assert_eq!(map["changed"].as_u64(), Some(1), "{resp}");
-        assert!(map["replays"].as_u64().unwrap() > 0, "{resp}");
+        assert_eq!(map["digest_hit"].as_bool(), Some(false), "{resp}");
         // The edited program's output matches a solo run of the edited
         // program.
         let w = o2_workloads::workload_by_name("realbug:ZooKeeper").unwrap();

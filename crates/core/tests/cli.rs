@@ -254,8 +254,69 @@ fn diff_analyze_reports_changed_functions() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("diff: 1 changed"), "{stdout}");
     assert!(stdout.contains("~ W.run/0"), "{stdout}");
-    assert!(stdout.contains("incremental:"), "{stdout}");
     assert!(stdout.contains("race(s) after triage"), "{stdout}");
+}
+
+/// Runs `o2 <file> --format json --load-db <db>` and returns its stdout
+/// after checking it came from the cache.
+fn load_db_hit(file: &std::path::Path, db: &std::path::Path) -> Vec<u8> {
+    let out = Command::new(o2_bin())
+        .arg(file)
+        .args(["--format", "json", "--load-db"])
+        .arg(db)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("replayed cached reports"), "{stderr}");
+    out.stdout
+}
+
+fn cold_json(file: &std::path::Path) -> Vec<u8> {
+    let out = Command::new(o2_bin())
+        .arg(file)
+        .args(["--quiet", "--format", "json"])
+        .output()
+        .unwrap();
+    out.stdout
+}
+
+/// `diff-analyze --save-db` caches the new version's reports, and
+/// `o2 batch --save-db` caches every manifest program's: a later
+/// `--load-db` run on either answers from the cache, byte-identical to
+/// a cold run.
+#[test]
+fn diff_and_batch_images_feed_the_load_db_fast_path() {
+    let old = write_temp("img_old.o2", RACY);
+    let new = write_temp(
+        "img_new.o2",
+        &RACY.replace("s.data = s;", "s.data = s; s.data = s;"),
+    );
+    let dir = std::env::temp_dir().join("o2-cli-tests");
+    let diff_db = dir.join("diff.o2db");
+    let out = Command::new(o2_bin())
+        .arg("diff-analyze")
+        .arg(&old)
+        .arg(&new)
+        .args(["--quiet", "--format", "json", "--save-db"])
+        .arg(&diff_db)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(load_db_hit(&new, &diff_db), cold_json(&new));
+
+    let manifest = write_temp("img.manifest", "old = img_old.o2\nnew = img_new.o2\n");
+    let batch_db = dir.join("batch.o2db");
+    let out = Command::new(o2_bin())
+        .arg("batch")
+        .arg(&manifest)
+        .args(["--quiet", "--save-db"])
+        .arg(&batch_db)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(load_db_hit(&old, &batch_db), cold_json(&old));
+    assert_eq!(load_db_hit(&new, &batch_db), cold_json(&new));
 }
 
 #[test]

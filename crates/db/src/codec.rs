@@ -60,21 +60,6 @@ impl Writer {
         self.buf
     }
 
-    /// Appends a single byte.
-    pub fn u8(&mut self, x: u8) {
-        self.buf.push(x);
-    }
-
-    /// Appends a boolean as one byte.
-    pub fn bool(&mut self, x: bool) {
-        self.u8(u8::from(x));
-    }
-
-    /// Appends a little-endian `u16`.
-    pub fn u16(&mut self, x: u16) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-
     /// Appends a little-endian `u32`.
     pub fn u32(&mut self, x: u32) {
         self.buf.extend_from_slice(&x.to_le_bytes());
@@ -135,25 +120,6 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, DbError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a boolean; any byte other than 0/1 is corrupt.
-    pub fn bool(&mut self) -> Result<bool, DbError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(DbError::Corrupt("boolean out of range")),
-        }
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, DbError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, DbError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
@@ -201,18 +167,12 @@ mod tests {
     #[test]
     fn roundtrip_scalars() {
         let mut w = Writer::new();
-        w.u8(7);
-        w.bool(true);
-        w.u16(300);
         w.u32(70_000);
         w.u64(1 << 40);
         w.str("héllo");
         w.digest(Digest(3, 4));
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert!(r.bool().unwrap());
-        assert_eq!(r.u16().unwrap(), 300);
         assert_eq!(r.u32().unwrap(), 70_000);
         assert_eq!(r.u64().unwrap(), 1 << 40);
         assert_eq!(r.str().unwrap(), "héllo");
@@ -227,11 +187,5 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes[..4]);
         assert!(matches!(r.u64(), Err(DbError::Truncated)));
-    }
-
-    #[test]
-    fn corrupt_bool_rejected() {
-        let mut r = Reader::new(&[9]);
-        assert!(matches!(r.bool(), Err(DbError::Corrupt(_))));
     }
 }

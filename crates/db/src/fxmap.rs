@@ -1,11 +1,9 @@
 //! A deterministic, dependency-free fast hasher for hot point-lookup
 //! tables.
 //!
-//! The incremental warm path is dominated by small-key map probes:
-//! digest → id translation in [`o2_pta`]'s canonical index, stable-id →
-//! program-id memos in artifact decoding, and signature memos in the
-//! candidate digest pass. `std`'s default `RandomState` (SipHash 1-3)
-//! costs more than the rest of such a probe combined; this module
+//! Hot analysis tables such as the OSA location interner are dominated
+//! by small-key point probes. `std`'s default `RandomState` (SipHash
+//! 1-3) costs more than the rest of such a probe combined; this module
 //! provides the classic Fx multiply-rotate hash instead. It is *not*
 //! DoS-resistant and must only be used for tables keyed by trusted,
 //! program-derived values — never for attacker-controlled input.

@@ -53,17 +53,16 @@
 
 pub mod deadlock;
 pub mod html;
-pub mod incr;
 pub mod oversync;
 
 pub use deadlock::{detect_deadlocks, DeadlockCycle, DeadlockReport};
 pub use html::render_html;
-pub use incr::{detect_incremental, detect_incremental_budgeted, DetectIncr};
 pub use oversync::{find_oversync, OversyncReport, OversyncWarning};
 
 use o2_analysis::{MemKey, OsaResult};
 use o2_ir::error::{Budget, O2Error};
 use o2_ir::ids::GStmt;
+use o2_ir::json_escape;
 use o2_ir::program::Program;
 use o2_ir::ProgramCtx;
 use o2_pta::{OriginId, PtaResult};
@@ -497,11 +496,9 @@ fn detect_with_budget(
     report.prune = prune;
 
     // ---- phase 2: parallel per-candidate checking -----------------------
-    let todo: Vec<usize> = (0..candidates.len()).collect();
     let budget_hit = AtomicBool::new(false);
     let (mut merged, hits, misses, out_of_time, workers) = check_candidates_parallel(
         &candidates,
-        &todo,
         shb,
         config,
         deadline,
@@ -727,8 +724,8 @@ fn collect_candidates(
     (candidates, stats)
 }
 
-/// Phase 2 of [`detect`]: fans the candidate indices in `todo` out over
-/// at most `workers` threads. Returns the per-candidate outcomes (tagged
+/// Phase 2 of [`detect`]: fans the candidates out over at most `workers`
+/// threads. Returns the per-candidate outcomes (tagged
 /// with their index into `candidates`, unsorted), the summed lock-cache
 /// hit/miss counters, whether the deadline expired, and the worker count
 /// actually spawned (capped at the number of claimable chunks, so
@@ -736,7 +733,6 @@ fn collect_candidates(
 #[allow(clippy::too_many_arguments)]
 fn check_candidates_parallel(
     candidates: &[Candidate],
-    todo: &[usize],
     shb: &ShbGraph,
     config: &DetectConfig,
     deadline: Option<Instant>,
@@ -752,11 +748,12 @@ fn check_candidates_parallel(
     // and reach-closure locality), while `workers * 8` chunks per worker
     // still balance the tail. Outcomes carry their candidate index, so the
     // claiming schedule cannot affect the merged report.
-    let workers = workers.clamp(1, todo.len().max(1));
-    let chunk = (todo.len() / (workers * 8)).max(1);
+    let n = candidates.len();
+    let workers = workers.clamp(1, n.max(1));
+    let chunk = (n / (workers * 8)).max(1);
     // A worker beyond the chunk count would exit its first claim without
     // doing any work; don't spawn it.
-    let workers = workers.min(todo.len().div_ceil(chunk).max(1));
+    let workers = workers.min(n.div_ceil(chunk).max(1));
     let run_worker = || {
         let mut hb_cache: HbCache = HashMap::new();
         let mut locks = LocalLockCache::default();
@@ -764,7 +761,7 @@ fn check_candidates_parallel(
         let mut outcomes: Vec<(usize, KeyOutcome)> = Vec::new();
         'claim: loop {
             let begin = next.fetch_add(chunk, Ordering::Relaxed);
-            if begin >= todo.len()
+            if begin >= n
                 || out_of_time.load(Ordering::Relaxed)
                 || budget_hit.load(Ordering::Relaxed)
             {
@@ -780,13 +777,13 @@ fn check_candidates_parallel(
                     break;
                 }
             }
-            let end = (begin + chunk).min(todo.len());
-            for &i in &todo[begin..end] {
+            let end = (begin + chunk).min(n);
+            for (i, cand) in (begin..end).zip(&candidates[begin..end]) {
                 if out_of_time.load(Ordering::Relaxed) {
                     break 'claim;
                 }
                 let outcome = check_candidate(
-                    &candidates[i],
+                    cand,
                     shb,
                     config,
                     deadline,
@@ -811,7 +808,7 @@ fn check_candidates_parallel(
                 .collect()
         })
     };
-    let mut merged: Vec<(usize, KeyOutcome)> = Vec::with_capacity(todo.len());
+    let mut merged: Vec<(usize, KeyOutcome)> = Vec::with_capacity(n);
     let (mut hits, mut misses) = (0u64, 0u64);
     for (outcomes, h, m) in worker_results {
         merged.extend(outcomes);
@@ -1027,24 +1024,6 @@ pub fn mem_key_label(program: &Program, key: MemKey) -> String {
 /// happens-before query with that source in O(1), replacing the old
 /// per-(source, sink) boolean cache.
 type HbCache = HashMap<(u32, u32), Vec<u32>>;
-
-/// Minimal JSON string escaping.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn hb(shb: &ShbGraph, a: (OriginId, u32), b: (OriginId, u32), integer: bool) -> bool {
     if integer {

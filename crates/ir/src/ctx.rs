@@ -5,15 +5,15 @@
 //! pipeline) takes a [`ProgramCtx`] instead of a bare
 //! [`Program`](crate::Program). The context carries the dense
 //! [`ProgramId`] that all interned-id tables of the run hang off
-//! (`LocTable`, `CanonIndex`, the SHB graph), so many programs can be
+//! (`LocTable`, the SHB graph), so many programs can be
 //! analyzed concurrently in one process without their id spaces ever
 //! mixing: a table built for one context panics (in debug builds) when
 //! handed to a stage running under another.
 //!
 //! A `ProgramCtx` is a cheap `Copy` of borrows — it owns nothing, holds
 //! no `&'static` data, and has no global registry behind it. Two
-//! contexts are fully independent: the only thing batch analyses share
-//! is the explicit content-digest store, never ambient interned state.
+//! contexts are fully independent: batch analyses share no interned
+//! state at all.
 
 use crate::ids::ProgramId;
 use crate::program::Program;

@@ -10,8 +10,9 @@
 //! digest* — the digest of the set of body digests of everything it can
 //! transitively reach. A function whose closure digest is unchanged
 //! between two program versions cannot observe the edit (its body and
-//! every callee body are bitwise identical), which is the invalidation
-//! rule the incremental analysis database is built on.
+//! every callee body are bitwise identical); `diff-analyze` reports every
+//! function whose closure digest moved as invalidated. The whole-program
+//! digest keys the rendered-report cache.
 
 use crate::ids::MethodId;
 use crate::origins::OriginKind;
@@ -42,12 +43,12 @@ fn write_kind(h: &mut DigestHasher, kind: OriginKind) {
 /// Computes the structural digest of one method body in name-based
 /// canonical form. Source lines are included: they feed the report
 /// labels, so two methods differing only in line numbers must not share
-/// an artifact.
+/// a digest.
 pub fn fn_digest(program: &Program, id: MethodId) -> Digest {
     let m: &Method = program.method(id);
     // v2: adds RwEnter/RwExit/Wait/Notify/Await statement tags and the
-    // AsyncTask origin kind; bumped so db images from older semantics can
-    // never replay.
+    // AsyncTask origin kind; bumped so program digests from older
+    // semantics can never match.
     let mut h = DigestHasher::with_tag("o2.fn.v2");
     h.write_str(&program.class(m.class).name);
     h.write_str(&m.name);

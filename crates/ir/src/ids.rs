@@ -73,8 +73,8 @@ define_id!(
 define_id!(
     /// Identifier of one program in a multi-program (batch) run.
     ///
-    /// Every interned-id table of the data plane (`LocTable`, `CanonIndex`,
-    /// the SHB graph, …) records the `ProgramId` it was built for, so dense
+    /// Every interned-id table of the data plane (`LocTable`, the SHB
+    /// graph, …) records the `ProgramId` it was built for, so dense
     /// ids from different programs can never be confused even when many
     /// analyses coexist in one process. Single-program entry points use
     /// [`ProgramId::SOLO`].

@@ -12,7 +12,8 @@
 //! - [`parser`] — a small Java-like textual frontend;
 //! - [`printer`] — pretty-printing back to the surface syntax;
 //! - [`validate`] — structural well-formedness checks;
-//! - [`util`] — sparse sets and interners used by the analyses.
+//! - [`util`] — sparse sets and interners used by the analyses, and the
+//!   JSON string escaper.
 //!
 //! ## Example
 //!
@@ -56,3 +57,4 @@ pub use error::{Budget, O2Error};
 pub use ids::{ClassId, FieldId, GStmt, MethodId, ProgramId, VarId, ARRAY_FIELD};
 pub use origins::{EntryPointConfig, OriginKind};
 pub use program::{structurally_equal, Callee, Class, Instr, Method, Program, Selector, Stmt};
+pub use util::json_escape;

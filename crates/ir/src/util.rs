@@ -1,7 +1,10 @@
 //! Small analysis-grade containers shared by the whole workspace: a sorted
-//! sparse integer set for points-to sets and a generic hash-interner.
+//! sparse integer set for points-to sets and a generic hash-interner —
+//! plus the one JSON string escaper every report writer and the serve
+//! wire protocol use.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::hash::Hash;
 
 /// A sparse, sorted set of `u32` keys.
@@ -388,9 +391,59 @@ impl<T: Eq + Hash + Clone> Interner<T> {
     }
 }
 
+/// Escapes `s` for embedding in a JSON string literal. `"`, `\\`, and
+/// newline, carriage return and tab get their two-character escapes;
+/// every other character below U+0020 is written `\u00xx`; everything
+/// else, multibyte UTF-8 included, is copied through unchanged.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    // Every byte that needs escaping is ASCII, and no byte of a multibyte
+    // UTF-8 sequence is, so byte positions between escapes are always
+    // char boundaries: unescaped runs are copied as whole slices.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_escape_table_is_pinned() {
+        assert_eq!(json_escape("\""), "\\\"");
+        assert_eq!(json_escape("\\"), "\\\\");
+        assert_eq!(json_escape("\n"), "\\n");
+        assert_eq!(json_escape("\r"), "\\r");
+        assert_eq!(json_escape("\t"), "\\t");
+        assert_eq!(json_escape("/"), "/");
+        for b in 0u8..0x20 {
+            if !matches!(b, b'\n' | b'\r' | b'\t') {
+                let c = char::from(b).to_string();
+                assert_eq!(json_escape(&c), format!("\\u{:04x}", b), "byte {b:#x}");
+            }
+        }
+        assert_eq!(json_escape("\u{7f}"), "\u{7f}", "DEL passes through");
+        assert_eq!(json_escape("é😀 a.f = b;"), "é😀 a.f = b;");
+        assert_eq!(json_escape("x\"y\u{1}z"), "x\\\"y\\u0001z");
+    }
 
     #[test]
     fn sparse_set_insert_and_contains() {

@@ -252,7 +252,7 @@ pub fn corpus_json_with_errors(
     let mut items: Vec<(&str, String)> = Vec::with_capacity(entries.len() + errors.len());
     for &(name, report, program) in entries {
         let mut s = String::from("    {\"name\": \"");
-        s.push_str(&triage::json_escape(name));
+        s.push_str(&o2_ir::json_escape(name));
         s.push_str("\", \"report\": ");
         s.push_str(report.to_json(program).trim_end());
         s.push('}');
@@ -260,11 +260,11 @@ pub fn corpus_json_with_errors(
     }
     for &(name, err) in errors {
         let mut s = String::from("    {\"name\": \"");
-        s.push_str(&triage::json_escape(name));
+        s.push_str(&o2_ir::json_escape(name));
         s.push_str("\", \"error\": {\"stage\": \"");
         s.push_str(err.stage());
         s.push_str("\", \"message\": \"");
-        s.push_str(&triage::json_escape(&err.to_string()));
+        s.push_str(&o2_ir::json_escape(&err.to_string()));
         s.push_str("\"}}");
         items.push((name, s));
     }

@@ -10,6 +10,7 @@
 
 use crate::{AnalysisCtx, Pass, PassStats, PipelineReport, PipelineState};
 use o2_detect::Race;
+use o2_ir::json_escape;
 use o2_ir::program::Program;
 use std::fmt;
 use std::fmt::Write as _;
@@ -161,24 +162,6 @@ pub fn finalize(state: &mut PipelineState) {
     state
         .pruned
         .sort_by_key(|p| (p.race.key, p.race.a.stmt, p.race.b.stmt));
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn access_json(program: &Program, acc: &o2_detect::RaceAccess) -> String {

@@ -35,12 +35,10 @@
 
 mod rules_tests;
 
-pub mod canon;
 pub mod context;
 pub mod policy;
 pub mod solver;
 
-pub use canon::CanonIndex;
 pub use context::{
     AllocSite, Arena, Ctx, CtxElem, ObjData, ObjId, OriginData, OriginId, OriginKey, OriginSite,
 };

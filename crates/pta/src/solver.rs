@@ -391,40 +391,6 @@ impl PtaResult {
             .unwrap_or(EMPTY_ORIGINS)
     }
 
-    /// Iterates every recorded call edge as `(mi, stmt_idx, targets)`,
-    /// ascending by `(mi, stmt_idx)`. Bulk alternative to probing
-    /// [`PtaResult::callees`] per statement when a consumer (such as
-    /// [`crate::CanonIndex::build`]) needs the edges of whole method
-    /// bodies.
-    pub fn call_edges_iter(&self) -> impl Iterator<Item = (Mi, u32, &[CallTarget])> {
-        self.call_edges
-            .iter()
-            .map(|(&(mi, idx), v)| (Mi(mi), idx, v.as_slice()))
-    }
-
-    /// Iterates every recorded join edge as `(mi, stmt_idx, origins)`,
-    /// ascending by `(mi, stmt_idx)`.
-    pub fn join_edges_iter(&self) -> impl Iterator<Item = (Mi, u32, &[OriginId])> {
-        self.join_edges
-            .iter()
-            .map(|(&(mi, idx), v)| (Mi(mi), idx, v.as_slice()))
-    }
-
-    /// Iterates every local variable holding a non-empty points-to set,
-    /// as `(mi, var, objects)`. Order is unspecified (interning order);
-    /// bulk alternative to probing [`PtaResult::pts_var`] per variable.
-    pub fn var_pts_iter(&self) -> impl Iterator<Item = (Mi, VarId, &[u32])> {
-        self.node_keys
-            .iter()
-            .filter_map(move |(id, key)| match *key {
-                NodeKey::Var(mi, v) => {
-                    let pts = self.nodes[id as usize].pts.as_slice();
-                    (!pts.is_empty()).then_some((mi, v, pts))
-                }
-                _ => None,
-            })
-    }
-
     /// The origins whose code may execute method instance `mi`
     /// (computed by a BFS over normal call edges from each origin entry).
     pub fn mi_origins(&self, mi: Mi) -> &SparseSet {

@@ -650,21 +650,21 @@ fn sorted_overlap(a: &[ObjId], b: &[ObjId]) -> bool {
     false
 }
 
-pub(crate) struct Builder<'a> {
-    pub(crate) program: &'a Program,
-    pub(crate) pta: &'a PtaResult,
-    pub(crate) config: &'a ShbConfig,
-    pub(crate) locks: LockTable,
-    pub(crate) locs: &'a mut LocTable,
-    pub(crate) traces: Vec<OriginTrace>,
-    pub(crate) entry_edges: Vec<EntryEdge>,
-    pub(crate) join_edges: Vec<JoinEdge>,
-    pub(crate) wait_events: Vec<CondEvent>,
-    pub(crate) notify_events: Vec<CondEvent>,
-    pub(crate) accesses_by_loc: Vec<Vec<(OriginId, u32)>>,
-    pub(crate) fresh_lock_counter: u32,
-    pub(crate) deadline: Option<Instant>,
-    pub(crate) visit_ticks: u64,
+struct Builder<'a> {
+    program: &'a Program,
+    pta: &'a PtaResult,
+    config: &'a ShbConfig,
+    locks: LockTable,
+    locs: &'a mut LocTable,
+    traces: Vec<OriginTrace>,
+    entry_edges: Vec<EntryEdge>,
+    join_edges: Vec<JoinEdge>,
+    wait_events: Vec<CondEvent>,
+    notify_events: Vec<CondEvent>,
+    accesses_by_loc: Vec<Vec<(OriginId, u32)>>,
+    fresh_lock_counter: u32,
+    deadline: Option<Instant>,
+    visit_ticks: u64,
 }
 
 struct WalkState {
@@ -687,7 +687,7 @@ struct WalkState {
 }
 
 impl<'a> Builder<'a> {
-    pub(crate) fn new(
+    fn new(
         program: &'a Program,
         pta: &'a PtaResult,
         config: &'a ShbConfig,
@@ -713,7 +713,7 @@ impl<'a> Builder<'a> {
         }
     }
 
-    pub(crate) fn finish(self, start: Instant) -> ShbGraph {
+    fn finish(self, start: Instant) -> ShbGraph {
         let num_origins = self.traces.len();
         let entry_csr = EntryCsr::build(num_origins, &self.entry_edges);
         let join_csr = JoinCsr::build(num_origins, &self.join_edges);
@@ -762,7 +762,7 @@ impl<'a> Builder<'a> {
         }
     }
 
-    pub(crate) fn walk_origin(&mut self, origin: OriginId) {
+    fn walk_origin(&mut self, origin: OriginId) {
         let kind = self.pta.arena.origin_data(origin).kind;
         let dispatcher_elem = match kind {
             OriginKind::Event { dispatcher } if self.config.event_dispatcher_lock => {

@@ -40,14 +40,12 @@
 mod rules_tests;
 
 pub mod graph;
-pub mod incr;
 pub mod locks;
 
 pub use graph::{
     build_shb, AccessNode, AcquireNode, EntryCsr, EntryEdge, JoinCsr, JoinEdge, OriginTrace,
     ShbConfig, ShbGraph, ShbStats,
 };
-pub use incr::{build_shb_incremental, ShbIncr};
 pub use locks::{LockElem, LockSetId, LockTable};
 
 #[cfg(test)]

@@ -2,18 +2,16 @@
 //!
 //! The contract under test: the merged JSON and SARIF reports are a pure
 //! function of the manifest's programs — worker count, claim order, and
-//! manifest order cannot change a byte — while the shared artifact pool
-//! produces real cross-program digest hits whenever programs share
-//! function bodies.
+//! manifest order cannot change a byte — and each program's report is
+//! exactly its solo report.
 
 use o2::prelude::*;
-use o2::{parse_manifest, run_batch, BatchEntry};
-use o2_db::SharedStore;
+use o2::{parse_manifest, run_batch, run_batch_with_db, BatchEntry};
 use o2_ir::{ProgramCtx, ProgramId};
 
 /// An 8-program corpus mixing all four workload registries. `luindex`
 /// and `lusearch` are generated from overlapping preset shapes, so the
-/// corpus is guaranteed to contain shared function bodies.
+/// corpus contains shared function bodies.
 const CORPUS: [&str; 8] = [
     "avrora",
     "luindex",
@@ -43,10 +41,6 @@ fn batch_reports_are_byte_identical_across_workers_and_manifest_order() {
     let engine = O2Builder::new().build();
     let baseline = run_batch(&engine, &corpus_entries(&CORPUS), 1);
     assert_eq!(baseline.programs.len(), CORPUS.len());
-    assert!(
-        baseline.cross_program_hits() > 0,
-        "corpus with shared bodies must produce cross-program hits"
-    );
 
     let mut shuffled = CORPUS;
     shuffled.reverse();
@@ -79,9 +73,11 @@ fn batch_summary_accounts_every_program() {
     for spec in CORPUS {
         assert!(summary.contains(spec), "summary lists {spec}");
     }
-    assert!(summary.contains("cross-program hits"));
-    assert_eq!(run.store.checkouts, CORPUS.len());
-    assert_eq!(run.store.publishes, CORPUS.len());
+    assert!(
+        summary.contains(&format!("corpus: {} programs", CORPUS.len())),
+        "{summary}"
+    );
+    assert_eq!(run.error_count(), 0);
     // Names are sorted in the merged outputs regardless of manifest order.
     let mut names: Vec<&str> = run.programs.iter().map(|p| p.name.as_str()).collect();
     let mut sorted = names.clone();
@@ -92,8 +88,7 @@ fn batch_summary_accounts_every_program() {
 }
 
 /// Two programs sharing `S`/`W` verbatim; `b.o2` appends one extra
-/// statement to `Main.main`, so `Main` re-analyzes but the worker class
-/// replays from whichever program the pool saw first.
+/// statement to `Main.main`.
 const SHARED_A: &str = r#"
     class S { field data; }
     class W impl Runnable {
@@ -130,7 +125,7 @@ const SHARED_B: &str = r#"
 "#;
 
 #[test]
-fn common_function_body_hits_across_programs_without_changing_reports() {
+fn programs_sharing_function_bodies_report_exactly_as_solo() {
     let engine = O2Builder::new().build();
     let a = o2_ir::parser::parse(SHARED_A).unwrap();
     let b = o2_ir::parser::parse(SHARED_B).unwrap();
@@ -153,18 +148,9 @@ fn common_function_body_hits_across_programs_without_changing_reports() {
             },
         ];
         let run = run_batch(&engine, &entries, workers);
-        // Hit counts are scheduling-dependent above one worker (two
-        // workers can both check out before either publishes); only the
-        // serial run is guaranteed to replay the shared W body.
-        if workers == 1 {
-            assert!(
-                run.cross_program_hits() >= 1,
-                "shared W body must replay across programs (workers={workers})"
-            );
-        }
         assert_eq!(
             run.json, solo_json,
-            "batch sharing must not change any program's report"
+            "a batch must not change any program's report"
         );
         assert_eq!(run.sarif, solo_sarif);
     }
@@ -200,36 +186,50 @@ fn manifest_parses_names_files_and_rejects_duplicates() {
 }
 
 #[test]
-fn program_contexts_are_reentrant_across_threads_sharing_one_store() {
-    // Two ProgramCtx analyses run concurrently on scoped threads. The
-    // only shared state is the digest-keyed store — each context owns
-    // its checkout — and each result is byte-identical to a solo run.
+fn program_contexts_are_reentrant_across_threads() {
+    // Two ProgramCtx analyses run concurrently on scoped threads; each
+    // result is byte-identical to a solo run.
     let engine = O2Builder::new().build();
     let a = o2_ir::parser::parse(SHARED_A).unwrap();
     let b = o2_ir::parser::parse(SHARED_B).unwrap();
     let solo_a = engine.analyze(&a).races.render(&a);
     let solo_b = engine.analyze(&b).races.render(&b);
 
-    let store = SharedStore::new(engine.config_sig());
     let (concurrent_a, concurrent_b) = std::thread::scope(|scope| {
         let ta = scope.spawn(|| {
             let ctx = ProgramCtx::new(ProgramId(1), "a", &a);
-            let mut db = store.checkout();
-            let (report, _) = engine.analyze_with_db_ctx(&ctx, &mut db);
-            store.publish(&db);
-            report.races.render(&a)
+            engine.analyze_ctx(&ctx).races.render(&a)
         });
         let tb = scope.spawn(|| {
             let ctx = ProgramCtx::new(ProgramId(2), "b", &b);
-            let mut db = store.checkout();
-            let (report, _) = engine.analyze_with_db_ctx(&ctx, &mut db);
-            store.publish(&db);
-            report.races.render(&b)
+            engine.analyze_ctx(&ctx).races.render(&b)
         });
         (ta.join().unwrap(), tb.join().unwrap())
     });
     assert_eq!(concurrent_a, solo_a);
     assert_eq!(concurrent_b, solo_b);
-    assert_eq!(store.stats().checkouts, 2);
-    assert_eq!(store.stats().publishes, 2);
+}
+
+#[test]
+fn saved_batch_image_holds_every_solo_report() {
+    // `o2 batch --save-db`: one entry per analyzed program, keyed by its
+    // digest, byte-identical to the solo rendering, at 1 and 4 workers.
+    let engine = O2Builder::new().build();
+    let mut images = Vec::new();
+    for workers in [1usize, 4] {
+        let (run, db) = run_batch_with_db(&engine, &corpus_entries(&CORPUS), workers);
+        assert_eq!(
+            run.json,
+            run_batch(&engine, &corpus_entries(&CORPUS), 1).json
+        );
+        assert_eq!(db.reports.len(), CORPUS.len());
+        for spec in CORPUS {
+            let w = o2_workloads::workload_by_name(spec).unwrap();
+            let digest = o2_ir::digest_program(&w.program).program;
+            let hit = db.lookup(engine.config_sig(), digest).expect("saved");
+            assert_eq!(hit, &o2::serve::solo_reports(&engine, &w.program), "{spec}");
+        }
+        images.push(db.to_bytes());
+    }
+    assert_eq!(images[0], images[1], "the image does not depend on workers");
 }

@@ -1,20 +1,26 @@
-//! Determinism of the incremental analysis database.
+//! Determinism of the analysis-database image.
 //!
 //! The serialized database must be byte-identical across worker-thread
-//! counts and across repeated runs in one process: every artifact is
-//! keyed and ordered by content digests, never by discovery order or
-//! wall-clock. Likewise the warm-run rendered reports must not depend on
-//! the thread count.
+//! counts and across repeated runs in one process: reports are keyed and
+//! ordered by program digest, never by discovery order or wall-clock,
+//! and the rendered reports themselves do not depend on the thread count.
 
 use o2::prelude::*;
+use o2::render_reports;
+use o2_ir::digest_program;
 
 const PRESETS: &[&str] = &["xalan", "avrora", "zookeeper"];
 
+/// The image the CLI saves after analyzing `program` with `--threads
+/// threads`, plus the JSON it printed.
 fn db_bytes_for(program: &Program, threads: usize) -> (Vec<u8>, String) {
     let engine = O2Builder::new().detect_threads(threads).build();
     let mut db = AnalysisDb::new(engine.config_sig());
-    let (report, _) = engine.analyze_with_db(program, &mut db);
-    let json = report.run_pipeline(program).to_json(program);
+    let digests = digest_program(program);
+    let (report, _) = engine.analyze_with_db_prepared(program, &mut db, &digests);
+    let reports = render_reports(&report.run_pipeline(program), program);
+    let json = reports.json.clone();
+    db.reports.insert(digests.program, reports);
     (db.to_bytes(), json)
 }
 
@@ -45,45 +51,38 @@ fn db_bytes_identical_across_repeated_runs() {
         let w = o2_workloads::preset_by_name(name)
             .expect("preset exists")
             .generate();
+        let (first, _) = db_bytes_for(&w.program, 0);
+        let (second, _) = db_bytes_for(&w.program, 0);
+        assert_eq!(second, first, "{name}: databases differ");
+        // Re-analyzing the same program against its own image rewrites
+        // exactly the same bytes.
         let engine = O2Builder::new().build();
-        let mut db1 = AnalysisDb::new(engine.config_sig());
-        engine.analyze_with_db(&w.program, &mut db1);
-        let first = db1.to_bytes();
-        // A second cold database over the same program...
-        let mut db2 = AnalysisDb::new(engine.config_sig());
-        engine.analyze_with_db(&w.program, &mut db2);
-        assert_eq!(db2.to_bytes(), first, "{name}: cold databases differ");
-        // ...and a warm rewrite of the first: artifacts are replaced by
-        // exactly the artifacts of the new run, so bytes are unchanged.
-        engine.analyze_with_db(&w.program, &mut db1);
-        assert_eq!(
-            db1.to_bytes(),
-            first,
-            "{name}: warm rewrite changed the database"
-        );
+        let mut db = AnalysisDb::from_bytes(&first).expect("image round-trips");
+        engine.analyze_with_db(&w.program, &mut db);
+        assert_eq!(db.to_bytes(), first, "{name}: a rerun changed the database");
     }
 }
 
-/// Warm-run reports are byte-identical across thread counts even when
-/// the database came from a *different* thread count's run.
+/// Cached reports are byte-identical across thread counts even when the
+/// image came from a *different* thread count's run.
 #[test]
 fn warm_reports_identical_across_thread_counts() {
     let w = o2_workloads::preset_by_name("avrora")
         .expect("preset exists")
         .generate();
-    let (edited, _) = o2_workloads::single_function_edit(&w.program);
-    let serial = O2Builder::new().detect_threads(1).build();
-    let mut db = AnalysisDb::new(serial.config_sig());
-    serial.analyze_with_db(&w.program, &mut db);
-    let bytes = db.to_bytes();
+    let (bytes, _) = db_bytes_for(&w.program, 1);
+    let digest = digest_program(&w.program).program;
 
     let mut outputs: Vec<String> = Vec::new();
     for threads in [1usize, 2, 8] {
         let engine = O2Builder::new().detect_threads(threads).build();
-        let mut warm_db = AnalysisDb::from_bytes(&bytes).unwrap();
-        let (report, stats) = engine.analyze_with_db(&edited, &mut warm_db);
-        assert!(stats.incremental);
-        outputs.push(report.run_pipeline(&edited).to_json(&edited));
+        let db = AnalysisDb::from_bytes(&bytes).unwrap();
+        let hit = db
+            .lookup(engine.config_sig(), digest)
+            .expect("the thread count is not part of the configuration signature");
+        let cold = engine.analyze(&w.program).run_pipeline(&w.program);
+        assert_eq!(hit.json, cold.to_json(&w.program), "{threads} threads");
+        outputs.push(hit.json.clone());
     }
     assert_eq!(outputs[0], outputs[1]);
     assert_eq!(outputs[0], outputs[2]);

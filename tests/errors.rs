@@ -184,7 +184,7 @@ fn wire_errors_are_stage_tagged_and_the_daemon_keeps_serving() {
     let mut client = Client::connect(server.addr()).unwrap();
 
     // Broken inline source → parse stage.
-    let src = o2::serve::json_escape(&fixture("broken.o2"));
+    let src = o2_ir::json_escape(&fixture("broken.o2"));
     let map = client
         .request(&format!("{{\"op\":\"analyze\",\"source\":\"{src}\"}}"))
         .unwrap();

@@ -1,135 +1,107 @@
-//! Warm-vs-cold equivalence of the incremental analysis database.
+//! Warm-vs-cold equivalence of the whole-program digest cache.
 //!
-//! For every benchmark preset and real-bug model: apply a deterministic
-//! single-function edit, analyze the edited program cold, and analyze it
-//! warm from the base version's database. The warm run must produce
-//! byte-identical text/JSON/SARIF reports while re-walking strictly
-//! fewer origins and re-checking strictly fewer candidate pairs than the
-//! cold run examines.
+//! For every benchmark preset and real-bug model: fill an analysis
+//! database the way the CLI does (`analyze_with_db`, render, insert),
+//! apply a deterministic single-function edit, and check that
+//!
+//! - the edited program misses the base version's cached reports,
+//! - its own reports, filled into the same database and read back from a
+//!   round-tripped image, are byte-identical (text, JSON and SARIF) to a
+//!   cold run of the edited program.
 
 use o2::prelude::*;
-use o2::{AnalysisReport, IncrStats};
+use o2::render_reports;
+use o2_db::CachedReports;
+use o2_ir::digest_program;
 use o2_workloads::single_function_edit;
 
-const PRESETS: &[&str] = &[
-    "xalan",
-    "avrora",
-    "sunflow",
-    "zookeeper",
-    "k9mail",
-    "telegram",
-];
-
-fn renders(program: &Program, report: &AnalysisReport) -> (String, String, String) {
-    let p = report.run_pipeline(program);
-    (p.render(program), p.to_json(program), p.to_sarif(program))
+/// The three rendered forms of a cold run.
+fn cold(engine: &O2, program: &Program) -> CachedReports {
+    render_reports(&engine.analyze(program).run_pipeline(program), program)
 }
 
-/// Cold on the edited program vs warm from the base program's database.
-/// `strict` additionally demands per-workload savings; small models where
-/// the edit lands in `main` (whose trace is in every candidate's HB
-/// neighborhood) legitimately re-check everything, so their savings are
-/// asserted in aggregate instead.
-fn check_workload(name: &str, base: &Program, strict: bool) -> (IncrStats, u64) {
+/// What the CLI does on a cache miss: analyze, commit, render, insert.
+fn fill(engine: &O2, program: &Program, db: &mut AnalysisDb) {
+    let digests = digest_program(program);
+    let (report, _) = engine.analyze_with_db_prepared(program, db, &digests);
+    let reports = render_reports(&report.run_pipeline(program), program);
+    db.reports.insert(digests.program, reports);
+}
+
+/// The reports a later `--load-db` run reads for `program` from `db`'s
+/// on-disk image.
+fn warm(engine: &O2, program: &Program, db: &AnalysisDb) -> Option<CachedReports> {
+    let image = AnalysisDb::from_bytes(&db.to_bytes()).expect("image round-trips");
+    image
+        .lookup(engine.config_sig(), digest_program(program).program)
+        .cloned()
+}
+
+fn check_workload(name: &str, base: &Program) {
     let (edited, edited_fn) = single_function_edit(base);
     let engine = O2Builder::new().build();
-
-    let cold = engine.analyze(&edited);
     let mut db = AnalysisDb::new(engine.config_sig());
-    let (_, base_stats) = engine.analyze_with_db(base, &mut db);
-    assert!(base_stats.incremental, "{name}: base run not incremental");
-    let (warm, stats) = engine.analyze_with_db(&edited, &mut db);
-    assert!(stats.incremental, "{name}: warm run not incremental");
-
+    fill(&engine, base, &mut db);
+    assert!(
+        warm(&engine, &edited, &db).is_none(),
+        "{name}: an edit of {edited_fn} must miss the base program's reports"
+    );
+    fill(&engine, &edited, &mut db);
     assert_eq!(
-        renders(&edited, &cold),
-        renders(&edited, &warm),
+        warm(&engine, &edited, &db),
+        Some(cold(&engine, &edited)),
         "{name}: warm reports differ from cold (edited {edited_fn})"
     );
-    assert_eq!(
-        warm.races.races, cold.races.races,
-        "{name}: race lists differ"
-    );
-    assert_eq!(
-        warm.races.pairs_checked, cold.races.pairs_checked,
-        "{name}: pair counters differ"
-    );
-
-    if strict {
-        // Strictly fewer re-checked pairs than the cold run examines,
-        // and at least one origin replayed instead of re-walked.
-        assert!(
-            stats.pairs_rechecked < cold.races.pairs_checked
-                || (cold.races.pairs_checked == 0 && stats.pairs_rechecked == 0),
-            "{name}: re-checked {} of {} pairs (nothing saved; edited {edited_fn})",
-            stats.pairs_rechecked,
-            cold.races.pairs_checked
-        );
-        assert!(
-            stats.origins_replayed > 0,
-            "{name}: no origin replayed ({} walked; edited {edited_fn})",
-            stats.origins_walked
-        );
-    }
-    (stats, cold.races.pairs_checked)
 }
 
 #[test]
 fn presets_warm_equals_cold_after_edit() {
-    let mut replayed_pairs = 0u64;
-    let mut rechecked_pairs = 0u64;
-    for name in PRESETS {
-        let w = o2_workloads::preset_by_name(name)
-            .expect("preset exists")
-            .generate();
-        let (stats, _) = check_workload(name, &w.program, true);
-        replayed_pairs += stats.pairs_replayed;
-        rechecked_pairs += stats.pairs_rechecked;
+    for preset in o2_workloads::all_presets() {
+        let name = preset.name;
+        check_workload(name, &preset.generate().program);
     }
-    assert!(
-        replayed_pairs > rechecked_pairs,
-        "presets: replay should dominate after a 1-function edit \
-         ({replayed_pairs} replayed vs {rechecked_pairs} re-checked)"
-    );
 }
 
 #[test]
 fn realbug_models_warm_equals_cold_after_edit() {
-    let mut origins_replayed = 0usize;
-    let mut origins_walked = 0usize;
-    let mut rechecked_pairs = 0u64;
-    let mut cold_pairs = 0u64;
     for model in o2_workloads::all_models() {
-        let (stats, pairs) = check_workload(model.name, &model.program, false);
-        origins_replayed += stats.origins_replayed;
-        origins_walked += stats.origins_walked;
-        rechecked_pairs += stats.pairs_rechecked;
-        cold_pairs += pairs;
+        check_workload(model.name, &model.program);
     }
-    assert!(
-        origins_replayed > 0,
-        "realbugs: some origin must replay ({origins_replayed} replayed, {origins_walked} walked)"
-    );
-    assert!(
-        rechecked_pairs < cold_pairs,
-        "realbugs: strictly fewer pairs re-checked in aggregate \
-         ({rechecked_pairs} of {cold_pairs})"
-    );
 }
 
-/// An *unchanged* program replays everything: zero rescans anywhere.
+/// An *unchanged* program replays its cached reports wholesale.
 #[test]
 fn unchanged_program_replays_fully() {
-    for name in PRESETS {
+    let engine = O2Builder::new().build();
+    for name in ["xalan", "avrora", "zookeeper", "telegram"] {
         let w = o2_workloads::preset_by_name(name)
             .expect("preset exists")
             .generate();
-        let engine = O2Builder::new().build();
         let mut db = AnalysisDb::new(engine.config_sig());
-        engine.analyze_with_db(&w.program, &mut db);
-        let (_, stats) = engine.analyze_with_db(&w.program, &mut db);
-        assert_eq!(stats.mis_rescanned, 0, "{name}: {}", stats.summary());
-        assert_eq!(stats.origins_walked, 0, "{name}: {}", stats.summary());
-        assert_eq!(stats.candidates_rechecked, 0, "{name}: {}", stats.summary());
+        fill(&engine, &w.program, &mut db);
+        assert_eq!(
+            warm(&engine, &w.program, &db),
+            Some(cold(&engine, &w.program)),
+            "{name}"
+        );
     }
+}
+
+/// A configuration change invalidates the image: the cached reports are
+/// never served under the new signature, and the next commit drops them.
+#[test]
+fn config_change_invalidates_the_image() {
+    let w = o2_workloads::preset_by_name("avrora")
+        .expect("preset exists")
+        .generate();
+    let engine = O2Builder::new().build();
+    let mut db = AnalysisDb::new(engine.config_sig());
+    fill(&engine, &w.program, &mut db);
+    let naive = O2Builder::new()
+        .detect_config(DetectConfig::naive())
+        .build();
+    assert!(warm(&naive, &w.program, &db).is_none());
+    naive.analyze_with_db(&w.program, &mut db);
+    assert!(db.reports.is_empty());
+    assert_eq!(db.config_sig, naive.config_sig());
 }

