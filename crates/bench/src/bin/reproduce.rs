@@ -1,7 +1,7 @@
 //! Regenerates the paper's evaluation tables on the synthetic suite.
 //!
 //! ```text
-//! reproduce [--table N]... [--ablation] [--pr1] [--all] [--budget SECS]
+//! reproduce [--table N]... [--ablation] [--all] [--budget SECS]
 //!           [--dump DIR]
 //! ```
 //!
@@ -34,7 +34,6 @@ fn main() {
                 selected.push(args.get(i).cloned().unwrap_or_else(|| usage()));
             }
             "--ablation" => selected.push("ablation".to_string()),
-            "--pr1" => selected.push("pr1".to_string()),
             "--dump" => {
                 i += 1;
                 let dir = args.get(i).cloned().unwrap_or_else(|| usage());
@@ -71,12 +70,8 @@ fn main() {
             "9" => tables::table9(budget),
             "10" => tables::table10(),
             "ablation" => tables::ablation(budget),
-            "pr1" => {
-                let report = o2_bench::pr1::run(&o2_bench::pr1::Pr1Options::default());
-                format!("{}wrote BENCH_pr1.json\n", report.render())
-            }
             other => {
-                eprintln!("unknown table `{other}` (have 3,5,6,7,8,9,10,ablation,pr1)");
+                eprintln!("unknown table `{other}` (have 3,5,6,7,8,9,10,ablation)");
                 continue;
             }
         };
@@ -101,8 +96,6 @@ fn dump_benchmarks(dir: &str) {
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: reproduce [--table N]... [--ablation] [--pr1] [--all] [--budget SECS] [--dump DIR]"
-    );
+    eprintln!("usage: reproduce [--table N]... [--ablation] [--all] [--budget SECS] [--dump DIR]");
     std::process::exit(2);
 }

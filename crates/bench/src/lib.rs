@@ -2,9 +2,7 @@
 //!
 //! Regenerates every table of the paper's evaluation section on the
 //! synthetic benchmark suite. The `reproduce` binary prints the tables;
-//! the `bench` binary times the same pipelines with std-only best-of-N
-//! timers (no external benchmarking dependency), and its `pr1` group
-//! writes the parallel-detect / delta-solver report to `BENCH_pr1.json`.
+//! speed is measured by the separate `perfbench/` package.
 //!
 //! Absolute numbers differ from the paper (the substrate is a synthetic
 //! IR, not DaCapo-on-HotSpot or LLVM-compiled C), but the *shape* of every
@@ -18,15 +16,6 @@ use o2_workloads::presets::{Group, Preset};
 use std::fmt::Write as _;
 use std::time::Duration;
 
-pub mod pr1;
-pub mod pr10;
-pub mod pr2;
-pub mod pr3;
-pub mod pr5;
-pub mod pr6;
-pub mod pr7;
-pub mod pr8;
-pub mod pr9;
 pub mod tables;
 
 /// The outcome of running one (program, policy) cell of a table.
@@ -107,18 +96,6 @@ pub fn fmt_count(n: usize, timed_out: bool) -> String {
     } else {
         n.to_string()
     }
-}
-
-/// The policies compared in Tables 5 and 8, in column order.
-pub fn table_policies() -> Vec<Policy> {
-    vec![
-        Policy::insensitive(),
-        Policy::origin1(),
-        Policy::cfa1(),
-        Policy::cfa2(),
-        Policy::obj1(),
-        Policy::obj2(),
-    ]
 }
 
 /// Renders a markdown-style row.

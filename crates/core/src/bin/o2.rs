@@ -584,13 +584,7 @@ fn run_diff(engine: &O2, opts: &Options, old: &Program, new: &Program) -> ExitCo
         Err(e) => return fail(&e),
     };
     if !opts.quiet {
-        println!(
-            "diff: {} changed, {} added, {} removed, {} invalidated",
-            d.diff.changed.len(),
-            d.diff.added.len(),
-            d.diff.removed.len(),
-            d.diff.invalidated.len()
-        );
+        println!("diff: {}", d.diff.summary());
         for name in &d.diff.changed {
             println!("  ~ {name}");
         }

@@ -1,7 +1,11 @@
 //! End-to-end tests of the `o2` command-line binary.
 
+use o2::serve::{spawn, Client, ServeState};
+use o2::{ServeOptions, O2};
+use o2_ir::json_escape;
 use std::io::Write;
 use std::process::Command;
+use std::sync::Arc;
 
 fn o2_bin() -> &'static str {
     env!("CARGO_BIN_EXE_o2", "o2 binary built by cargo")
@@ -233,12 +237,12 @@ fn load_db_with_corrupt_file_exits_two() {
 
 #[test]
 fn diff_analyze_reports_changed_functions() {
+    // W.run writes a second time and W gains a method.
+    let edited = RACY
+        .replace("s.data = s;", "s.data = s; s.data = s;")
+        .replace("method run()", "method extra() { } method run()");
     let old = write_temp("diff_old.o2", RACY);
-    // Same program with W.run also writing a second time.
-    let new = write_temp(
-        "diff_new.o2",
-        &RACY.replace("s.data = s;", "s.data = s; s.data = s;"),
-    );
+    let new = write_temp("diff_new.o2", &edited);
     let out = Command::new(o2_bin())
         .arg("diff-analyze")
         .arg(&old)
@@ -252,9 +256,37 @@ fn diff_analyze_reports_changed_functions() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("diff: 1 changed"), "{stdout}");
+    let summary = stdout.lines().next().unwrap_or_default();
+    assert_eq!(summary, "diff: 1 changed, 1 added, 0 removed", "{stdout}");
     assert!(stdout.contains("~ W.run/0"), "{stdout}");
+    assert!(stdout.contains("+ W.extra/0"), "{stdout}");
     assert!(stdout.contains("race(s) after triage"), "{stdout}");
+
+    // The daemon counts the same edit the same way.
+    let state = Arc::new(ServeState::new(O2::default()));
+    let server = spawn("127.0.0.1:0", state, ServeOptions::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let request = format!(
+        "{{\"op\":\"diff-analyze\",\"old_source\":\"{}\",\"new_source\":\"{}\"}}",
+        json_escape(RACY),
+        json_escape(&edited)
+    );
+    let map = client.request(&request).unwrap();
+    let count = |key: &str| {
+        map[key]
+            .as_u64()
+            .unwrap_or_else(|| panic!("{key}: {map:?}"))
+    };
+    assert_eq!(
+        format!(
+            "diff: {} changed, {} added, {} removed",
+            count("changed"),
+            count("added"),
+            count("removed")
+        ),
+        summary
+    );
+    server.shutdown().unwrap();
 }
 
 /// Runs `o2 <file> --format json --load-db <db>` and returns its stdout

@@ -153,18 +153,6 @@ impl DigestHasher {
     }
 }
 
-/// Hashes a sorted slice of digests into one order-independent-by-
-/// construction digest (the caller sorts; sorting makes set hashing
-/// canonical).
-pub fn digest_of_sorted(tag: &str, digests: &[Digest]) -> Digest {
-    let mut h = DigestHasher::with_tag(tag);
-    h.write_u64(digests.len() as u64);
-    for d in digests {
-        h.write_digest(*d);
-    }
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

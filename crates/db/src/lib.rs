@@ -26,7 +26,7 @@ pub mod digest;
 pub mod fxmap;
 
 pub use codec::{DbError, Reader, Writer};
-pub use digest::{digest_of_sorted, mix64, Digest, DigestHasher};
+pub use digest::{mix64, Digest, DigestHasher};
 pub use fxmap::{FastMap, FastSet, FxBuildHasher, FxHasher};
 
 use std::collections::BTreeMap;

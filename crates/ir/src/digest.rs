@@ -5,20 +5,15 @@
 //! *name-based* canonical form: classes and fields appear by name, direct
 //! call targets by qualified name, so the digest of a function is
 //! identical across two parses even though the dense `ClassId`/`FieldId`
-//! numbering may differ. On top of the per-function digests sits a
-//! name-based over-approximate call graph, and each function's *closure
-//! digest* — the digest of the set of body digests of everything it can
-//! transitively reach. A function whose closure digest is unchanged
-//! between two program versions cannot observe the edit (its body and
-//! every callee body are bitwise identical); `diff-analyze` reports every
-//! function whose closure digest moved as invalidated. The whole-program
-//! digest keys the rendered-report cache.
+//! numbering may differ. `diff-analyze` lists the functions whose body
+//! digest changed between two versions, and the whole-program digest
+//! keys the rendered-report cache.
 
 use crate::ids::MethodId;
 use crate::origins::OriginKind;
-use crate::program::{Callee, Method, Program, Selector, Stmt, CTOR_NAME};
-use o2_db::{digest_of_sorted, Digest, DigestHasher};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use crate::program::{Callee, Method, Program, Stmt};
+use o2_db::{Digest, DigestHasher};
+use std::collections::BTreeMap;
 
 /// Hashes an origin kind.
 fn write_kind(h: &mut DigestHasher, kind: OriginKind) {
@@ -236,82 +231,8 @@ pub struct ProgramDigests {
     /// configuration, in table order (table order determines dense id
     /// numbering, which downstream iteration orders depend on).
     pub program: Digest,
-    /// Per-method body digests, indexed by [`MethodId`].
-    pub by_method: Vec<Digest>,
-    /// Per-method closure digests, indexed by [`MethodId`].
-    pub closure_by_method: Vec<Digest>,
-    /// Qualified method names, indexed by [`MethodId`].
-    pub qnames: Vec<String>,
-    /// Body digests by qualified name (the database section form).
+    /// Body digests by qualified name.
     pub fns: BTreeMap<String, Digest>,
-    /// Closure digests by qualified name.
-    pub closures: BTreeMap<String, Digest>,
-}
-
-/// Builds the name-based over-approximate call graph: for every method,
-/// the set of methods any of its call sites could reach in *some*
-/// points-to assignment. Virtual calls resolve by selector to every
-/// method in the program with that selector; `start()` additionally
-/// reaches every zero-argument origin entry (the `Thread.start()`
-/// convention); `new C(…)` reaches `C`'s constructor and, for origin
-/// classes, the origin entry.
-pub fn name_call_graph(program: &Program) -> Vec<Vec<MethodId>> {
-    let mut by_selector: HashMap<Selector, Vec<MethodId>> = HashMap::new();
-    for (i, m) in program.methods.iter().enumerate() {
-        by_selector
-            .entry(m.selector())
-            .or_default()
-            .push(MethodId::from_usize(i));
-    }
-    let entry_methods: Vec<MethodId> = program
-        .methods
-        .iter()
-        .enumerate()
-        .filter(|(_, m)| m.num_params == 0 && program.entry_config.is_entry(&m.name))
-        .map(|(i, _)| MethodId::from_usize(i))
-        .collect();
-    let mut graph = Vec::with_capacity(program.methods.len());
-    for m in &program.methods {
-        let mut succs: BTreeSet<MethodId> = BTreeSet::new();
-        for instr in &m.body {
-            match &instr.stmt {
-                Stmt::New { class, args, .. } => {
-                    let ctor = Selector::new(CTOR_NAME, args.len());
-                    if let Some(t) = program.dispatch(*class, &ctor) {
-                        succs.insert(t);
-                    }
-                    if let Some((sel, _)) = program.origin_entry_of_class(*class) {
-                        if let Some(t) = program.dispatch(*class, &sel) {
-                            succs.insert(t);
-                        }
-                    }
-                }
-                Stmt::Call { callee, args, .. } => match callee {
-                    Callee::Static { method } => {
-                        succs.insert(*method);
-                    }
-                    Callee::Virtual { name, .. } => {
-                        let sel = Selector::new(name.clone(), args.len());
-                        if let Some(ts) = by_selector.get(&sel) {
-                            succs.extend(ts.iter().copied());
-                        }
-                        if name == "start" && program.entry_config.start_spawns_entry {
-                            succs.extend(entry_methods.iter().copied());
-                        }
-                        if program.entry_config.is_entry(name) {
-                            succs.extend(entry_methods.iter().copied());
-                        }
-                    }
-                },
-                Stmt::Spawn { entry, .. } => {
-                    succs.insert(*entry);
-                }
-                _ => {}
-            }
-        }
-        graph.push(succs.into_iter().collect());
-    }
-    graph
 }
 
 /// Computes every digest table of `program`.
@@ -323,33 +244,6 @@ pub fn digest_program(program: &Program) -> ProgramDigests {
         let id = MethodId::from_usize(i);
         by_method.push(fn_digest(program, id));
         qnames.push(program.method_qname(id));
-    }
-
-    // Closure digests: per method, the sorted set of body digests of its
-    // reachable closure (including itself). Well-defined in cyclic call
-    // graphs, unlike nested hashing.
-    let graph = name_call_graph(program);
-    let mut closure_by_method = Vec::with_capacity(n);
-    let mut visited = vec![u32::MAX; n];
-    let mut stack = Vec::new();
-    for root in 0..n {
-        let mark = root as u32;
-        stack.clear();
-        stack.push(root);
-        visited[root] = mark;
-        let mut reach = Vec::new();
-        while let Some(cur) = stack.pop() {
-            reach.push(by_method[cur]);
-            for &succ in &graph[cur] {
-                let s = succ.index();
-                if visited[s] != mark {
-                    visited[s] = mark;
-                    stack.push(s);
-                }
-            }
-        }
-        reach.sort_unstable();
-        closure_by_method.push(digest_of_sorted("o2.closure.v1", &reach));
     }
 
     let mut h = DigestHasher::with_tag("o2.program.v1");
@@ -400,19 +294,9 @@ pub fn digest_program(program: &Program) -> ProgramDigests {
         h.write_digest(*d);
     }
 
-    let mut fns = BTreeMap::new();
-    let mut closures = BTreeMap::new();
-    for i in 0..n {
-        fns.insert(qnames[i].clone(), by_method[i]);
-        closures.insert(qnames[i].clone(), closure_by_method[i]);
-    }
     ProgramDigests {
         program: h.finish(),
-        by_method,
-        closure_by_method,
-        qnames,
-        fns,
-        closures,
+        fns: qnames.into_iter().zip(by_method).collect(),
     }
 }
 
@@ -425,11 +309,6 @@ pub struct DigestDiff {
     pub added: Vec<String>,
     /// Methods only in the old version.
     pub removed: Vec<String>,
-    /// Methods of the *new* version whose digest closure differs from the
-    /// old version (or which are new): everything that must be
-    /// re-analyzed. A method absent from this set provably computes the
-    /// same summary as before.
-    pub invalidated: BTreeSet<String>,
 }
 
 impl DigestDiff {
@@ -441,11 +320,10 @@ impl DigestDiff {
     /// One-line human summary.
     pub fn summary(&self) -> String {
         format!(
-            "{} changed, {} added, {} removed, {} invalidated",
+            "{} changed, {} added, {} removed",
             self.changed.len(),
             self.added.len(),
-            self.removed.len(),
-            self.invalidated.len()
+            self.removed.len()
         )
     }
 }
@@ -463,11 +341,6 @@ pub fn digest_diff(old: &ProgramDigests, new: &ProgramDigests) -> DigestDiff {
     for name in old.fns.keys() {
         if !new.fns.contains_key(name) {
             diff.removed.push(name.clone());
-        }
-    }
-    for (name, d) in &new.closures {
-        if old.closures.get(name) != Some(d) {
-            diff.invalidated.insert(name.clone());
         }
     }
     diff
@@ -501,7 +374,6 @@ mod tests {
         let b = digest_program(&parse(BASE).unwrap());
         assert_eq!(a.program, b.program);
         assert_eq!(a.fns, b.fns);
-        assert_eq!(a.closures, b.closures);
     }
 
     #[test]
@@ -512,11 +384,6 @@ mod tests {
         let diff = digest_diff(&old, &new);
         assert_eq!(diff.changed, vec!["W.helper/1".to_string()]);
         assert!(diff.added.is_empty() && diff.removed.is_empty());
-        // helper's callers are invalidated transitively; S has no methods.
-        assert!(diff.invalidated.contains("W.helper/1"));
-        assert!(diff.invalidated.contains("W.run/0"));
-        assert!(diff.invalidated.contains("Main.main/0"), "{diff:?}");
-        assert!(!diff.invalidated.contains("W.<init>/1"), "{diff:?}");
         assert_ne!(old.program, new.program);
     }
 
@@ -533,11 +400,7 @@ mod tests {
         let d = digest_program(&parse(BASE).unwrap());
         let diff = digest_diff(&d, &d);
         assert!(diff.is_empty());
-        assert!(diff.invalidated.is_empty());
-        assert_eq!(
-            diff.summary(),
-            "0 changed, 0 added, 0 removed, 0 invalidated"
-        );
+        assert_eq!(diff.summary(), "0 changed, 0 added, 0 removed");
     }
 
     #[test]
@@ -653,28 +516,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn call_graph_overapproximates_virtual_dispatch() {
-        let p = parse(BASE).unwrap();
-        let g = name_call_graph(&p);
-        let run = p
-            .methods
-            .iter()
-            .position(|m| m.name == "run")
-            .expect("run exists");
-        let helper = p
-            .methods
-            .iter()
-            .position(|m| m.name == "helper")
-            .map(MethodId::from_usize)
-            .expect("helper exists");
-        assert!(g[run].contains(&helper), "run virtually calls helper");
-        let main = p.main.index();
-        assert!(
-            g[main].iter().any(|m| p.method(*m).name == "run"),
-            "start() reaches the origin entry"
-        );
     }
 }

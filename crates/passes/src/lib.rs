@@ -105,8 +105,8 @@ pub struct PipelineState {
     pub racerd: Option<RacerDReport>,
 }
 
-/// Per-pass counters, rendered into `BENCH_pr2.json` and the pipeline
-/// JSON. Keys are static so reports stay deterministic.
+/// Per-pass counters, rendered into the pipeline text and JSON. Keys are
+/// static so reports stay deterministic.
 pub type PassStats = Vec<(&'static str, u64)>;
 
 /// One precision pass over the shared [`AnalysisCtx`].

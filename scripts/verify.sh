@@ -1,22 +1,42 @@
 #!/usr/bin/env sh
 # Full offline verification: formatting, release build, complete test
 # suite (which diffs the checked-in golden JSON/SARIF reports under
-# tests/golden/), lints (including the panic-budget lint over non-test
-# crate code), and the PR 1 through PR 10 reports (BENCH_pr1.json
-# through BENCH_pr10.json at the repo root).
+# tests/golden/ and pins exact precision and prune rows in
+# tests/pinned_rows.rs), lints (the panic-budget lint and the non-test
+# line-count ceiling), CLI/batch/serve smokes, and the perfbench gate.
 #
-# Bench groups that report cold end-to-end times (pr3, pr5, pr6, pr7) are
-# gated against the *committed* BENCH_*.json baselines: after each group
-# regenerates its report, `bench --regress` fails the script if any cold
-# row got more than 25% (and more than an absolute 5 ms) slower. The
-# committed baseline is snapshotted to a temp dir before the groups run,
-# so the gate always compares against what was last checked in.
+# The perfbench gate runs the benchmark CLI in perfbench/ on each of its
+# four workloads at seed 1, in two parts:
+#   - exact counters: a 1 s traced run per workload; its `# count` lines
+#     must equal results/perfbench-counts.txt byte for byte. They count
+#     work (solver steps, pairs checked, output bytes), not time, so any
+#     difference is a change in what the program computes.
+#   - calibrated throughput: a 10 s untraced run per workload must be
+#     correct and reach (1 - bound) x the throughput_per_s committed in
+#     results/perfbench-baseline.txt, with the bound read from
+#     BENCHMARK.json.
+#
+# Every temporary file lives in one work dir; one EXIT trap removes it,
+# stops the serve smoke's daemon if it is still running, and puts back
+# perfbench/Cargo.lock, which cargo may refresh when it builds perfbench.
 #
 # The workspace has no external dependencies, so every step runs with
 # --offline and must succeed without network access.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+work=$(mktemp -d)
+serve_pid=
+cp perfbench/Cargo.lock "$work/perfbench.lock"
+cleanup() {
+    if [ -n "$serve_pid" ]; then kill "$serve_pid" 2>/dev/null || true; fi
+    cmp -s "$work/perfbench.lock" perfbench/Cargo.lock ||
+        cp "$work/perfbench.lock" perfbench/Cargo.lock
+    rm -rf "$work"
+}
+trap cleanup EXIT
+trap 'exit 130' INT TERM
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -30,20 +50,24 @@ cargo test -q --offline --workspace
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-# Panic-budget lint (DESIGN §15): grep-count unwrap()/expect(/panic!(
-# in non-test crate code — src files outside the bench harness, with
-# everything from the first #[cfg(test)] to EOF stripped. The ceiling is
-# the audited baseline of internal-invariant panics (poisoned mutexes,
-# parser token bookkeeping, "unlimited budget cannot trip"); anything
-# above it means a new panic crept into code reachable from a request,
-# which the typed error plane forbids. Lower the ceiling when you remove
-# panics; never raise it without an audit.
-panic_budget=178
-echo "==> panic-budget lint (ceiling $panic_budget)"
-panic_count=$(for f in $(find crates -name '*.rs' -path '*/src/*' \
+# Non-test crate code, read by the two lints below: src files outside
+# the bench harness, with everything from the first #[cfg(test)] to EOF
+# stripped.
+for f in $(find crates -name '*.rs' -path '*/src/*' \
         ! -path 'crates/bench/*' ! -name '*tests*' | sort); do
     awk '/#!?\[cfg\(test\)\]/{exit} {print}' "$f"
-done | grep -c -E '\.unwrap\(\)|\.expect\(|panic!\(' || true)
+done > "$work/nontest.rs"
+
+# Panic-budget lint (DESIGN §15): grep-count unwrap()/expect(/panic!(
+# in non-test crate code. The ceiling is the audited baseline of
+# internal-invariant panics (poisoned mutexes, parser token bookkeeping,
+# "unlimited budget cannot trip"); anything above it means a new panic
+# crept into code reachable from a request, which the typed error plane
+# forbids. Lower the ceiling when you remove panics; never raise it
+# without an audit.
+panic_budget=178
+echo "==> panic-budget lint (ceiling $panic_budget)"
+panic_count=$(grep -c -E '\.unwrap\(\)|\.expect\(|panic!\(' "$work/nontest.rs" || true)
 echo "panic sites in non-test crate code: $panic_count"
 if [ "$panic_count" -gt "$panic_budget" ]; then
     echo "panic-budget lint: $panic_count sites exceed the ceiling of $panic_budget" >&2
@@ -51,47 +75,16 @@ if [ "$panic_count" -gt "$panic_budget" ]; then
     exit 1
 fi
 
-# Snapshot the committed baselines before any group overwrites them.
-baseline_dir=$(mktemp -d)
-trap 'rm -rf "$baseline_dir"' EXIT
-for f in BENCH_pr1.json BENCH_pr2.json BENCH_pr3.json BENCH_pr5.json BENCH_pr6.json BENCH_pr7.json BENCH_pr8.json BENCH_pr9.json BENCH_pr10.json; do
-    if [ -f "$f" ]; then cp "$f" "$baseline_dir/$f"; fi
-done
-
-echo "==> bench --group pr1 (writes BENCH_pr1.json)"
-cargo run --release --offline -p o2-bench --bin bench -- --group pr1
-
-echo "==> bench --group pr2 (writes BENCH_pr2.json)"
-cargo run --release --offline -p o2-bench --bin bench -- --group pr2
-
-echo "==> bench --group pr3 (writes BENCH_pr3.json)"
-cargo run --release --offline -p o2-bench --bin bench -- --group pr3
-
-echo "==> bench --group pr5 (writes BENCH_pr5.json)"
-cargo run --release --offline -p o2-bench --bin bench -- --group pr5
-
-echo "==> bench --group pr6 (writes BENCH_pr6.json)"
-cargo run --release --offline -p o2-bench --bin bench -- --group pr6
-
-echo "==> bench --group pr7 (writes BENCH_pr7.json)"
-cargo run --release --offline -p o2-bench --bin bench -- --group pr7
-
-echo "==> bench --group pr8 (writes BENCH_pr8.json)"
-cargo run --release --offline -p o2-bench --bin bench -- --group pr8
-
-echo "==> bench --group pr9 (writes BENCH_pr9.json)"
-cargo run --release --offline -p o2-bench --bin bench -- --group pr9
-
-echo "==> bench --group pr10 (writes BENCH_pr10.json)"
-cargo run --release --offline -p o2-bench --bin bench -- --group pr10
-
-echo "==> cold end-to-end regression gate (vs committed baselines)"
-for f in BENCH_pr1.json BENCH_pr2.json BENCH_pr3.json BENCH_pr5.json BENCH_pr6.json BENCH_pr7.json BENCH_pr8.json BENCH_pr9.json BENCH_pr10.json; do
-    if [ -f "$baseline_dir/$f" ]; then
-        cargo run --release --offline -p o2-bench --bin bench -- \
-            --regress "$baseline_dir/$f" "$f"
-    fi
-done
+# Non-test line count, a tracked number that should only go down. Lower
+# the ceiling when you delete code; never raise it without an audit.
+line_budget=20186
+echo "==> non-test line count (ceiling $line_budget)"
+line_count=$(($(wc -l < "$work/nontest.rs")))
+echo "non-test lines in crate code: $line_count"
+if [ "$line_count" -gt "$line_budget" ]; then
+    echo "line-count gate: $line_count lines exceed the ceiling of $line_budget" >&2
+    exit 1
+fi
 
 echo "==> incremental warm-vs-cold equivalence"
 cargo test -q --offline --test incremental --test db_determinism --test roundtrip --test sync_primitives
@@ -101,9 +94,8 @@ cargo test -q --offline --test golden --test mega
 
 echo "==> error-plane tests + CLI exit-code smoke"
 cargo test -q --offline --test errors
-bad_src=$(mktemp -u).o2
+bad_src=$work/broken.o2
 printf 'class Broken {\n' > "$bad_src"
-trap 'rm -rf "$baseline_dir" "$bad_src"' EXIT
 rc=0; ./target/release/o2 "$bad_src" --quiet >/dev/null 2>&1 || rc=$?
 if [ "$rc" -ne 10 ]; then
     echo "error smoke: parse failure exited $rc, expected 10" >&2
@@ -118,10 +110,9 @@ echo "error smoke: parse exits 10, io exits 16"
 
 echo "==> batch determinism tests + o2 batch smoke"
 cargo test -q --offline --test batch
-batch_manifest=$(mktemp)
-batch_a=$(mktemp)
-batch_b=$(mktemp)
-trap 'rm -rf "$baseline_dir" "$bad_src" "$batch_manifest" "$batch_a" "$batch_b"' EXIT
+batch_manifest=$work/manifest.txt
+batch_a=$work/batch-a.out
+batch_b=$work/batch-b.out
 printf 'avrora\nlusearch\nmega-smoke\nrealbug:ZooKeeper\nrealbug-c:Memcached\n' > "$batch_manifest"
 ./target/release/o2 batch "$batch_manifest" --workers 1 --format sarif --quiet > "$batch_a" || true
 ./target/release/o2 batch "$batch_manifest" --workers 4 --format sarif --quiet > "$batch_b" || true
@@ -143,10 +134,8 @@ echo "batch smoke: failing entry recorded in merged JSON, exit code carries the 
 
 echo "==> serve daemon tests + o2 serve smoke"
 cargo test -q --offline --test serve
-port_file=$(mktemp)
-serve_db=$(mktemp -u)
-trap 'rm -rf "$baseline_dir" "$batch_manifest" "$batch_a" "$batch_b" "$port_file" "$serve_db"' EXIT
-rm -f "$port_file"
+port_file=$work/serve.port
+serve_db=$work/serve.o2db
 ./target/release/o2 serve 127.0.0.1:0 --port-file "$port_file" --save-db "$serve_db" --quiet &
 serve_pid=$!
 tries=0
@@ -154,7 +143,6 @@ while [ ! -s "$port_file" ]; do
     tries=$((tries + 1))
     if [ "$tries" -gt 100 ]; then
         echo "serve smoke: daemon never wrote its port file" >&2
-        kill "$serve_pid" 2>/dev/null || true
         exit 1
     fi
     sleep 0.1
@@ -171,7 +159,52 @@ serve_addr=$(cat "$port_file")
 # errors) — then a clean protocol shutdown.
 ./target/release/o2 loadgen "$serve_addr" --smoke --shutdown
 wait "$serve_pid"
+serve_pid=
 test -s "$serve_db"
 echo "serve smoke: cold+warm byte-identical to solo, malformed answered structured, clean shutdown, report cache saved"
+
+echo "==> perfbench gate (exact counters + calibrated throughput)"
+cargo build --quiet --release --offline --manifest-path perfbench/Cargo.toml
+perfbench=perfbench/target/release/o2-perfbench
+workloads="cold-corpus mega-cold edit-warm serve-mix"
+# Runs one perfbench workload into $work/<name>.out and fails unless its
+# result line (the last line) reports a correct run.
+run_perfbench() {
+    out=$work/$1.out
+    shift
+    "$perfbench" "$@" > "$out"
+    if tail -n 1 "$out" | grep -q '"correct": false'; then
+        echo "perfbench gate: $* failed its oracle:" >&2
+        grep '^# failed' "$out" >&2 || true
+        exit 1
+    fi
+}
+for w in $workloads; do
+    run_perfbench "trace-$w" --workload "$w" --seed 1 --trace 1 --seconds 1
+    echo "# workload $w"
+    grep '^# count ' "$work/trace-$w.out"
+done > "$work/counts.txt"
+if ! diff -u results/perfbench-counts.txt "$work/counts.txt"; then
+    echo "perfbench gate: work counters differ from results/perfbench-counts.txt" >&2
+    exit 1
+fi
+echo "perfbench counters: identical to results/perfbench-counts.txt"
+bound=$(awk '/"name": "throughput_per_s"/ {f = 1} f && /"bound"/ {gsub(/[^0-9.]/, ""); print; exit}' BENCHMARK.json)
+for w in $workloads; do
+    run_perfbench "speed-$w" --workload "$w" --seed 1 --trace 0 --seconds 10
+    got=$(tail -n 1 "$work/speed-$w.out" |
+        sed -n 's/.*"throughput_per_s": {"value": \([0-9.eE+-]*\).*/\1/p')
+    base=$(awk -v w="$w" '$1 == w {print $2}' results/perfbench-baseline.txt)
+    if [ -z "$got" ] || [ -z "$base" ] || [ -z "$bound" ]; then
+        echo "perfbench gate: $w: no throughput ('$got'), baseline ('$base') or bound ('$bound')" >&2
+        exit 1
+    fi
+    floor=$(awk -v b="$base" -v k="$bound" 'BEGIN {print (1 - k) * b}')
+    if awk -v g="$got" -v f="$floor" 'BEGIN {exit !(g < f)}'; then
+        echo "perfbench gate: $w throughput $got/s is below the floor $floor/s ((1 - $bound) x baseline $base/s)" >&2
+        exit 1
+    fi
+    echo "perfbench $w: $got/s (baseline $base/s, floor $floor/s)"
+done
 
 echo "==> verify OK"

@@ -158,21 +158,31 @@ fn corpus_sarif_matches_golden() {
 
 #[test]
 fn goldens_put_every_race_in_the_high_tier() {
-    // The goldens must never silently capture a recall regression: each
-    // model's triaged report carries exactly the paper's confirmed races,
-    // all in the high tier.
-    for m in [
-        o2_workloads::realbugs::memcached(),
-        o2_workloads::realbugs::zookeeper(),
-    ] {
-        let report = O2Builder::new().build().analyze(&m.program);
-        let pipeline = report.run_pipeline(&m.program);
-        assert_eq!(pipeline.races.len(), m.expected_races, "{}", m.name);
-        assert!(pipeline.pruned.is_empty(), "{}", m.name);
-        assert!(
-            pipeline.races.iter().all(|tr| tr.tier == Tier::High),
-            "{}: every confirmed race is high-confidence",
-            m.name
-        );
+    // The goldens must never silently capture a recall regression: every
+    // Table 10 model's triaged report, Java and C frontend, carries
+    // exactly the paper's confirmed races, none pruned or suppressed, all
+    // in the high tier.
+    let java = o2_workloads::realbugs::all_models();
+    let c = o2_workloads::all_c_models();
+    for (family, models, total) in [("java", &java, 40), ("c", &c, 35)] {
+        let mut races = 0;
+        for m in models.iter() {
+            let report = O2Builder::new().build().analyze(&m.program);
+            let pipeline = report.run_pipeline(&m.program);
+            assert_eq!(pipeline.races.len(), m.expected_races, "{}", m.name);
+            assert!(
+                pipeline.pruned.is_empty() && pipeline.suppressed.is_empty(),
+                "{family} {}: triage removed a confirmed race",
+                m.name
+            );
+            assert!(
+                pipeline.races.iter().all(|tr| tr.tier == Tier::High),
+                "{family} {}: every confirmed race is high-confidence",
+                m.name
+            );
+            races += pipeline.races.len();
+        }
+        assert_eq!(races, total, "{family} models");
     }
+    assert_eq!((java.len(), c.len()), (11, 7));
 }

@@ -1,8 +1,9 @@
 //! Mega-preset determinism and pruning tests (PR 6), sized for tier-1
 //! time via the reduced `mega-smoke` preset.
 //!
-//! The bench-scale presets (`mega-grid`, `mega-skew`) run only under
-//! `bench --group pr6`; everything the pre-loop pruner and the
+//! The bench-scale presets (`mega-grid`, `mega-skew`) are analyzed here
+//! only for their prune rows (`tests/pinned_rows.rs`) and timed by
+//! perfbench's mega-cold workload; everything the pre-loop pruner and the
 //! CSR/bitset data plane must *guarantee* is checked here on the small
 //! preset, where a full cold analysis takes milliseconds.
 //!

@@ -1,0 +1,250 @@
+//! Exact precision and pruning rows. Each row is a deterministic count
+//! of one preset's analysis; a change to any of them changes what the
+//! analysis computes, so it must come with an explanation, never a
+//! silent re-pin.
+//!
+//! - The triage pipeline's per-pass effect on four presets, under the
+//!   origin policy and under the 0-ctx policy that keeps the bait false
+//!   positives in.
+//! - The detect pre-loop prune taxonomy on every preset and mega preset:
+//!   the raw access pairs, partitioned into the three pruning stages and
+//!   the candidates that reach the pair loop.
+
+use o2::prelude::*;
+use o2_passes::Tier;
+
+/// `(preset, policy)` rows: detector output, tiers after triage, and
+/// every pass's counters in pass order.
+const TRIAGE_ROWS: &[&str] = &[
+    "avrora O2: detected 2, high 2, medium 0, low 0, pruned 0, suppressed 0; \
+     suppression suppressed=0 kept=2; \
+     ownership owned_pruned=0 prepub_pruned=0 kept=2; \
+     guarded-by locations_inferred=0 demoted=0 promoted=0; \
+     racerd-agreement racerd_warnings=2842 agreements=2; \
+     deadlock cycles=0 lock_order_edges=0; \
+     oversync warnings=0 useful_sites=2",
+    "avrora 0-ctx: detected 120, high 18, medium 0, low 0, pruned 102, suppressed 0; \
+     suppression suppressed=0 kept=120; \
+     ownership owned_pruned=102 prepub_pruned=0 kept=18; \
+     guarded-by locations_inferred=0 demoted=0 promoted=0; \
+     racerd-agreement racerd_warnings=2842 agreements=18; \
+     deadlock cycles=0 lock_order_edges=0; \
+     oversync warnings=0 useful_sites=2",
+    "lusearch O2: detected 8, high 8, medium 0, low 0, pruned 0, suppressed 0; \
+     suppression suppressed=0 kept=8; \
+     ownership owned_pruned=0 prepub_pruned=0 kept=8; \
+     guarded-by locations_inferred=0 demoted=0 promoted=0; \
+     racerd-agreement racerd_warnings=7841 agreements=8; \
+     deadlock cycles=0 lock_order_edges=0; \
+     oversync warnings=0 useful_sites=2",
+    "lusearch 0-ctx: detected 66, high 20, medium 0, low 0, pruned 46, suppressed 0; \
+     suppression suppressed=0 kept=66; \
+     ownership owned_pruned=46 prepub_pruned=0 kept=20; \
+     guarded-by locations_inferred=0 demoted=0 promoted=0; \
+     racerd-agreement racerd_warnings=7841 agreements=20; \
+     deadlock cycles=0 lock_order_edges=0; \
+     oversync warnings=0 useful_sites=2",
+    "zookeeper O2: detected 34, high 34, medium 0, low 0, pruned 0, suppressed 0; \
+     suppression suppressed=0 kept=34; \
+     ownership owned_pruned=0 prepub_pruned=0 kept=34; \
+     guarded-by locations_inferred=0 demoted=0 promoted=0; \
+     racerd-agreement racerd_warnings=5316 agreements=34; \
+     deadlock cycles=0 lock_order_edges=1; \
+     oversync warnings=0 useful_sites=4",
+    "zookeeper 0-ctx: detected 218, high 42, medium 0, low 0, pruned 176, suppressed 0; \
+     suppression suppressed=0 kept=218; \
+     ownership owned_pruned=176 prepub_pruned=0 kept=42; \
+     guarded-by locations_inferred=0 demoted=0 promoted=0; \
+     racerd-agreement racerd_warnings=5316 agreements=42; \
+     deadlock cycles=0 lock_order_edges=1; \
+     oversync warnings=0 useful_sites=4",
+    "memcached O2: detected 16, high 16, medium 0, low 0, pruned 0, suppressed 0; \
+     suppression suppressed=0 kept=16; \
+     ownership owned_pruned=0 prepub_pruned=0 kept=16; \
+     guarded-by locations_inferred=0 demoted=0 promoted=0; \
+     racerd-agreement racerd_warnings=852 agreements=16; \
+     deadlock cycles=0 lock_order_edges=1; \
+     oversync warnings=0 useful_sites=2",
+    "memcached 0-ctx: detected 92, high 28, medium 0, low 0, pruned 64, suppressed 0; \
+     suppression suppressed=0 kept=92; \
+     ownership owned_pruned=64 prepub_pruned=0 kept=28; \
+     guarded-by locations_inferred=0 demoted=0 promoted=0; \
+     racerd-agreement racerd_warnings=852 agreements=28; \
+     deadlock cycles=0 lock_order_edges=1; \
+     oversync warnings=0 useful_sites=2",
+];
+
+fn triage_row(name: &str, policy: Policy) -> String {
+    let w = o2_workloads::preset_by_name(name)
+        .expect("preset exists")
+        .generate();
+    let report = O2Builder::new().policy(policy).build().analyze(&w.program);
+    let p = report.run_pipeline(&w.program);
+    let tier = |t: Tier| p.races.iter().filter(|r| r.tier == t).count();
+    let mut row = format!(
+        "{name} {policy}: detected {}, high {}, medium {}, low {}, pruned {}, suppressed {};",
+        report.num_races(),
+        tier(Tier::High),
+        tier(Tier::Medium),
+        tier(Tier::Low),
+        p.pruned.len(),
+        p.suppressed.len()
+    );
+    let passes: Vec<String> = p
+        .passes
+        .iter()
+        .map(|pass| {
+            let stats: Vec<String> = pass.stats.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            format!("{} {}", pass.name, stats.join(" "))
+        })
+        .collect();
+    row.push(' ');
+    row.push_str(&passes.join("; "));
+    row
+}
+
+#[test]
+fn triage_pass_counts_are_pinned() {
+    let mut rows = Vec::new();
+    for name in ["avrora", "lusearch", "zookeeper", "memcached"] {
+        for policy in [Policy::origin1(), Policy::insensitive()] {
+            rows.push(triage_row(name, policy));
+        }
+    }
+    assert_eq!(rows, TRIAGE_ROWS);
+}
+
+/// Per workload: origins, indexed locations, and the raw access pairs
+/// split into the pairs each pre-loop stage removes and the candidates.
+const PRUNE_ROWS: &[&str] = &[
+    "avrora: origins 4, locations 234, \
+     pairs 21101 = read-only 0 + single-origin 20582 \
+     + common-guard 30 + candidates 489; races 2",
+    "batik: origins 4, locations 235, \
+     pairs 120541 = read-only 0 + single-origin 120226 \
+     + common-guard 30 + candidates 285; races 6",
+    "eclipse: origins 4, locations 226, \
+     pairs 10257 = read-only 0 + single-origin 9738 \
+     + common-guard 30 + candidates 489; races 2",
+    "h2: origins 3, locations 304, \
+     pairs 120400 = read-only 0 + single-origin 120291 \
+     + common-guard 18 + candidates 91; races 16",
+    "jython: origins 4, locations 365, \
+     pairs 21183 = read-only 0 + single-origin 20934 \
+     + common-guard 45 + candidates 204; races 20",
+    "luindex: origins 3, locations 165, \
+     pairs 20806 = read-only 0 + single-origin 20741 \
+     + common-guard 12 + candidates 53; races 12",
+    "lusearch: origins 3, locations 139, \
+     pairs 119271 = read-only 0 + single-origin 119225 \
+     + common-guard 12 + candidates 34; races 8",
+    "pmd: origins 3, locations 99, \
+     pairs 9890 = read-only 0 + single-origin 9841 \
+     + common-guard 12 + candidates 37; races 10",
+    "sunflow: origins 9, locations 381, \
+     pairs 10876 = read-only 0 + single-origin 9873 \
+     + common-guard 112 + candidates 891; races 10",
+    "tomcat: origins 6, locations 244, \
+     pairs 119998 = read-only 0 + single-origin 119801 \
+     + common-guard 42 + candidates 155; races 6",
+    "tradebeans: origins 3, locations 97, \
+     pairs 9875 = read-only 0 + single-origin 9841 \
+     + common-guard 12 + candidates 22; races 4",
+    "tradesoap: origins 3, locations 99, \
+     pairs 9884 = read-only 0 + single-origin 9843 \
+     + common-guard 12 + candidates 29; races 4",
+    "xalan: origins 3, locations 150, \
+     pairs 119940 = read-only 0 + single-origin 119915 \
+     + common-guard 12 + candidates 13; races 2",
+    "connectbot: origins 11, locations 376, \
+     pairs 121132 = read-only 0 + single-origin 120349 \
+     + common-guard 180 + candidates 603; races 6",
+    "sipdroid: origins 15, locations 606, \
+     pairs 122791 = read-only 0 + single-origin 120569 \
+     + common-guard 364 + candidates 1858; races 8",
+    "k9mail: origins 23, locations 841, \
+     pairs 125497 = read-only 0 + single-origin 120783 \
+     + common-guard 604 + candidates 4110; races 8",
+    "tasks: origins 7, locations 252, \
+     pairs 151647 = read-only 0 + single-origin 151434 \
+     + common-guard 60 + candidates 153; races 4",
+    "fbreader: origins 15, locations 512, \
+     pairs 278470 = read-only 0 + single-origin 276927 \
+     + common-guard 364 + candidates 1179; races 6",
+    "vlc: origins 4, locations 238, \
+     pairs 120334 = read-only 0 + single-origin 120229 \
+     + common-guard 30 + candidates 75; races 6",
+    "firefox_focus: origins 8, locations 309, \
+     pairs 277123 = read-only 0 + single-origin 276738 \
+     + common-guard 86 + candidates 299; races 6",
+    "telegram: origins 134, locations 4250, \
+     pairs 553934 = read-only 0 + single-origin 280406 \
+     + common-guard 26139 + candidates 247389; races 12",
+    "zoom: origins 15, locations 724, \
+     pairs 278862 = read-only 0 + single-origin 277137 \
+     + common-guard 364 + candidates 1361; races 8",
+    "chrome: origins 34, locations 1169, \
+     pairs 288188 = read-only 0 + single-origin 277539 \
+     + common-guard 1394 + candidates 9255; races 8",
+    "hbase: origins 16, locations 2691, \
+     pairs 284654 = read-only 0 + single-origin 279039 \
+     + common-guard 412 + candidates 5203; races 32",
+    "hdfs: origins 12, locations 2081, \
+     pairs 125879 = read-only 0 + single-origin 121971 \
+     + common-guard 220 + candidates 3688; races 40",
+    "yarn: origins 14, locations 2690, \
+     pairs 28362 = read-only 0 + single-origin 23120 \
+     + common-guard 228 + candidates 5014; races 48",
+    "zookeeper: origins 40, locations 3831, \
+     pairs 58447 = read-only 0 + single-origin 24225 \
+     + common-guard 1900 + candidates 32322; races 34",
+    "memcached: origins 12, locations 481, \
+     pairs 5643 = read-only 0 + single-origin 4425 \
+     + common-guard 142 + candidates 1076; races 16",
+    "redis: origins 15, locations 1037, \
+     pairs 72399 = read-only 0 + single-origin 71180 \
+     + common-guard 172 + candidates 1047; races 10",
+    "sqlite3: origins 3, locations 899, \
+     pairs 276319 = read-only 0 + single-origin 276291 \
+     + common-guard 12 + candidates 16; races 4",
+    "mega-smoke: origins 97, locations 25, \
+     pairs 38889 = read-only 695 + single-origin 0 \
+     + common-guard 31258 + candidates 6936; races 24",
+    "mega-grid: origins 1025, locations 88, \
+     pairs 4189779 = read-only 22486 + single-origin 0 \
+     + common-guard 3576161 + candidates 591132; races 96",
+    "mega-skew: origins 1281, locations 130, \
+     pairs 7357569 = read-only 27305 + single-origin 0 \
+     + common-guard 6431188 + candidates 899076; races 144",
+];
+
+#[test]
+fn prune_taxonomy_is_pinned_on_every_preset_and_mega_preset() {
+    let presets = o2_workloads::all_presets();
+    let mega = o2_workloads::mega_presets();
+    let names = presets
+        .iter()
+        .map(|p| p.name)
+        .chain(mega.iter().map(|m| m.name));
+    let rows: Vec<String> = names
+        .map(|name| {
+            let w = o2_workloads::workload_by_name(name).expect("workload resolves");
+            let report = O2Builder::new().build().analyze(&w.program);
+            let s = report.races.prune;
+            format!(
+                "{name}: origins {}, locations {}, \
+                 pairs {} = read-only {} + single-origin {} \
+                 + common-guard {} + candidates {}; races {}",
+                report.num_origins(),
+                s.locations,
+                s.pre_prune_pairs,
+                s.read_only_pairs,
+                s.single_origin_pairs,
+                s.common_guard_pairs,
+                s.candidate_pairs,
+                report.num_races()
+            )
+        })
+        .collect();
+    assert_eq!(rows, PRUNE_ROWS);
+}

@@ -78,7 +78,10 @@ fn cold(engine: &O2, program: &Program) -> CachedReports {
 
 #[test]
 fn extended_models_warm_replay_equals_cold() {
-    for m in o2_workloads::extended_models() {
+    let models = o2_workloads::extended_models()
+        .into_iter()
+        .chain(o2_workloads::extended_c_models());
+    for m in models {
         let engine = O2Builder::new().build();
         let mut db = AnalysisDb::new(engine.config_sig());
         assert_eq!(
