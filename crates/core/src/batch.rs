@@ -52,8 +52,9 @@ pub struct BatchEntry {
 /// Duplicate names are an error: the merged report is keyed by name.
 ///
 /// A syntactically valid line whose program fails to *load* — the path
-/// is unreadable, the source does not parse, the workload spec is
-/// unknown — is not a manifest error: it becomes an entry carrying the
+/// is unreadable, the source does not parse or fails validation (the
+/// CLI's [`crate::parse_program`]), the workload spec is unknown — is
+/// not a manifest error: it becomes an entry carrying the
 /// typed [`O2Error`], which the batch run reports without aborting the
 /// rest of the corpus. Only malformed manifest structure (empty name or
 /// path, duplicate names, an empty manifest) fails the whole parse.
@@ -72,12 +73,7 @@ pub fn parse_manifest(text: &str, base: &std::path::Path) -> Result<Vec<BatchEnt
             let full = base.join(path);
             let program = match std::fs::read_to_string(&full) {
                 Err(e) => Err(O2Error::Io(format!("cannot read {path}: {e}"))),
-                Ok(src) => if path.ends_with(".c") {
-                    o2_ir::cfront::parse_c(&src)
-                } else {
-                    o2_ir::parser::parse(&src)
-                }
-                .map_err(O2Error::from),
+                Ok(src) => crate::parse_program(&src, path.ends_with(".c")),
             };
             BatchEntry {
                 name: name.to_string(),

@@ -89,12 +89,8 @@ struct Options {
     load_db: Option<String>,
     /// `serve` mode: `file` is a listen address, not a program.
     serve: bool,
-    /// `loadgen` mode: `file` is a daemon address, not a program.
-    loadgen: bool,
     /// `serve --port-file`: write the bound address here once listening.
     port_file: Option<String>,
-    lg: o2::LoadgenConfig,
-    smoke: bool,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -124,10 +120,7 @@ fn parse_args() -> Result<Options, String> {
         save_db: None,
         load_db: None,
         serve: false,
-        loadgen: false,
         port_file: None,
-        lg: o2::LoadgenConfig::default(),
-        smoke: false,
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut files: Vec<String> = Vec::new();
@@ -177,70 +170,6 @@ fn parse_args() -> Result<Options, String> {
                 i += 1;
                 opts.port_file = Some(args.get(i).ok_or("--port-file needs a path")?.clone());
             }
-            "--seed" => {
-                i += 1;
-                let v = args.get(i).ok_or("--seed needs a value")?;
-                opts.lg.seed = v.parse().map_err(|_| "invalid --seed")?;
-            }
-            "--clients" => {
-                i += 1;
-                let v = args.get(i).ok_or("--clients needs a value")?;
-                let n: usize = v.parse().map_err(|_| "invalid --clients")?;
-                if n == 0 {
-                    return Err("--clients must be at least 1".to_string());
-                }
-                opts.lg.clients = n;
-            }
-            "--requests" => {
-                i += 1;
-                let v = args.get(i).ok_or("--requests needs a value")?;
-                opts.lg.requests = v.parse().map_err(|_| "invalid --requests")?;
-            }
-            "--rate" => {
-                i += 1;
-                let v = args.get(i).ok_or("--rate needs a value")?;
-                let r: f64 = v.parse().map_err(|_| "invalid --rate")?;
-                if !r.is_finite() || r < 0.0 {
-                    return Err("--rate must be a finite non-negative number".to_string());
-                }
-                opts.lg.rate = r;
-            }
-            "--workloads" => {
-                i += 1;
-                let v = args.get(i).ok_or("--workloads needs a comma list")?;
-                opts.lg.workloads = v.split(',').map(|s| s.trim().to_string()).collect();
-            }
-            "--zipf" => {
-                i += 1;
-                let v = args.get(i).ok_or("--zipf needs a value")?;
-                opts.lg.zipf_s = v.parse().map_err(|_| "invalid --zipf")?;
-            }
-            "--edit-prob" => {
-                i += 1;
-                let v = args.get(i).ok_or("--edit-prob needs a value")?;
-                let p: f64 = v.parse().map_err(|_| "invalid --edit-prob")?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err("--edit-prob must be in 0..=1".to_string());
-                }
-                opts.lg.edit_prob = p;
-            }
-            "--max-edit" => {
-                i += 1;
-                let v = args.get(i).ok_or("--max-edit needs a value")?;
-                opts.lg.max_edit = v.parse().map_err(|_| "invalid --max-edit")?;
-            }
-            "--malformed-frac" => {
-                i += 1;
-                let v = args.get(i).ok_or("--malformed-frac needs a value")?;
-                let p: f64 = v.parse().map_err(|_| "invalid --malformed-frac")?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err("--malformed-frac must be in 0..=1".to_string());
-                }
-                opts.lg.malformed_frac = p;
-            }
-            "--verify" => opts.lg.verify = true,
-            "--shutdown" => opts.lg.shutdown = true,
-            "--smoke" => opts.smoke = true,
             "--timeout" => {
                 i += 1;
                 let v = args.get(i).ok_or("--timeout needs a value")?;
@@ -296,12 +225,6 @@ fn parse_args() -> Result<Options, String> {
         }
         opts.serve = true;
         opts.file = files[1].clone();
-    } else if files.first().map(String::as_str) == Some("loadgen") {
-        if files.len() != 2 {
-            return Err("loadgen needs exactly one daemon address".to_string());
-        }
-        opts.loadgen = true;
-        opts.file = files[1].clone();
     } else {
         match files.len() {
             0 => return Err("no input file".to_string()),
@@ -350,13 +273,7 @@ fn usage() {
          \x20         or `name = path/to/file.o2`; `#` starts a comment\n\
          \x20      o2 serve <addr> [--workers N] [--load-db FILE] [--save-db FILE]\n\
          \x20         [--port-file FILE] [--quiet] [same engine flags]\n\
-         \x20         resident daemon; line-delimited JSON protocol (DESIGN §14)\n\
-         \x20      o2 loadgen <addr> [--seed N] [--clients N] [--requests N] [--rate R]\n\
-         \x20         [--workloads a,b,c] [--zipf S] [--edit-prob P] [--max-edit N]\n\
-         \x20         [--malformed-frac P] [--verify] [--smoke] [--shutdown] [--json]\n\
-         \x20         deterministic open-system load driver (latency p50/p90/p99);\n\
-         \x20         --malformed-frac injects broken requests the daemon must\n\
-         \x20         answer with structured errors"
+         \x20         resident daemon; line-delimited JSON protocol (DESIGN §14)"
     );
 }
 
@@ -438,65 +355,6 @@ fn run_serve_mode(engine: &O2, opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `o2 loadgen <addr>`: drive a running daemon. `--smoke` runs the CI
-/// sequence (cold + warm + byte-compare against the solo oracle)
-/// instead of the full schedule.
-fn run_loadgen_mode(engine: &O2, opts: &Options) -> ExitCode {
-    if opts.smoke {
-        return match o2::loadgen::run_smoke(&opts.file, engine, opts.lg.shutdown) {
-            Ok(line) => {
-                println!("{line}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(1)
-            }
-        };
-    }
-    match o2::run_loadgen(&opts.file, engine, &opts.lg) {
-        Ok(report) => {
-            if opts.json {
-                println!(
-                    "{{\"requests\":{},\"errors\":{},\"mismatches\":{},\"warm\":{},\
-                     \"malformed\":{},\"malformed_ok\":{},\
-                     \"wall_ms\":{:.3},\"analyses_per_sec\":{:.3},\
-                     \"cold_p50_ms\":{:.3},\"cold_p90_ms\":{:.3},\"cold_p99_ms\":{:.3},\
-                     \"warm_p50_ms\":{:.3},\"warm_p90_ms\":{:.3},\"warm_p99_ms\":{:.3},\
-                     \"err_p50_ms\":{:.3},\"err_p99_ms\":{:.3}}}",
-                    report.requests,
-                    report.errors,
-                    report.mismatches,
-                    report.warm_responses,
-                    report.malformed,
-                    report.malformed_ok,
-                    report.wall_ms,
-                    report.analyses_per_sec,
-                    report.cold.p50,
-                    report.cold.p90,
-                    report.cold.p99,
-                    report.warm.p50,
-                    report.warm.p90,
-                    report.warm.p99,
-                    report.err.p50,
-                    report.err.p99,
-                );
-            } else {
-                print!("{}", report.render());
-            }
-            if report.errors == 0 && report.mismatches == 0 {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
 /// `o2 batch manifest`: analyze the whole corpus. The merged report (JSON or SARIF, byte-identical for every
 /// `--workers` value and manifest order) goes to stdout; the
 /// scheduling-dependent summary table goes to stderr.
@@ -561,19 +419,7 @@ fn run_batch_mode(engine: &O2, opts: &Options) -> ExitCode {
 fn load_program(path: &str, force_c: bool) -> Result<Program, O2Error> {
     let src = std::fs::read_to_string(path)
         .map_err(|e| O2Error::Io(format!("cannot read {path}: {e}")))?;
-    let use_c = force_c || path.ends_with(".c");
-    let program = if use_c {
-        o2_ir::cfront::parse_c(&src).map_err(O2Error::from)?
-    } else {
-        o2_ir::parser::parse(&src).map_err(O2Error::from)?
-    };
-    let issues = o2_ir::validate::validate(&program);
-    if let Some(issue) = issues.first() {
-        return Err(O2Error::Resolve(format!(
-            "{path}: invalid program: {issue}"
-        )));
-    }
-    Ok(program)
+    o2::parse_program(&src, force_c || path.ends_with(".c"))
 }
 
 /// `o2 diff-analyze old new`: print the function-level digest diff of
@@ -651,10 +497,6 @@ fn main() -> ExitCode {
     if opts.serve {
         // The positional argument is a listen address.
         return run_serve_mode(&engine, &opts);
-    }
-    if opts.loadgen {
-        // The positional argument is a running daemon's address.
-        return run_loadgen_mode(&engine, &opts);
     }
 
     let program = match load_program(&opts.file, opts.c_frontend) {

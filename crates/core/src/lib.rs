@@ -37,14 +37,12 @@
 
 pub mod batch;
 pub mod incremental;
-pub mod loadgen;
 pub mod serve;
 
 pub use batch::{
     parse_manifest, run_batch, run_batch_with_db, BatchEntry, BatchReport, ProgramOutcome,
 };
 pub use incremental::{render_reports, DiffAnalysis, IncrStats};
-pub use loadgen::{run_loadgen, LatencyStats, LoadgenConfig, LoadgenReport};
 pub use serve::{Client, ServeOptions, ServerHandle};
 
 use o2_analysis::{run_osa_bounded, OsaResult};
@@ -231,6 +229,28 @@ pub fn peak_rss_bytes() -> Option<usize> {
     {
         None
     }
+}
+
+/// Parses `src` with the C frontend (`c`) or the textual one, then
+/// validates the program — the one loader behind the CLI, `o2 batch`
+/// manifest files and inline `o2 serve` sources. A syntax error is a
+/// `parse` error with source position; a program that parses but fails
+/// [`o2_ir::validate::validate`] is a `resolve` error.
+///
+/// # Errors
+///
+/// [`O2Error::Parse`] or [`O2Error::Resolve`] as above.
+pub fn parse_program(src: &str, c: bool) -> Result<Program, O2Error> {
+    let program = if c {
+        o2_ir::cfront::parse_c(src)
+    } else {
+        o2_ir::parser::parse(src)
+    }
+    .map_err(O2Error::from)?;
+    if let Some(issue) = o2_ir::validate::validate(&program).first() {
+        return Err(O2Error::Resolve(format!("invalid program: {issue}")));
+    }
+    Ok(program)
 }
 
 /// Builder for an [`O2`] analyzer (C-BUILDER).

@@ -820,15 +820,7 @@ impl ServeState {
                 (w.name, w.program, *edit)
             }
             Target::Source { src, c, edit } => {
-                let program = if *c {
-                    o2_ir::cfront::parse_c(src).map_err(O2Error::from)?
-                } else {
-                    o2_ir::parser::parse(src).map_err(O2Error::from)?
-                };
-                if let Some(issue) = o2_ir::validate::validate(&program).first() {
-                    return Err(O2Error::Resolve(format!("invalid program: {issue}")));
-                }
-                ("inline".to_string(), program, *edit)
+                ("inline".to_string(), crate::parse_program(src, *c)?, *edit)
             }
         };
         if edit > 0 && !has_memory_access(&program) {
@@ -1201,11 +1193,14 @@ fn handle_conn(state: &ServeState, stream: TcpStream, opts: &ServeOptions) {
     // connection without waiting for the client.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let mut buf: Vec<u8> = Vec::new();
+    // `buf[..scanned]` holds no newline: each read is searched once.
+    let mut scanned = 0;
     let mut chunk = [0u8; 16384];
     let mut discarding = false;
     loop {
         // Answer every complete line currently buffered.
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
+        while let Some(pos) = find_newline(&buf, scanned) {
+            scanned = 0;
             let mut line: Vec<u8> = buf.drain(..=pos).collect();
             line.pop(); // the newline
             if line.last() == Some(&b'\r') {
@@ -1250,6 +1245,7 @@ fn handle_conn(state: &ServeState, stream: TcpStream, opts: &ServeOptions) {
             buf.clear();
             discarding = true;
         }
+        scanned = buf.len();
         match (&stream).read(&mut chunk) {
             Ok(0) => return,
             Ok(n) => {
@@ -1275,6 +1271,16 @@ fn handle_conn(state: &ServeState, stream: TcpStream, opts: &ServeOptions) {
     }
 }
 
+/// Index of the first `\n` in `buf` at or after `from`. Readers pass
+/// the length they already searched, so a line that arrives over many
+/// reads costs one scan of its bytes, not one per read.
+fn find_newline(buf: &[u8], from: usize) -> Option<usize> {
+    buf[from..]
+        .iter()
+        .position(|&b| b == b'\n')
+        .map(|i| from + i)
+}
+
 fn write_line(mut stream: &TcpStream, line: &str) -> std::io::Result<()> {
     stream.write_all(line.as_bytes())?;
     stream.write_all(b"\n")?;
@@ -1282,7 +1288,7 @@ fn write_line(mut stream: &TcpStream, line: &str) -> std::io::Result<()> {
 }
 
 /// A server running on a background thread (the in-process harness used
-/// by tests and the PR 9 bench).
+/// by tests and perfbench's serve-mix workload).
 pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<ServeState>,
@@ -1347,6 +1353,14 @@ impl Client {
         })
     }
 
+    /// Bounds every later read and write on this connection: a reply
+    /// that does not arrive within `limit` fails the request instead of
+    /// blocking forever.
+    pub fn set_timeout(&self, limit: Duration) -> std::io::Result<()> {
+        self.stream.set_read_timeout(Some(limit))?;
+        self.stream.set_write_timeout(Some(limit))
+    }
+
     /// Sends one request line and blocks for the one response line.
     pub fn send_line(&mut self, line: &str) -> std::io::Result<String> {
         self.stream.write_all(line.as_bytes())?;
@@ -1357,8 +1371,9 @@ impl Client {
 
     fn read_line(&mut self) -> std::io::Result<String> {
         let mut chunk = [0u8; 16384];
+        let mut scanned = 0;
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
+            if let Some(pos) = find_newline(&self.buf, scanned) {
                 let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
                 line.pop();
                 return String::from_utf8(line)
@@ -1371,6 +1386,7 @@ impl Client {
                     "server closed the connection",
                 ));
             }
+            scanned = self.buf.len();
             self.buf.extend_from_slice(&chunk[..n]);
         }
     }
@@ -1383,9 +1399,8 @@ impl Client {
 }
 
 /// Renders the three solo report forms for `program` under `engine` —
-/// the byte-identity oracle used by tests, the loadgen smoke, and the
-/// PR 9 bench. This is exactly what the solo CLI prints per `--format`
-/// (with `--quiet`).
+/// the byte-identity oracle used by tests and perfbench. This is
+/// exactly what the solo CLI prints per `--format` (with `--quiet`).
 pub fn solo_reports(engine: &O2, program: &Program) -> CachedReports {
     render_reports(&engine.analyze(program).run_pipeline(program), program)
 }

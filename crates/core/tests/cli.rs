@@ -1,11 +1,13 @@
 //! End-to-end tests of the `o2` command-line binary.
 
-use o2::serve::{spawn, Client, ServeState};
+use o2::serve::{solo_reports, spawn, Client, ServeState};
 use o2::{ServeOptions, O2};
 use o2_ir::json_escape;
 use std::io::Write;
-use std::process::Command;
+use std::path::Path;
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn o2_bin() -> &'static str {
     env!("CARGO_BIN_EXE_o2", "o2 binary built by cargo")
@@ -145,6 +147,17 @@ fn deadlock_and_oversync_flags() {
 #[test]
 fn unknown_flag_is_usage_error() {
     let out = Command::new(o2_bin()).arg("--frobnicate").output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage"), "{stderr}");
+}
+
+#[test]
+fn loadgen_is_not_a_mode() {
+    let out = Command::new(o2_bin())
+        .args(["loadgen", "127.0.0.1:1"])
+        .output()
+        .unwrap();
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("usage"), "{stderr}");
@@ -385,4 +398,138 @@ fn c_frontend_by_extension() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("race #1"), "{stdout}");
+}
+
+/// Upper bound on every wait of the `o2 serve` process test: port file,
+/// one reply, process exit. A broken daemon fails the test instead of
+/// hanging it.
+const DAEMON_WAIT: Duration = Duration::from_secs(120);
+
+/// A running `o2 serve` process, killed on drop so a failed assertion
+/// never leaves a daemon behind.
+struct Daemon {
+    child: Child,
+    addr: String,
+}
+
+impl Daemon {
+    /// Spawns `o2 serve 127.0.0.1:0 --port-file <dir>/port <db_args>
+    /// --quiet` and waits for the port file.
+    fn start(dir: &Path, db_args: &[&std::ffi::OsStr]) -> Daemon {
+        let port_file = dir.join("port");
+        let _ = std::fs::remove_file(&port_file);
+        let child = Command::new(o2_bin())
+            .args(["serve", "127.0.0.1:0", "--port-file"])
+            .arg(&port_file)
+            .args(db_args)
+            .arg("--quiet")
+            .stdin(Stdio::null())
+            .spawn()
+            .unwrap();
+        let mut daemon = Daemon {
+            child,
+            addr: String::new(),
+        };
+        let deadline = Instant::now() + DAEMON_WAIT;
+        loop {
+            // The daemon writes "<addr>\n"; the newline marks it complete.
+            if let Ok(text) = std::fs::read_to_string(&port_file) {
+                if text.ends_with('\n') {
+                    daemon.addr = text.trim().to_string();
+                    return daemon;
+                }
+            }
+            if let Some(status) = daemon.child.try_wait().unwrap() {
+                panic!("o2 serve exited ({status}) before writing its port file");
+            }
+            assert!(
+                Instant::now() < deadline,
+                "o2 serve never wrote its port file"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    fn client(&self) -> Client {
+        let client = Client::connect(&self.addr).unwrap();
+        client.set_timeout(DAEMON_WAIT).unwrap();
+        client
+    }
+
+    fn wait_exit(&mut self) -> ExitStatus {
+        let deadline = Instant::now() + DAEMON_WAIT;
+        loop {
+            if let Some(status) = self.child.try_wait().unwrap() {
+                return status;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "o2 serve did not exit after shutdown"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// The real `o2 serve` process end to end: solo-identical bytes, a
+/// digest hit on repeat, structured errors on a surviving connection,
+/// a clean protocol shutdown that saves the report cache, and a
+/// restart from that cache that answers warm from its first request.
+#[test]
+fn serve_process_answers_solo_bytes_and_restarts_warm_from_its_db() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("serve-process");
+    std::fs::create_dir_all(&dir).unwrap();
+    let db = dir.join("serve.o2db");
+    let _ = std::fs::remove_file(&db);
+    let spec = "realbug:ZooKeeper";
+    let program = o2_workloads::workload_by_name(spec).unwrap().program;
+    let solo = solo_reports(&O2::default(), &program).text;
+    let analyze = format!("{{\"op\":\"analyze\",\"workload\":\"{spec}\"}}");
+
+    let mut daemon = Daemon::start(&dir, &["--save-db".as_ref(), db.as_os_str()]);
+    let mut client = daemon.client();
+    let ping = client.request("{\"op\":\"ping\"}").unwrap();
+    assert_eq!(ping["ok"].as_bool(), Some(true));
+    let cold = client.request(&analyze).unwrap();
+    assert_eq!(cold["digest_hit"].as_bool(), Some(false));
+    assert_eq!(cold["output"].as_str(), Some(solo.as_str()));
+    let warm = client.request(&analyze).unwrap();
+    assert_eq!(warm["digest_hit"].as_bool(), Some(true));
+    assert_eq!(warm["output"].as_str(), Some(solo.as_str()));
+    let stats = client.request("{\"op\":\"stats\"}").unwrap();
+    assert_eq!(stats["report_hits"].as_u64(), Some(1), "{stats:?}");
+
+    // Errors answer structured on the same connection, which keeps
+    // serving afterwards.
+    let bad = client.request("this is not json").unwrap();
+    assert_eq!(bad["ok"].as_bool(), Some(false));
+    let timed = client
+        .request(&format!(
+            "{{\"op\":\"analyze\",\"workload\":\"{spec}\",\"deadline_ms\":0}}"
+        ))
+        .unwrap();
+    assert_eq!(timed["stage"].as_str(), Some("timeout"));
+    let after = client.request(&analyze).unwrap();
+    assert_eq!(after["output"].as_str(), Some(solo.as_str()));
+
+    let bye = client.request("{\"op\":\"shutdown\"}").unwrap();
+    assert_eq!(bye["ok"].as_bool(), Some(true));
+    assert!(daemon.wait_exit().success());
+    let saved = std::fs::metadata(&db).map(|m| m.len()).unwrap_or(0);
+    assert!(saved > 0, "--save-db wrote nothing to {}", db.display());
+
+    let mut daemon = Daemon::start(&dir, &["--load-db".as_ref(), db.as_os_str()]);
+    let mut client = daemon.client();
+    let first = client.request(&analyze).unwrap();
+    assert_eq!(first["digest_hit"].as_bool(), Some(true));
+    assert_eq!(first["output"].as_str(), Some(solo.as_str()));
+    client.request("{\"op\":\"shutdown\"}").unwrap();
+    assert!(daemon.wait_exit().success());
 }

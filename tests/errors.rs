@@ -173,6 +173,32 @@ fn manifest_with_unreadable_file_yields_io_error_entry() {
     assert_eq!(entries[0].program.as_ref().unwrap_err().stage(), "parse");
 }
 
+/// A manifest file that parses but fails validation becomes the same
+/// `resolve` error entry the CLI exits with (code 11), not an analyzed
+/// program.
+#[test]
+fn manifest_file_failing_validation_yields_resolve_error_entry() {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("errors_validate");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("t.o2"), fixture("unpaired_wait.o2")).unwrap();
+    let entries = parse_manifest("t = t.o2\n", &dir).unwrap();
+    let err = entries[0].program.as_ref().unwrap_err();
+    assert_eq!(err.stage(), "resolve");
+    assert_eq!(err.exit_code(), 11);
+    assert!(
+        err.to_string()
+            .contains("wait without holding its paired lock"),
+        "{err}"
+    );
+    let report = run_batch(&O2Builder::new().build(), &entries, 1);
+    assert_eq!(report.error_count(), 1);
+    assert!(
+        report.json.contains("\"stage\": \"resolve\""),
+        "{}",
+        report.json
+    );
+}
+
 // ---------------------------------------------------------------------
 // The wire protocol.
 // ---------------------------------------------------------------------

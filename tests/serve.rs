@@ -153,6 +153,43 @@ fn oversized_lines_error_without_killing_the_connection() {
     server.shutdown().unwrap();
 }
 
+/// A request that trickles in over many small reads is one line: the
+/// daemon answers it once, byte-identical to the solo oracle, and the
+/// next line on the connection gets its own answer.
+#[test]
+fn request_split_into_small_writes_is_answered_once() {
+    use std::io::{BufRead, BufReader, Write};
+    let engine = O2::default();
+    let w = o2_workloads::workload_by_name("avrora").unwrap();
+    let src = o2_ir::printer::print_program(&w.program);
+    let solo = solo_reports(&engine, &o2::parse_program(&src, false).unwrap());
+    let server = start(engine, ServeOptions::default());
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    let request = format!(
+        "{{\"op\":\"analyze\",\"source\":\"{}\"}}\n{{\"op\":\"ping\"}}\n",
+        o2_ir::json_escape(&src)
+    );
+    // Longer than the daemon's 16 KiB read buffer: even coalesced
+    // pieces take several reads.
+    assert!(request.len() > 16384, "{} bytes", request.len());
+    for piece in request.as_bytes().chunks(64) {
+        stream.write_all(piece).unwrap();
+        stream.flush().unwrap();
+    }
+    let mut lines = BufReader::new(stream).lines();
+    let analyzed = parse_flat_json(&lines.next().unwrap().unwrap()).unwrap();
+    assert_eq!(analyzed["ok"].as_bool(), Some(true), "{analyzed:?}");
+    assert_eq!(get_str(&analyzed, "output"), solo.text);
+    let pong = parse_flat_json(&lines.next().unwrap().unwrap()).unwrap();
+    assert_eq!(pong["ok"].as_bool(), Some(true));
+    assert!(!pong.contains_key("output"), "{pong:?}");
+    server.shutdown().unwrap();
+}
+
 #[test]
 fn preseeded_server_starts_warm() {
     // Build an image the way `o2 batch --save-db` does, round-trip it
