@@ -401,13 +401,11 @@ pub fn ablation(budget: Duration) -> String {
         ("+ integer-id HB", {
             let mut c = DetectConfig::naive();
             c.integer_hb = true;
-            c.hb_cache = true;
             c
         }),
         ("+ canonical locksets", {
             let mut c = DetectConfig::naive();
             c.integer_hb = true;
-            c.hb_cache = true;
             c.canonical_locksets = true;
             c
         }),
@@ -451,9 +449,16 @@ mod tests {
         assert!(!t.contains("NO"), "{t}");
     }
 
+    /// Every §4.1 optimization is sound, so all four cumulative rows
+    /// must report the same number of races.
     #[test]
     fn ablation_runs() {
         let t = ablation(Duration::from_secs(10));
         assert!(t.contains("full O2"), "{t}");
+        let rows: Vec<&str> = t.lines().skip(2).collect();
+        assert_eq!(rows.len(), 4, "{t}");
+        assert!(!t.contains('>'), "a row timed out:\n{t}");
+        let races = |r: &str| r.split_whitespace().last().map(str::to_owned);
+        assert!(rows.iter().all(|r| races(r) == races(rows[0])), "{t}");
     }
 }

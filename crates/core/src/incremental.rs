@@ -143,7 +143,6 @@ impl O2 {
         h.write_bool(self.detect.integer_hb);
         h.write_bool(self.detect.canonical_locksets);
         h.write_bool(self.detect.lock_region_merging);
-        h.write_bool(self.detect.hb_cache);
         h.write_u64(self.detect.max_pairs_per_location as u64);
         write_timeout(&mut h, self.detect.timeout);
         h.finish()

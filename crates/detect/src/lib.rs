@@ -10,10 +10,11 @@
 //! The three §4.1 optimizations are individually toggleable through
 //! [`DetectConfig`], which is how the ablation benches measure them:
 //!
-//! - `integer_hb` — intra-origin HB by node-id comparison instead of graph
+//! - `integer_hb` — intra-origin HB by node-id comparison, and inter-origin
+//!   HB from memoized reachability closures, instead of per-pair graph
 //!   traversal;
-//! - `canonical_locksets` — interned lockset ids with a cached
-//!   disjointness check instead of per-pair list intersection;
+//! - `canonical_locksets` — interned lockset ids with a word-parallel
+//!   bitset disjointness check instead of per-pair list intersection;
 //! - `lock_region_merging` — one representative access per
 //!   `(lock region, location, kind)` instead of every syntactic access.
 //!
@@ -66,7 +67,7 @@ use o2_ir::json_escape;
 use o2_ir::program::Program;
 use o2_ir::ProgramCtx;
 use o2_pta::{OriginId, PtaResult};
-use o2_shb::{AccessNode, LockSetId, LockTable, ShbGraph};
+use o2_shb::{AccessNode, ShbGraph};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -74,14 +75,15 @@ use std::time::{Duration, Instant};
 /// Configuration of the race detection engine.
 #[derive(Clone, Debug)]
 pub struct DetectConfig {
-    /// §4.1 optimization 1: integer-id intra-origin happens-before.
+    /// §4.1 optimization 1: integer-id intra-origin happens-before, with
+    /// each worker memoizing one [`ShbGraph::reach_closure`] per source
+    /// position. Off, every pair walks the graph node by node
+    /// ([`ShbGraph::happens_before_naive`]).
     pub integer_hb: bool,
-    /// §4.1 optimization 2: canonical lockset ids with cached disjointness.
+    /// §4.1 optimization 2: canonical lockset ids with bitset disjointness.
     pub canonical_locksets: bool,
     /// §4.1 optimization 3: lock-region access merging.
     pub lock_region_merging: bool,
-    /// Cache happens-before query results per position pair.
-    pub hb_cache: bool,
     /// PR 6 pre-loop pruning: candidates whose accesses all share a common
     /// lock are resolved in closed form from per-location summaries
     /// instead of enumerating their pairs. Sound — every pair of such a
@@ -107,7 +109,6 @@ impl DetectConfig {
             integer_hb: true,
             canonical_locksets: true,
             lock_region_merging: true,
-            hb_cache: true,
             preloop_prune: true,
             max_pairs_per_location: 100_000,
             timeout: None,
@@ -123,7 +124,6 @@ impl DetectConfig {
             integer_hb: false,
             canonical_locksets: false,
             lock_region_merging: false,
-            hb_cache: false,
             preloop_prune: false,
             max_pairs_per_location: 100_000,
             timeout: None,
@@ -256,12 +256,6 @@ pub struct RaceReport {
     pub pairs_budget_hit: bool,
     /// Worker threads used for the pair check.
     pub threads_used: usize,
-    /// Lockset-disjointness queries answered from a worker-local cache
-    /// (summed over workers; only meaningful with
-    /// [`DetectConfig::canonical_locksets`]).
-    pub lock_cache_hits: u64,
-    /// Lockset-disjointness queries computed (summed over workers).
-    pub lock_cache_misses: u64,
     /// Pre-loop pruning classification of every SHB-indexed location
     /// (computed during candidate collection, so warm and cold runs agree;
     /// not serialized into [`RaceReport::to_json`]).
@@ -366,55 +360,15 @@ struct KeyOutcome {
     timed_out: bool,
 }
 
-/// What one worker hands back to the merge phase: per-candidate outcomes
-/// tagged with the candidate index, plus its local lock-cache hit/miss
-/// counters.
-type WorkerResult = (Vec<(usize, KeyOutcome)>, u64, u64);
-
-/// A worker-local mirror of [`LockTable`]'s disjointness cache: the same
-/// short-circuits and memoization over the *shared, frozen* table, with
-/// hit/miss counters merged into the report at the end.
-#[derive(Default)]
-struct LocalLockCache {
-    cache: HashMap<(u32, u32), bool>,
-    hits: u64,
-    misses: u64,
-}
-
-impl LocalLockCache {
-    fn disjoint(&mut self, locks: &LockTable, a: LockSetId, b: LockSetId) -> bool {
-        if a == LockSetId::EMPTY || b == LockSetId::EMPTY {
-            return true;
-        }
-        // No `a == b` fast path: a pure-reader lockset is disjoint from
-        // itself (two rdlock holders run concurrently), so self-queries
-        // must go through the conflict bits like any other pair.
-        let key = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-        if let Some(&d) = self.cache.get(&key) {
-            self.hits += 1;
-            return d;
-        }
-        self.misses += 1;
-        // Word-parallel intersection of `a`'s members against the union
-        // of everything `b`'s members exclude — asymmetric, so rd/rd
-        // pairs pass while rd/wr and wr/wr pairs on the same rwlock
-        // conflict (the slice-scan `disjoint_uncached` stays as the
-        // naive baseline's per-pair cost model).
-        let d = !locks.set_bits(a).intersects(locks.excl_bits(b));
-        self.cache.insert(key, d);
-        d
-    }
-}
-
 /// Runs race detection over the results of the pipeline stages.
 ///
 /// The check is embarrassingly parallel across memory locations: phase 1
 /// collects per-location access lists and per-origin flags serially (this
 /// is the only part that reads the pointer analysis), phase 2 fans the
 /// candidates out over [`DetectConfig::threads`] workers that share only
-/// the frozen SHB graph (each worker keeps local happens-before and
-/// lockset-disjointness caches), and phase 3 merges the per-candidate
-/// outcomes back in candidate order. Because the merge order is fixed,
+/// the frozen SHB graph (each worker keeps a local happens-before closure
+/// memo), and phase 3 merges the per-candidate outcomes back in candidate
+/// order. Because the merge order is fixed,
 /// the report is byte-identical for every worker count (absent a
 /// [`DetectConfig::timeout`], which aborts mid-flight wherever the clock
 /// expires).
@@ -486,18 +440,17 @@ fn detect_with_budget(
         ctx.id(),
         "detect: OsaResult from a different ProgramCtx"
     );
-    let program = ctx.program();
     let start = Instant::now();
     let deadline = config.timeout.map(|t| start + t);
     let mut report = RaceReport::default();
 
     // ---- phase 1: serial candidate collection ---------------------------
-    let (candidates, prune) = collect_candidates(program, pta, osa, shb, config);
+    let (candidates, prune) = collect_candidates(pta, osa, shb, config);
     report.prune = prune;
 
     // ---- phase 2: parallel per-candidate checking -----------------------
     let budget_hit = AtomicBool::new(false);
-    let (mut merged, hits, misses, out_of_time, workers) = check_candidates_parallel(
+    let (mut merged, out_of_time, workers) = check_candidates_parallel(
         &candidates,
         shb,
         config,
@@ -506,8 +459,6 @@ fn detect_with_budget(
         budget,
         &budget_hit,
     );
-    report.lock_cache_hits = hits;
-    report.lock_cache_misses = misses;
 
     // ---- phase 3: deterministic merge -----------------------------------
     merged.sort_unstable_by_key(|(i, _)| *i);
@@ -544,14 +495,11 @@ fn detect_with_budget(
 /// taxonomy. Serial — the only detection phase that reads the
 /// pointer-analysis result.
 fn collect_candidates(
-    program: &Program,
     pta: &PtaResult,
     osa: &OsaResult,
     shb: &ShbGraph,
     config: &DetectConfig,
 ) -> (Vec<Candidate>, PruneStats) {
-    let _ = program;
-
     // Multi-instance origins: an abstract origin entered from two or more
     // distinct (parent, statement) creation points stands for several
     // runtime threads (e.g. the same spawn site reached under a merged
@@ -725,12 +673,10 @@ fn collect_candidates(
 }
 
 /// Phase 2 of [`detect`]: fans the candidates out over at most `workers`
-/// threads. Returns the per-candidate outcomes (tagged
-/// with their index into `candidates`, unsorted), the summed lock-cache
-/// hit/miss counters, whether the deadline expired, and the worker count
-/// actually spawned (capped at the number of claimable chunks, so
-/// oversubscribed small workloads don't spawn idle threads).
-#[allow(clippy::too_many_arguments)]
+/// threads. Returns the per-candidate outcomes (tagged with their index
+/// into `candidates`, unsorted), whether the deadline expired, and the
+/// worker count actually spawned (capped at the number of claimable
+/// chunks, so oversubscribed small workloads don't spawn idle threads).
 fn check_candidates_parallel(
     candidates: &[Candidate],
     shb: &ShbGraph,
@@ -739,7 +685,7 @@ fn check_candidates_parallel(
     workers: usize,
     budget: Option<&Budget>,
     budget_hit: &AtomicBool,
-) -> (Vec<(usize, KeyOutcome)>, u64, u64, bool, usize) {
+) -> (Vec<(usize, KeyOutcome)>, bool, usize) {
     let next = AtomicUsize::new(0);
     let out_of_time = AtomicBool::new(false);
     // Claim contiguous chunks of the candidate range instead of single
@@ -755,8 +701,7 @@ fn check_candidates_parallel(
     // doing any work; don't spawn it.
     let workers = workers.min(n.div_ceil(chunk).max(1));
     let run_worker = || {
-        let mut hb_cache: HbCache = HashMap::new();
-        let mut locks = LocalLockCache::default();
+        let mut hb_memo: HbMemo = HashMap::new();
         let mut pair_tick: u64 = 0;
         let mut outcomes: Vec<(usize, KeyOutcome)> = Vec::new();
         'claim: loop {
@@ -788,16 +733,15 @@ fn check_candidates_parallel(
                     config,
                     deadline,
                     &out_of_time,
-                    &mut hb_cache,
-                    &mut locks,
+                    &mut hb_memo,
                     &mut pair_tick,
                 );
                 outcomes.push((i, outcome));
             }
         }
-        (outcomes, locks.hits, locks.misses)
+        outcomes
     };
-    let worker_results: Vec<WorkerResult> = if workers <= 1 {
+    let worker_results: Vec<Vec<(usize, KeyOutcome)>> = if workers <= 1 {
         vec![run_worker()]
     } else {
         std::thread::scope(|s| {
@@ -809,33 +753,22 @@ fn check_candidates_parallel(
         })
     };
     let mut merged: Vec<(usize, KeyOutcome)> = Vec::with_capacity(n);
-    let (mut hits, mut misses) = (0u64, 0u64);
-    for (outcomes, h, m) in worker_results {
+    for outcomes in worker_results {
         merged.extend(outcomes);
-        hits += h;
-        misses += m;
     }
-    (
-        merged,
-        hits,
-        misses,
-        out_of_time.load(Ordering::Relaxed),
-        workers,
-    )
+    (merged, out_of_time.load(Ordering::Relaxed), workers)
 }
 
 /// Checks every conflicting access pair of one candidate location.
 /// Runs on worker threads: reads only the frozen SHB graph plus the
-/// worker-local caches.
-#[allow(clippy::too_many_arguments)]
+/// worker-local closure memo.
 fn check_candidate(
     cand: &Candidate,
     shb: &ShbGraph,
     config: &DetectConfig,
     deadline: Option<Instant>,
     out_of_time: &AtomicBool,
-    hb_cache: &mut HbCache,
-    locks: &mut LocalLockCache,
+    hb_memo: &mut HbMemo,
     pair_tick: &mut u64,
 ) -> KeyOutcome {
     let mut out = KeyOutcome::default();
@@ -855,7 +788,7 @@ fn check_candidate(
     for &(origin, a) in accesses {
         if a.is_write
             && multi(origin)
-            && locks.disjoint(&shb.locks, a.lockset, a.lockset)
+            && shb.locks.disjoint(a.lockset, a.lockset)
             && !sole_alloc(origin)
         {
             let side = RaceAccess {
@@ -901,7 +834,7 @@ fn check_candidate(
             }
             // Lockset check.
             let disjoint = if config.canonical_locksets {
-                locks.disjoint(&shb.locks, a.lockset, b.lockset)
+                shb.locks.disjoint(a.lockset, b.lockset)
             } else {
                 shb.locks.disjoint_uncached(a.lockset, b.lockset)
             };
@@ -916,23 +849,23 @@ fn check_candidate(
             let pb = (ob, b.pos);
             let ordered = if same_origin {
                 false
-            } else if config.hb_cache {
+            } else if config.integer_hb {
                 // One memoized reachability closure per source position
                 // answers *every* sink in O(1), so a position queried
                 // against k partners costs one DFS instead of k.
-                let ra = hb_cache
+                let ra = hb_memo
                     .entry((oa.0, a.pos))
                     .or_insert_with(|| shb.reach_closure(pa));
-                if ra.get(ob.0 as usize).is_some_and(|&m| m <= b.pos) {
+                if ra[ob.0 as usize] <= b.pos {
                     true
                 } else {
-                    let rb = hb_cache
+                    let rb = hb_memo
                         .entry((ob.0, b.pos))
                         .or_insert_with(|| shb.reach_closure(pb));
-                    rb.get(oa.0 as usize).is_some_and(|&m| m <= a.pos)
+                    rb[oa.0 as usize] <= a.pos
                 }
             } else {
-                hb(shb, pa, pb, config.integer_hb) || hb(shb, pb, pa, config.integer_hb)
+                shb.happens_before_naive(pa, pb) || shb.happens_before_naive(pb, pa)
             };
             if ordered {
                 out.hb_pruned += 1;
@@ -959,10 +892,10 @@ fn check_candidate(
 /// Closed-form outcome for a common-guard candidate: every enumerable
 /// pair shares the common lock, so the loop would count it once as
 /// `pairs_checked` and once as `lock_pruned` and find nothing — and the
-/// self-race scan finds nothing either, because [`LockTable::common_guard`]
-/// only accepts *self-excluding* guards (a shared rdlock does not count),
-/// and a lockset holding one is never self-disjoint. Reproduces the
-/// loop's counters exactly,
+/// self-race scan finds nothing either, because
+/// [`o2_shb::LockTable::common_guard`] only accepts *self-excluding*
+/// guards (a shared rdlock does not count), and a lockset holding one is
+/// never self-disjoint. Reproduces the loop's counters exactly,
 /// including the per-location pair budget:
 ///
 /// `P = [C(n,2) − C(r,2)] − Σ_{o : !multi(o) ∨ sole_alloc(o)} [C(n_o,2) − C(r_o,2)]`
@@ -1021,17 +954,8 @@ pub fn mem_key_label(program: &Program, key: MemKey) -> String {
 /// Memoized reachability closures: `(origin, pos)` → the per-origin
 /// minimum reachable positions from that node
 /// ([`ShbGraph::reach_closure`]). One closure answers every
-/// happens-before query with that source in O(1), replacing the old
-/// per-(source, sink) boolean cache.
-type HbCache = HashMap<(u32, u32), Vec<u32>>;
-
-fn hb(shb: &ShbGraph, a: (OriginId, u32), b: (OriginId, u32), integer: bool) -> bool {
-    if integer {
-        shb.happens_before(a, b)
-    } else {
-        shb.happens_before_naive(a, b)
-    }
-}
+/// happens-before query with that source in O(1).
+type HbMemo = HashMap<(u32, u32), Vec<u32>>;
 
 /// Dedup key: races are counted per (location-up-to-field, unordered
 /// statement pair), so the same code racing over many abstract objects is
@@ -1484,10 +1408,10 @@ mod sync_semantics_tests {
         assert_eq!(r.num_races(), 0, "{:?}", r.races);
     }
 
-    /// Positive (the LocalLockCache fix): a loop-spawned origin writing
-    /// under only rdlock must self-race — a pure-reader lockset is
-    /// disjoint from itself, so the removed `a == b` fast path would have
-    /// silently suppressed this.
+    /// Positive: a loop-spawned origin writing under only rdlock must
+    /// self-race — a pure-reader lockset is disjoint from itself, so an
+    /// `a == b` shortcut in the disjointness check would silently
+    /// suppress this.
     #[test]
     fn loop_spawned_writes_under_rdlock_self_race() {
         let src = r#"

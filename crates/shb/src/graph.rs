@@ -2,7 +2,8 @@
 //! paper, plus the first optimization of §4.1: intra-origin happens-before
 //! is represented by monotonically increasing node ids instead of explicit
 //! edges, so an intra-origin HB check is one integer comparison, and only
-//! *inter-origin* edges (entry ⓬, join ⓭) are materialized.
+//! *inter-origin* edges (entry ⓬, join ⓭, notify → wait) are materialized,
+//! all in one hop table.
 
 use crate::locks::{LockElem, LockSetId, LockTable};
 use o2_analysis::{LocId, LocTable, MemKey};
@@ -185,171 +186,58 @@ pub struct ShbStats {
     pub num_locksets: usize,
 }
 
-/// Compressed-sparse-row adjacency over the entry edges, bucketed by
-/// parent origin. The frozen graph is traversed millions of times per
-/// detect run but never mutated, so the per-origin `Vec<Vec<usize>>`
-/// buckets are flattened into three parallel arrays scanned by an
-/// `offsets[o]..offsets[o+1]` slice: one contiguous cache line per origin
-/// instead of a pointer chase per bucket, and no per-edge indirection
-/// through `entry_edges` on the hot path (the fields the DFS needs are
-/// inlined into the row).
-#[derive(Debug, Default)]
-pub struct EntryCsr {
-    /// `offsets[o]..offsets[o + 1]` is origin `o`'s row; length
-    /// `num_origins + 1`.
-    pub offsets: Vec<u32>,
-    /// Entry position in the parent's trace, parallel to the row.
-    pub pos: Vec<u32>,
-    /// Raw child origin id, parallel to the row.
-    pub child: Vec<u32>,
-    /// Index into [`ShbGraph::entry_edges`] (for reporting walks that need
-    /// the full edge), parallel to the row.
-    pub edge_idx: Vec<u32>,
+/// One inter-origin edge as the happens-before DFS sees it: from any
+/// node at or before `from_pos` in the row's origin, `(to, to_pos)` is
+/// reachable. Entry, join and condvar edges all fold into this shape; a
+/// join edge carries `from_pos = u32::MAX` because it is usable from any
+/// position in the child.
+#[derive(Clone, Copy, Debug, Default)]
+struct Hop {
+    from_pos: u32,
+    to: u32,
+    to_pos: u32,
 }
 
-impl EntryCsr {
-    /// Builds the CSR from the edge list via a stable counting sort, so
-    /// each row keeps edge-emission order.
-    fn build(num_origins: usize, edges: &[EntryEdge]) -> EntryCsr {
+/// Compressed-sparse-row adjacency over every inter-origin edge, bucketed
+/// by source origin. The frozen graph is traversed millions of times per
+/// detect run but never mutated, so one contiguous row per origin
+/// (`offsets[o]..offsets[o + 1]`) replaces per-edge-kind buckets.
+#[derive(Debug, Default)]
+struct HopTable {
+    offsets: Vec<u32>,
+    hops: Vec<Hop>,
+}
+
+impl HopTable {
+    /// Builds the table from `(source origin, hop)` pairs via a stable
+    /// counting sort, so each row keeps edge-emission order. The edges are
+    /// walked twice instead of collected, so no transient copy of the
+    /// edge set is allocated.
+    fn build(num_origins: usize, edges: impl Iterator<Item = (u32, Hop)> + Clone) -> HopTable {
         let mut offsets = vec![0u32; num_origins + 1];
-        for e in edges {
-            offsets[e.parent.0 as usize + 1] += 1;
+        for (from, _) in edges.clone() {
+            offsets[from as usize + 1] += 1;
         }
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
         let mut cursor: Vec<u32> = offsets[..num_origins].to_vec();
-        let n = edges.len();
-        let (mut pos, mut child, mut edge_idx) = (vec![0u32; n], vec![0u32; n], vec![0u32; n]);
-        for (i, e) in edges.iter().enumerate() {
-            let slot = cursor[e.parent.0 as usize] as usize;
-            cursor[e.parent.0 as usize] += 1;
-            pos[slot] = e.pos;
-            child[slot] = e.child.0;
-            edge_idx[slot] = i as u32;
+        let mut hops = vec![Hop::default(); offsets[num_origins] as usize];
+        for (from, hop) in edges {
+            hops[cursor[from as usize] as usize] = hop;
+            cursor[from as usize] += 1;
         }
-        EntryCsr {
-            offsets,
-            pos,
-            child,
-            edge_idx,
-        }
+        HopTable { offsets, hops }
     }
 
-    /// The row of origin `o` as an index range into the parallel arrays.
+    /// The hops leaving origin `o`.
     #[inline]
-    pub fn row(&self, o: OriginId) -> std::ops::Range<usize> {
-        self.offsets[o.0 as usize] as usize..self.offsets[o.0 as usize + 1] as usize
+    fn row(&self, o: u32) -> &[Hop] {
+        &self.hops[self.offsets[o as usize] as usize..self.offsets[o as usize + 1] as usize]
     }
 
     fn approx_bytes(&self) -> usize {
-        (self.offsets.capacity() + self.pos.capacity() + self.child.capacity())
-            .saturating_add(self.edge_idx.capacity())
-            * 4
-    }
-}
-
-/// CSR adjacency over the join edges, bucketed by child origin (a join
-/// edge is traversed child → parent). Same layout rationale as
-/// [`EntryCsr`].
-#[derive(Debug, Default)]
-pub struct JoinCsr {
-    /// `offsets[o]..offsets[o + 1]` is origin `o`'s row.
-    pub offsets: Vec<u32>,
-    /// Join position in the parent's trace, parallel to the row.
-    pub pos: Vec<u32>,
-    /// Raw parent origin id, parallel to the row.
-    pub parent: Vec<u32>,
-}
-
-impl JoinCsr {
-    fn build(num_origins: usize, edges: &[JoinEdge]) -> JoinCsr {
-        let mut offsets = vec![0u32; num_origins + 1];
-        for j in edges {
-            offsets[j.child.0 as usize + 1] += 1;
-        }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        let mut cursor: Vec<u32> = offsets[..num_origins].to_vec();
-        let n = edges.len();
-        let (mut pos, mut parent) = (vec![0u32; n], vec![0u32; n]);
-        for j in edges {
-            let slot = cursor[j.child.0 as usize] as usize;
-            cursor[j.child.0 as usize] += 1;
-            pos[slot] = j.pos;
-            parent[slot] = j.parent.0;
-        }
-        JoinCsr {
-            offsets,
-            pos,
-            parent,
-        }
-    }
-
-    /// The row of origin `o` as an index range into the parallel arrays.
-    #[inline]
-    pub fn row(&self, o: OriginId) -> std::ops::Range<usize> {
-        self.offsets[o.0 as usize] as usize..self.offsets[o.0 as usize + 1] as usize
-    }
-
-    fn approx_bytes(&self) -> usize {
-        (self.offsets.capacity() + self.pos.capacity() + self.parent.capacity()) * 4
-    }
-}
-
-/// CSR adjacency over the condvar edges, bucketed by notifying origin (a
-/// cond edge is traversed notifier → waiter). Same layout rationale as
-/// [`EntryCsr`].
-#[derive(Debug, Default)]
-pub struct CondCsr {
-    /// `offsets[o]..offsets[o + 1]` is origin `o`'s row.
-    pub offsets: Vec<u32>,
-    /// Notify position in the notifier's trace, parallel to the row.
-    pub pos: Vec<u32>,
-    /// Raw waiter origin id, parallel to the row.
-    pub to: Vec<u32>,
-    /// Wait-return position in the waiter's trace, parallel to the row.
-    pub to_pos: Vec<u32>,
-}
-
-impl CondCsr {
-    fn build(num_origins: usize, edges: &[CondEdge]) -> CondCsr {
-        let mut offsets = vec![0u32; num_origins + 1];
-        for e in edges {
-            offsets[e.from.0 as usize + 1] += 1;
-        }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        let mut cursor: Vec<u32> = offsets[..num_origins].to_vec();
-        let n = edges.len();
-        let (mut pos, mut to, mut to_pos) = (vec![0u32; n], vec![0u32; n], vec![0u32; n]);
-        for e in edges {
-            let slot = cursor[e.from.0 as usize] as usize;
-            cursor[e.from.0 as usize] += 1;
-            pos[slot] = e.from_pos;
-            to[slot] = e.to.0;
-            to_pos[slot] = e.to_pos;
-        }
-        CondCsr {
-            offsets,
-            pos,
-            to,
-            to_pos,
-        }
-    }
-
-    /// The row of origin `o` as an index range into the parallel arrays.
-    #[inline]
-    pub fn row(&self, o: OriginId) -> std::ops::Range<usize> {
-        self.offsets[o.0 as usize] as usize..self.offsets[o.0 as usize + 1] as usize
-    }
-
-    fn approx_bytes(&self) -> usize {
-        (self.offsets.capacity() + self.pos.capacity() + self.to.capacity())
-            .saturating_add(self.to_pos.capacity())
-            * 4
+        self.offsets.capacity() * 4 + self.hops.capacity() * std::mem::size_of::<Hop>()
     }
 }
 
@@ -362,7 +250,7 @@ pub struct ShbGraph {
     pub program_id: ProgramId,
     /// Traces indexed by raw origin id.
     pub traces: Vec<OriginTrace>,
-    /// Canonical lockset table (mutable for its disjointness cache).
+    /// Canonical lockset table.
     pub locks: LockTable,
     /// All entry edges.
     pub entry_edges: Vec<EntryEdge>,
@@ -370,12 +258,8 @@ pub struct ShbGraph {
     pub join_edges: Vec<JoinEdge>,
     /// All condvar edges (derived from wait/notify events at finish).
     pub cond_edges: Vec<CondEdge>,
-    /// CSR adjacency of entry edges by parent origin.
-    pub entry_csr: EntryCsr,
-    /// CSR adjacency of join edges by child origin.
-    pub join_csr: JoinCsr,
-    /// CSR adjacency of condvar edges by notifying origin.
-    pub cond_csr: CondCsr,
+    /// Every inter-origin edge, bucketed by the origin it leaves.
+    hops: HopTable,
     /// Dense access index: [`LocId`] → list of `(origin, index into
     /// `traces\[origin\].accesses`)`. Ids come from the run's shared
     /// [`LocTable`] (the one `build_shb` interned into), so a slot here
@@ -391,43 +275,14 @@ impl ShbGraph {
     /// Intra- and inter-origin happens-before query between two trace
     /// positions: does `(a_origin, a_pos)` happen before `(b_origin, b_pos)`?
     ///
-    /// Intra-origin is an integer comparison; inter-origin is a DFS over
-    /// entry/join edges with per-origin minimal-position pruning.
+    /// Intra-origin is an integer comparison; inter-origin reads the
+    /// target's slot of [`ShbGraph::reach_closure`] over entry, join and
+    /// condvar edges.
     pub fn happens_before(&self, a: (OriginId, u32), b: (OriginId, u32)) -> bool {
         if a.0 == b.0 {
             return a.1 < b.1;
         }
-        // Origin ids are dense and small; a flat vector beats a hash map
-        // for the per-origin minimal-position pruning.
-        let mut best: Vec<u32> = vec![u32::MAX; self.traces.len()];
-        let mut stack: Vec<(OriginId, u32)> = vec![(a.0, a.1)];
-        while let Some((o, p)) = stack.pop() {
-            if best[o.0 as usize] <= p {
-                continue;
-            }
-            best[o.0 as usize] = p;
-            if o == b.0 && p <= b.1 {
-                return true;
-            }
-            for k in self.entry_csr.row(o) {
-                if self.entry_csr.pos[k] >= p {
-                    stack.push((OriginId(self.entry_csr.child[k]), 0));
-                }
-            }
-            // A join edge is usable from any position in the child (the
-            // child's last node is at or after every position).
-            for k in self.join_csr.row(o) {
-                stack.push((OriginId(self.join_csr.parent[k]), self.join_csr.pos[k]));
-            }
-            // A cond edge at or after `p` orders this node before the
-            // waiter's wait-return node (Table 4 style: notify ⟶ wait).
-            for k in self.cond_csr.row(o) {
-                if self.cond_csr.pos[k] >= p {
-                    stack.push((OriginId(self.cond_csr.to[k]), self.cond_csr.to_pos[k]));
-                }
-            }
-        }
-        false
+        self.reach_closure(a)[b.0 .0 as usize] <= b.1
     }
 
     /// The straw-man happens-before used by the naive baseline: the same
@@ -525,13 +380,6 @@ impl ShbGraph {
         out
     }
 
-    /// Entry edges leaving `origin`.
-    pub fn entries_of(&self, origin: OriginId) -> impl Iterator<Item = &EntryEdge> {
-        self.entry_csr
-            .row(origin)
-            .map(move |k| &self.entry_edges[self.entry_csr.edge_idx[k] as usize])
-    }
-
     /// Trace positions of every access to one interned location, empty if
     /// the walk never touched it.
     pub fn accesses_of(&self, loc: LocId) -> &[(OriginId, u32)] {
@@ -543,32 +391,24 @@ impl ShbGraph {
 
     /// The full inter-origin reachability closure of one trace position:
     /// `result[o]` is the minimal position in origin `o` reachable from
-    /// `from` over entry/join edges (`u32::MAX` if unreachable).
-    ///
-    /// This is [`ShbGraph::happens_before`]'s DFS run to fixpoint instead
-    /// of stopping at the query target: for `b.0 != from.0`,
-    /// `happens_before(from, b)` ⟺ `result[b.0] <= b.1`. Detect workers
-    /// memoize these vectors per source position, turning the per-pair HB
-    /// query of a candidate into one indexed comparison.
+    /// `from` over entry, join and condvar edges (`u32::MAX` if
+    /// unreachable), so for `b.0 != from.0`, `from` happens-before `b`
+    /// ⟺ `result[b.0] <= b.1`. A DFS with per-origin minimal-position
+    /// pruning: a hop usable from position `p` is usable from any earlier
+    /// one. Detect workers memoize these vectors per source position,
+    /// turning the per-pair HB query of a candidate into one indexed
+    /// comparison.
     pub fn reach_closure(&self, from: (OriginId, u32)) -> Vec<u32> {
         let mut best: Vec<u32> = vec![u32::MAX; self.traces.len()];
-        let mut stack: Vec<(OriginId, u32)> = vec![from];
+        let mut stack: Vec<(u32, u32)> = vec![(from.0 .0, from.1)];
         while let Some((o, p)) = stack.pop() {
-            if best[o.0 as usize] <= p {
+            if best[o as usize] <= p {
                 continue;
             }
-            best[o.0 as usize] = p;
-            for k in self.entry_csr.row(o) {
-                if self.entry_csr.pos[k] >= p {
-                    stack.push((OriginId(self.entry_csr.child[k]), 0));
-                }
-            }
-            for k in self.join_csr.row(o) {
-                stack.push((OriginId(self.join_csr.parent[k]), self.join_csr.pos[k]));
-            }
-            for k in self.cond_csr.row(o) {
-                if self.cond_csr.pos[k] >= p {
-                    stack.push((OriginId(self.cond_csr.to[k]), self.cond_csr.to_pos[k]));
+            best[o as usize] = p;
+            for h in self.hops.row(o) {
+                if h.from_pos >= p {
+                    stack.push((h.to, h.to_pos));
                 }
             }
         }
@@ -591,9 +431,7 @@ impl ShbGraph {
             })
             .sum::<usize>()
             + self.traces.capacity() * std::mem::size_of::<OriginTrace>();
-        let csr = self.entry_csr.approx_bytes()
-            + self.join_csr.approx_bytes()
-            + self.cond_csr.approx_bytes()
+        let csr = self.hops.approx_bytes()
             + self.entry_edges.capacity() * std::mem::size_of::<EntryEdge>()
             + self.join_edges.capacity() * std::mem::size_of::<JoinEdge>()
             + self.cond_edges.capacity() * std::mem::size_of::<CondEdge>();
@@ -714,15 +552,12 @@ impl<'a> Builder<'a> {
     }
 
     fn finish(self, start: Instant) -> ShbGraph {
-        let num_origins = self.traces.len();
-        let entry_csr = EntryCsr::build(num_origins, &self.entry_edges);
-        let join_csr = JoinCsr::build(num_origins, &self.join_edges);
         // Cross-match notify × wait into condvar edges: a notify may be
         // the one a wait in *another* origin returns from whenever their
         // condition points-to sets overlap. Same-origin pairs add nothing
         // (intra-origin HB is already position order). The event lists
-        // are in walk order, so the edge list — and the CSR built from
-        // it — is deterministic.
+        // are in walk order, so the edge list — and the hop table built
+        // from it — is deterministic.
         let mut cond_edges = Vec::new();
         for n in &self.notify_events {
             for w in &self.wait_events {
@@ -737,7 +572,33 @@ impl<'a> Builder<'a> {
                 }
             }
         }
-        let cond_csr = CondCsr::build(num_origins, &cond_edges);
+        let entries = self.entry_edges.iter().map(|e| {
+            let hop = Hop {
+                from_pos: e.pos,
+                to: e.child.0,
+                to_pos: 0,
+            };
+            (e.parent.0, hop)
+        });
+        // A join edge is usable from any position in the child (the
+        // child's last node is at or after every position).
+        let joins = self.join_edges.iter().map(|j| {
+            let hop = Hop {
+                from_pos: u32::MAX,
+                to: j.parent.0,
+                to_pos: j.pos,
+            };
+            (j.child.0, hop)
+        });
+        let conds = cond_edges.iter().map(|c| {
+            let hop = Hop {
+                from_pos: c.from_pos,
+                to: c.to.0,
+                to_pos: c.to_pos,
+            };
+            (c.from.0, hop)
+        });
+        let hops = HopTable::build(self.traces.len(), entries.chain(joins).chain(conds));
         let stats = ShbStats {
             num_nodes: self.traces.iter().map(|t| t.len as u64).sum(),
             num_accesses: self.traces.iter().map(|t| t.accesses.len() as u64).sum(),
@@ -753,9 +614,7 @@ impl<'a> Builder<'a> {
             entry_edges: self.entry_edges,
             join_edges: self.join_edges,
             cond_edges,
-            entry_csr,
-            join_csr,
-            cond_csr,
+            hops,
             accesses_by_loc: self.accesses_by_loc,
             stats,
             duration: start.elapsed(),

@@ -8,8 +8,8 @@
 //!    position in its trace is its happens-before rank, so intra-origin HB
 //!    is one comparison ([`ShbGraph::happens_before`]).
 //! 2. **Canonical locksets** — every lock combination is interned to a
-//!    [`locks::LockSetId`] and pairwise disjointness is cached
-//!    ([`locks::LockTable`]).
+//!    [`locks::LockSetId`], and disjointness is one word-parallel AND of
+//!    two bitset mirrors ([`locks::LockTable`]).
 //! 3. **Lock regions** — every access carries a region sequence number;
 //!    accesses to the same location with the same kind inside one region
 //!    are merged by the detector into a single representative.
@@ -43,8 +43,8 @@ pub mod graph;
 pub mod locks;
 
 pub use graph::{
-    build_shb, AccessNode, AcquireNode, EntryCsr, EntryEdge, JoinCsr, JoinEdge, OriginTrace,
-    ShbConfig, ShbGraph, ShbStats,
+    build_shb, AccessNode, AcquireNode, EntryEdge, JoinEdge, OriginTrace, ShbConfig, ShbGraph,
+    ShbStats,
 };
 pub use locks::{LockElem, LockSetId, LockTable};
 
@@ -87,6 +87,48 @@ mod tests {
                 w.start();
                 join w;
                 x2 = s.data;
+            }
+        }
+    "#;
+
+    /// A notify/wait handoff between two threads, both forked and joined
+    /// by main: exercises entry, join and condvar hops together.
+    const WAIT_NOTIFY: &str = r#"
+        class Q { field payload; }
+        class Cond { }
+        class Producer impl Runnable {
+            field q; field m; field c;
+            method <init>(q, m, c) { this.q = q; this.m = m; this.c = c; }
+            method run() {
+                q = this.q; m = this.m; c = this.c;
+                q.payload = q;
+                sync (m) { notify c; }
+                q.payload = q;
+            }
+        }
+        class Consumer impl Runnable {
+            field q; field m; field c;
+            method <init>(q, m, c) { this.q = q; this.m = m; this.c = c; }
+            method run() {
+                q = this.q; m = this.m; c = this.c;
+                x = q.payload;
+                sync (m) { wait (c, m); }
+                y = q.payload;
+            }
+        }
+        class Main {
+            static method main() {
+                q = new Q();
+                m = new Cond();
+                c = new Cond();
+                q.payload = q;
+                p = new Producer(q, m, c);
+                w = new Consumer(q, m, c);
+                p.start();
+                w.start();
+                join p;
+                join w;
+                z = q.payload;
             }
         }
     "#;
@@ -242,7 +284,7 @@ mod tests {
                 }
             }
         "#;
-        let (_, pta, mut shb, _) = shb_for(src);
+        let (_, pta, shb, _) = shb_for(src);
         // The two event origins' writes both hold the dispatcher lock, so
         // their locksets are NOT disjoint.
         let ev_origins: Vec<OriginId> = pta
@@ -336,24 +378,27 @@ mod tests {
         assert_eq!(origins.len(), 2, "accessed from main and the thread");
     }
 
+    /// The closure over the hop table must agree with the independent
+    /// node-by-node DFS of the naive baseline at every pair of trace
+    /// positions, across entry, join and condvar edges.
     #[test]
     fn reach_closure_agrees_with_happens_before() {
-        let (_, _, shb, _) = shb_for(FORK_JOIN);
-        for (oi, trace) in shb.traces.iter().enumerate() {
-            for p in 0..trace.len {
-                let a = (OriginId(oi as u32), p);
-                let reach = shb.reach_closure(a);
-                for (oj, tj) in shb.traces.iter().enumerate() {
-                    if oi == oj {
-                        continue;
-                    }
-                    for q in 0..tj.len {
-                        let b = (OriginId(oj as u32), q);
-                        assert_eq!(
-                            shb.happens_before(a, b),
-                            reach[oj] <= q,
-                            "closure vs DFS disagree on {a:?} -> {b:?}"
-                        );
+        for (src, cond_edges) in [(FORK_JOIN, 0), (WAIT_NOTIFY, 1)] {
+            let (_, _, shb, _) = shb_for(src);
+            assert_eq!(shb.cond_edges.len(), cond_edges);
+            for (oi, trace) in shb.traces.iter().enumerate() {
+                for p in 0..trace.len {
+                    let a = (OriginId(oi as u32), p);
+                    let reach = shb.reach_closure(a);
+                    for (oj, tj) in shb.traces.iter().enumerate() {
+                        for q in 0..tj.len {
+                            let b = (OriginId(oj as u32), q);
+                            let naive = shb.happens_before_naive(a, b);
+                            assert_eq!(shb.happens_before(a, b), naive, "{a:?} -> {b:?}");
+                            if oi != oj {
+                                assert_eq!(reach[oj] <= q, naive, "closure: {a:?} -> {b:?}");
+                            }
+                        }
                     }
                 }
             }

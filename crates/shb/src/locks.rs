@@ -1,14 +1,13 @@
 //! Canonical lockset representation — the second optimization of §4.1.
 //!
 //! Every distinct combination of locks is interned once and referred to by
-//! a [`LockSetId`]; disjointness between two canonical ids is computed once
-//! and cached. This replaces per-access lock lists with a single integer
-//! and turns the common-lock check into a cache lookup.
+//! a [`LockSetId`] with a dense bitset mirror. This replaces per-access
+//! lock lists with a single integer and turns the common-lock check into
+//! one word-parallel AND per 64 lock elements.
 
 use o2_ir::ids::ClassId;
 use o2_ir::util::{BitSet, Interner};
 use o2_pta::ObjId;
-use std::collections::HashMap;
 
 /// One lock in a lockset.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -64,14 +63,14 @@ fn conflicts(a: LockElem, b: LockElem) -> bool {
     }
 }
 
-/// The lockset interner plus the disjointness cache.
+/// The lockset interner plus the bitset mirrors the disjointness check
+/// reads.
 #[derive(Debug)]
 pub struct LockTable {
     elems: Interner<LockElem>,
     sets: Interner<Vec<u32>>,
     /// Dense-bitset mirror of `sets`, indexed by canonical id: element ids
-    /// are small and dense, so one u64 AND tests 64 locks at once on the
-    /// disjointness miss path.
+    /// are small and dense, so one u64 AND tests 64 locks at once.
     bits: Vec<BitSet>,
     /// Per-set *exclusion* bitset: the union of the conflict sets of its
     /// members. A plain element contributes itself; `RwWrite(o)`
@@ -85,11 +84,6 @@ pub struct LockTable {
     /// A lockset guards its *own* origin's re-executions — and a common
     /// guard protects a candidate — only through one of these.
     selfx: BitSet,
-    disjoint_cache: HashMap<(u32, u32), bool>,
-    /// Number of disjointness queries answered from the cache.
-    pub cache_hits: u64,
-    /// Number of disjointness queries computed.
-    pub cache_misses: u64,
 }
 
 impl Default for LockTable {
@@ -109,9 +103,6 @@ impl LockTable {
             excl: Vec::new(),
             elem_conflicts: Vec::new(),
             selfx: BitSet::new(),
-            disjoint_cache: HashMap::new(),
-            cache_hits: 0,
-            cache_misses: 0,
         };
         let empty = t.sets.intern(Vec::new());
         debug_assert_eq!(empty, 0);
@@ -181,32 +172,25 @@ impl LockTable {
     }
 
     /// Returns `true` if holding set `a` never excludes holding set `b`:
-    /// the two locksets share no *conflicting* lock. Cached per unordered
-    /// id pair.
+    /// the two locksets share no *conflicting* lock. One AND per 64
+    /// element ids of `a`'s members against everything `b`'s members
+    /// exclude, so rw-mode asymmetry is respected.
     ///
     /// Note `disjoint(s, s)` can be `true`: a set holding only the read
     /// side of a reader-writer lock does not exclude another critical
     /// section holding the same set, which is how loop-replicated origins
-    /// writing under only `rdlock` self-race.
-    pub fn disjoint(&mut self, a: LockSetId, b: LockSetId) -> bool {
+    /// writing under only `rdlock` self-race. So there is no `a == b`
+    /// shortcut.
+    pub fn disjoint(&self, a: LockSetId, b: LockSetId) -> bool {
         if a == LockSetId::EMPTY || b == LockSetId::EMPTY {
             return true;
         }
-        let key = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-        if let Some(&d) = self.disjoint_cache.get(&key) {
-            self.cache_hits += 1;
-            return d;
-        }
-        self.cache_misses += 1;
-        // Word-parallel miss path: one AND per 64 element ids, against the
-        // exclusion bitset so rw-mode asymmetry is respected.
-        let d = !self.bits[a.0 as usize].intersects(&self.excl[b.0 as usize]);
-        self.disjoint_cache.insert(key, d);
-        d
+        !self.bits[a.0 as usize].intersects(&self.excl[b.0 as usize])
     }
 
-    /// Uncached disjointness — used by the naive baseline detector to model
-    /// per-pair lock-list comparison.
+    /// Slice-scan disjointness over the interned element lists — used by
+    /// the naive baseline detector to model per-pair lock-list
+    /// comparison.
     pub fn disjoint_uncached(&self, a: LockSetId, b: LockSetId) -> bool {
         let (ea, eb) = (self.sets.resolve(a.0), self.sets.resolve(b.0));
         // Plain pairwise scan (the baseline models per-pair lock lists);
@@ -224,18 +208,6 @@ impl LockTable {
     /// rw side eagerly interns the other).
     pub fn conflict_ids(&self, id: u32) -> &[u32] {
         &self.elem_conflicts[id as usize]
-    }
-
-    /// The bitset mirror of a canonical lockset.
-    pub fn set_bits(&self, id: LockSetId) -> &BitSet {
-        &self.bits[id.0 as usize]
-    }
-
-    /// The exclusion bitset of a canonical lockset (conflict ids of its
-    /// members). `a` and `b` exclude each other iff `set_bits(a)`
-    /// intersects `excl_bits(b)`.
-    pub fn excl_bits(&self, id: LockSetId) -> &BitSet {
-        &self.excl[id.0 as usize]
     }
 
     /// Returns `true` if every lockset in `ids` shares at least one common
@@ -267,8 +239,8 @@ impl LockTable {
         self.sets.len()
     }
 
-    /// Approximate heap bytes held by the table (interned sets, bitset
-    /// mirrors, and the disjointness cache).
+    /// Approximate heap bytes held by the table (interned sets and bitset
+    /// mirrors).
     pub fn approx_bytes(&self) -> usize {
         let set_bytes: usize = (0..self.sets.len() as u32)
             .map(|i| self.sets.resolve(i).capacity() * 4)
@@ -284,7 +256,6 @@ impl LockTable {
             + bit_bytes
             + conflict_bytes
             + (self.bits.capacity() + self.excl.capacity()) * std::mem::size_of::<BitSet>()
-            + self.disjoint_cache.capacity() * std::mem::size_of::<((u32, u32), bool)>()
             + self.elems.len() * std::mem::size_of::<LockElem>()
     }
 }
@@ -310,7 +281,7 @@ mod tests {
     }
 
     #[test]
-    fn disjointness_and_cache() {
+    fn disjointness() {
         let mut t = LockTable::new();
         let a = t.elem(LockElem::Obj(ObjId(1)));
         let b = t.elem(LockElem::Obj(ObjId(2)));
@@ -322,10 +293,6 @@ mod tests {
         assert!(t.disjoint(s_ab, s_c));
         assert!(t.disjoint(s_ab, LockSetId::EMPTY));
         assert!(!t.disjoint(s_c, s_c));
-        let misses = t.cache_misses;
-        assert!(t.disjoint(s_ab, s_c));
-        assert_eq!(t.cache_misses, misses, "second query hits the cache");
-        assert!(t.cache_hits >= 1);
         assert!(!t.disjoint_uncached(s_ab, s_bc));
         assert!(t.disjoint_uncached(s_ab, s_c));
     }
@@ -440,7 +407,7 @@ mod tests {
                 assert_eq!(
                     t.disjoint(*ia, *ib),
                     expect,
-                    "cached bitset path diverges from BTreeSet on {ra:?} vs {rb:?}"
+                    "bitset path diverges from BTreeSet on {ra:?} vs {rb:?}"
                 );
                 assert_eq!(
                     t.disjoint_uncached(*ia, *ib),

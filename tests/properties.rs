@@ -204,3 +204,70 @@ fn generated_programs_roundtrip() {
         );
     }
 }
+
+/// Each §4.1 optimization is sound on its own: starting from the naive
+/// (D4-style) engine, turning on exactly one of `integer_hb`,
+/// `canonical_locksets` or `lock_region_merging` — or running the full
+/// engine without pre-loop pruning — reports exactly the naive race list
+/// on every Table 10 real-bug model and extended model (Java and C) and
+/// on the generated spec sample. Both query paths (closure HB, bitset disjointness) are
+/// exercised against their naive counterparts.
+#[test]
+fn each_optimization_alone_agrees_with_naive() {
+    let naive = DetectConfig::naive;
+    let toggles = [
+        (
+            "integer_hb",
+            DetectConfig {
+                integer_hb: true,
+                ..naive()
+            },
+        ),
+        (
+            "canonical_locksets",
+            DetectConfig {
+                canonical_locksets: true,
+                ..naive()
+            },
+        ),
+        (
+            "lock_region_merging",
+            DetectConfig {
+                lock_region_merging: true,
+                ..naive()
+            },
+        ),
+        (
+            "o2 without preloop_prune",
+            DetectConfig {
+                preloop_prune: false,
+                ..DetectConfig::o2()
+            },
+        ),
+    ];
+    let models = o2_workloads::realbugs::all_models()
+        .into_iter()
+        .chain(o2_workloads::all_c_models())
+        .chain(o2_workloads::realbugs::extended_models())
+        .chain(o2_workloads::extended_c_models())
+        .map(|m| (m.name.to_string(), m.program));
+    let generated = spec_sample()
+        .into_iter()
+        .enumerate()
+        .map(|(i, spec)| (format!("case {i}"), generate(&spec).program));
+    for (name, program) in models.chain(generated) {
+        let report = O2Builder::new().build().analyze(&program);
+        let ctx = o2_ir::ProgramCtx::solo(&program);
+        let run = |cfg: &DetectConfig| {
+            o2_detect::detect(&ctx, &report.pta, &report.osa, &report.shb, cfg).races
+        };
+        let baseline = run(&naive());
+        for (toggle, cfg) in &toggles {
+            assert_eq!(
+                run(cfg),
+                baseline,
+                "{name}: {toggle} alone disagrees with naive"
+            );
+        }
+    }
+}
