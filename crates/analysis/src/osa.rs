@@ -11,8 +11,9 @@
 //!
 //! Locations are interned into the run's [`LocTable`] as the scan first
 //! touches them; sharing state lives in a dense `Vec<SharingEntry>`
-//! indexed by [`LocId`], so the hot recording path is an indexed store
-//! rather than a `BTreeMap` walk.
+//! indexed by [`LocId`], so recording an access is one indexed push.
+//! The origin sets are not touched per access: each entry's sets are
+//! built once, after the scan, from its recorded accesses.
 
 use crate::loc::{LocId, LocTable};
 use o2_ir::ids::{ClassId, FieldId, GStmt};
@@ -51,8 +52,8 @@ pub struct SharingEntry {
     pub write_origins: SparseSet,
     /// Origins that read the location.
     pub read_origins: SparseSet,
-    /// Readers ∪ writers, maintained incrementally as accesses are
-    /// recorded so queries never re-union the two sets.
+    /// Readers ∪ writers, built once with the other two sets so queries
+    /// never re-union them.
     all_origins: SparseSet,
     /// All syntactic accesses.
     pub accesses: Vec<Access>,
@@ -216,13 +217,11 @@ pub fn run_osa_bounded(
     let mut truncated = false;
     let mut locs = LocTable::for_program(ctx.id());
     let mut entries: Vec<SharingEntry> = Vec::new();
-    let mut sink = Vec::new();
     let mut scanned: u64 = 0;
     'outer: for mi in pta.reachable_mis() {
         let (method_id, _) = pta.mi_data(mi);
         let method = program.method(method_id);
-        let origins = pta.mi_origins(mi);
-        if origins.is_empty() {
+        if pta.mi_origins(mi).is_empty() {
             continue;
         }
         for (idx, instr) in method.body.iter().enumerate() {
@@ -235,20 +234,24 @@ pub fn run_osa_bounded(
                     }
                 }
             }
+            // A plain push never repeats an access in an entry: each
+            // (mi, stmt) is scanned once, and `pts_var` yields distinct
+            // objects, which are distinct `MemKey`s.
             let stmt = GStmt::new(method_id, idx);
             if let Some((base, field, is_write)) = instr.stmt.field_access() {
+                let access = Access { mi, stmt, is_write };
                 for &obj in pta.pts_var(mi, base) {
                     let id = locs.intern(MemKey::Field(ObjId(obj), field));
-                    let entry = entry_slot(&mut entries, id);
-                    record_access(entry, mi, stmt, is_write, origins, &mut sink);
+                    entry_slot(&mut entries, id).accesses.push(access);
                 }
             } else if let Some((class, field, is_write)) = instr.stmt.static_access() {
                 let id = locs.intern(MemKey::Static(class, field));
-                let entry = entry_slot(&mut entries, id);
-                record_access(entry, mi, stmt, is_write, origins, &mut sink);
+                let access = Access { mi, stmt, is_write };
+                entry_slot(&mut entries, id).accesses.push(access);
             }
         }
     }
+    build_origin_sets(pta, &mut entries);
     OsaResult {
         locs,
         entries,
@@ -257,25 +260,24 @@ pub fn run_osa_bounded(
     }
 }
 
-fn record_access(
-    entry: &mut SharingEntry,
-    mi: Mi,
-    stmt: GStmt,
-    is_write: bool,
-    origins: &SparseSet,
-    sink: &mut Vec<u32>,
-) {
-    sink.clear();
-    if is_write {
-        entry.write_origins.union_into(origins, sink);
-    } else {
-        entry.read_origins.union_into(origins, sink);
-    }
-    sink.clear();
-    entry.all_origins.union_into(origins, sink);
-    let access = Access { mi, stmt, is_write };
-    if !entry.accesses.contains(&access) {
-        entry.accesses.push(access);
+/// Sets each entry's origin sets from its recorded accesses, also after a
+/// truncated scan. The scan is mi-major, so one method instance's accesses
+/// are contiguous in an entry: remembering the last reader and writer adds
+/// each `(mi, read/write)` origin set to the buffers once.
+fn build_origin_sets(pta: &PtaResult, entries: &mut [SharingEntry]) {
+    let mut bufs = [Vec::new(), Vec::new()]; // [reads, writes]
+    for e in entries {
+        let mut last = [None, None];
+        for a in &e.accesses {
+            let k = usize::from(a.is_write);
+            if last[k].replace(a.mi) != Some(a.mi) {
+                bufs[k].extend_from_slice(pta.mi_origins(a.mi).as_slice());
+            }
+        }
+        let [reads, writes] = &mut bufs;
+        e.read_origins = reads.drain(..).collect();
+        e.write_origins = writes.drain(..).collect();
+        e.all_origins = e.read_origins.iter().chain(&e.write_origins).collect();
     }
 }
 

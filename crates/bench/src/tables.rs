@@ -387,15 +387,18 @@ pub fn ablation(budget: Duration) -> String {
     let w = o2_workloads::preset_by_name("zookeeper")
         .unwrap()
         .generate();
+    let ctx = o2_ir::ProgramCtx::solo(&w.program);
     let pta = o2_pta::analyze(
-        &o2_ir::ProgramCtx::solo(&w.program),
+        &ctx,
         &o2_pta::PtaConfig {
             policy: Policy::origin1(),
             timeout: Some(budget),
             ..Default::default()
         },
     );
-    let mut osa = run_osa(&o2_ir::ProgramCtx::solo(&w.program), &pta);
+    let mut osa = run_osa(&ctx, &pta);
+    // Every row runs on the same SHB graph; only the engine differs.
+    let shb = o2_shb::build_shb(&ctx, &pta, &ShbConfig::default(), &mut osa.locs);
     let configs: Vec<(&str, DetectConfig)> = vec![
         ("naive (D4-style)", DetectConfig::naive()),
         ("+ integer-id HB", {
@@ -413,14 +416,7 @@ pub fn ablation(budget: Duration) -> String {
     ];
     for (name, mut cfg) in configs {
         cfg.timeout = Some(budget);
-        let shb = o2_shb::build_shb(
-            &o2_ir::ProgramCtx::solo(&w.program),
-            &pta,
-            &ShbConfig::default(),
-            &mut osa.locs,
-        );
-        let report =
-            o2_detect::detect(&o2_ir::ProgramCtx::solo(&w.program), &pta, &osa, &shb, &cfg);
+        let report = o2_detect::detect(&ctx, &pta, &osa, &shb, &cfg);
         out.push_str(&row(
             &[
                 name.to_string(),

@@ -545,12 +545,8 @@ fn collect_candidates(
             return s.len() == 1 && s.contains(origin.0);
         }
         let set = method_origins.entry(site_method.0).or_insert_with(|| {
-            let mut s = o2_ir::util::SparseSet::new();
-            for mi in mi_by_method.get(&site_method.0).into_iter().flatten() {
-                let mut sink = Vec::new();
-                s.union_into(pta.mi_origins(*mi), &mut sink);
-            }
-            s
+            let mis = mi_by_method.get(&site_method.0).into_iter().flatten();
+            mis.flat_map(|&mi| pta.mi_origins(mi).iter()).collect()
         });
         set.len() == 1 && set.contains(origin.0)
     };

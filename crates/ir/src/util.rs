@@ -118,21 +118,20 @@ impl SparseSet {
     }
 }
 
+/// Appends, then sorts and dedups once: O(n log n) on unsorted input.
 impl FromIterator<u32> for SparseSet {
     fn from_iter<T: IntoIterator<Item = u32>>(iter: T) -> Self {
         let mut s = SparseSet::new();
-        for v in iter {
-            s.insert(v);
-        }
+        s.extend(iter);
         s
     }
 }
 
 impl Extend<u32> for SparseSet {
     fn extend<T: IntoIterator<Item = u32>>(&mut self, iter: T) {
-        for v in iter {
-            self.insert(v);
-        }
+        self.items.extend(iter);
+        self.items.sort_unstable();
+        self.items.dedup();
     }
 }
 

@@ -32,6 +32,32 @@ fn sparse_set_models_btreeset() {
     }
 }
 
+/// `collect` and `extend` build the same set as a BTreeSet from unsorted
+/// input with duplicates (and from empty input).
+#[test]
+fn collect_and_extend_model_btreeset() {
+    for case in 0..CASES {
+        let mut rng = SplitMix64::seed_from_u64(0x5109_4000 + case);
+        let draw = |rng: &mut SplitMix64| -> Vec<u32> {
+            let n = rng.gen_range(0, 100);
+            (0..n).map(|_| rng.next_below(64) as u32).collect()
+        };
+        let (a, b) = (draw(&mut rng), draw(&mut rng));
+        let mut sparse: SparseSet = a.iter().copied().collect();
+        let mut model: std::collections::BTreeSet<u32> = a.iter().copied().collect();
+        assert!(sparse.iter().eq(model.iter().copied()), "collect {a:?}");
+        sparse.extend(b.iter().copied());
+        model.extend(b.iter().copied());
+        assert!(
+            sparse.iter().eq(model.iter().copied()),
+            "extend {a:?} by {b:?}"
+        );
+        sparse.extend(std::iter::empty());
+        assert_eq!(sparse.len(), model.len(), "extend by nothing");
+    }
+    assert!(std::iter::empty::<u32>().collect::<SparseSet>().is_empty());
+}
+
 fn random_btree_set(
     rng: &mut SplitMix64,
     bound: u64,

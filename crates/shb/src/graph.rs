@@ -671,7 +671,7 @@ impl<'a> Builder<'a> {
         self.locks.set(elems)
     }
 
-    fn lock_elems_for_var(&mut self, mi: Mi, var: o2_ir::ids::VarId, stmt: GStmt) -> Vec<u32> {
+    fn lock_elems_for_var(&mut self, mi: Mi, var: o2_ir::ids::VarId) -> Vec<u32> {
         let pts = self.pta.pts_var(mi, var);
         if pts.is_empty() {
             // Unknown lock: a fresh element, distinct from everything —
@@ -680,7 +680,6 @@ impl<'a> Builder<'a> {
             let id = self
                 .locks
                 .elem(LockElem::Obj(ObjId(u32::MAX - self.fresh_lock_counter)));
-            let _ = stmt;
             vec![id]
         } else {
             pts.iter()
@@ -808,7 +807,7 @@ impl<'a> Builder<'a> {
             let elems = if method.is_static {
                 vec![self.locks.elem(LockElem::Class(method.class))]
             } else {
-                self.lock_elems_for_var(mi, o2_ir::ids::VarId(0), GStmt::new(method_id, 0))
+                self.lock_elems_for_var(mi, o2_ir::ids::VarId(0))
             };
             // The acquisition site of a synchronized method is the method
             // entry itself; key it one past the body so it cannot collide
@@ -852,7 +851,7 @@ impl<'a> Builder<'a> {
             }
             match &instr.stmt {
                 Stmt::MonitorEnter { var } => {
-                    let elems = self.lock_elems_for_var(mi, *var, g);
+                    let elems = self.lock_elems_for_var(mi, *var);
                     self.record_acquire(st, g, elems.clone());
                     st.lock_stack.push(elems);
                     st.current_set = self.recompute_lockset(st);

@@ -60,15 +60,17 @@ for f in $(find crates -name '*.rs' -path '*/src/*' \
 done > "$work/nontest.rs"
 
 # Panic-budget lint (DESIGN §15): grep-count unwrap()/expect(/panic!(
-# in non-test crate code. The ceiling is the audited baseline of
-# internal-invariant panics (poisoned mutexes, parser token bookkeeping,
-# "unlimited budget cannot trip"); anything above it means a new panic
-# crept into code reachable from a request, which the typed error plane
-# forbids. Lower the ceiling when you remove panics; never raise it
-# without an audit.
-panic_budget=170
+# in non-test crate code, skipping comment lines (a doc example such as
+# `//! "#).unwrap();` is not reachable code). The ceiling is the audited
+# baseline of internal-invariant panics (poisoned mutexes, parser token
+# bookkeeping, "unlimited budget cannot trip"); anything above it means a
+# new panic crept into code reachable from a request, which the typed
+# error plane forbids. Lower the ceiling when you remove panics; never
+# raise it without an audit.
+panic_budget=157
 echo "==> panic-budget lint (ceiling $panic_budget)"
-panic_count=$(grep -c -E '\.unwrap\(\)|\.expect\(|panic!\(' "$work/nontest.rs" || true)
+panic_count=$(grep -v -E '^[[:space:]]*//' "$work/nontest.rs" |
+    grep -c -E '\.unwrap\(\)|\.expect\(|panic!\(' || true)
 echo "panic sites in non-test crate code: $panic_count"
 if [ "$panic_count" -gt "$panic_budget" ]; then
     echo "panic-budget lint: $panic_count sites exceed the ceiling of $panic_budget" >&2
@@ -78,7 +80,7 @@ fi
 
 # Non-test line count, a tracked number that should only go down. Lower
 # the ceiling when you delete code; never raise it without an audit.
-line_budget=19176
+line_budget=19172
 echo "==> non-test line count (ceiling $line_budget)"
 line_count=$(($(wc -l < "$work/nontest.rs")))
 echo "non-test lines in crate code: $line_count"

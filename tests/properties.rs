@@ -271,3 +271,126 @@ fn each_optimization_alone_agrees_with_naive() {
         }
     }
 }
+
+/// OSA equals a naive per-access reference: for every memory location,
+/// the read, write and all-origin sets are the unions of `mi_origins`
+/// over its accesses, and the access list holds each access once, in
+/// scan order. Checked on every real-bug model (Java and C, Table 10 and
+/// extended), the generated spec sample, mega-smoke and mega-grid. A
+/// truncated scan must still give each entry exactly the origins of its
+/// own accesses.
+#[test]
+fn osa_matches_naive_reference() {
+    use o2_analysis::{run_osa, run_osa_bounded, Access, MemKey};
+    use std::collections::{BTreeMap, BTreeSet};
+    type Reference = BTreeMap<MemKey, (BTreeSet<u32>, BTreeSet<u32>, Vec<Access>)>;
+
+    let models = o2_workloads::all_models()
+        .into_iter()
+        .chain(o2_workloads::all_c_models())
+        .chain(o2_workloads::extended_models())
+        .chain(o2_workloads::extended_c_models())
+        .map(|m| (m.name.to_string(), m.program));
+    let generated = spec_sample()
+        .into_iter()
+        .enumerate()
+        .map(|(i, spec)| (format!("case {i}"), generate(&spec).program));
+    // mega-grid is the one input here whose scan passes the first
+    // deadline check (every 4,096 statements), so a zero budget cuts it.
+    let mega = ["mega-smoke", "mega-grid"].map(|n| {
+        let w = o2_workloads::workload_by_name(n).expect("mega preset exists");
+        (w.name, w.program)
+    });
+    let mut truncated_runs = 0;
+    for (name, program) in models.chain(generated).chain(mega) {
+        let ctx = o2_ir::ProgramCtx::solo(&program);
+        let pta = o2_pta::analyze(&ctx, &PtaConfig::default());
+
+        let mut reference = Reference::new();
+        for mi in pta.reachable_mis() {
+            let origins = pta.mi_origins(mi);
+            if origins.is_empty() {
+                continue;
+            }
+            let method_id = pta.mi_data(mi).0;
+            for (idx, instr) in program.method(method_id).body.iter().enumerate() {
+                let stmt = o2_ir::ids::GStmt::new(method_id, idx);
+                let (keys, is_write) = if let Some((base, field, w)) = instr.stmt.field_access() {
+                    let keys = pta.pts_var(mi, base).iter();
+                    (
+                        keys.map(|&o| MemKey::Field(o2_pta::ObjId(o), field))
+                            .collect(),
+                        w,
+                    )
+                } else if let Some((class, field, w)) = instr.stmt.static_access() {
+                    (vec![MemKey::Static(class, field)], w)
+                } else {
+                    continue;
+                };
+                for key in keys {
+                    let (reads, writes, accesses) = reference.entry(key).or_default();
+                    if is_write { writes } else { reads }.extend(origins.iter());
+                    let access = Access { mi, stmt, is_write };
+                    if !accesses.contains(&access) {
+                        accesses.push(access);
+                    }
+                }
+            }
+        }
+
+        let osa = run_osa(&ctx, &pta);
+        assert!(!osa.truncated, "{name}");
+        assert_eq!(osa.entries.len(), osa.locs.len(), "{name}");
+        assert_eq!(osa.locs.len(), reference.len(), "{name}: location count");
+        for (id, key) in osa.locs.iter() {
+            let e = osa.entry(id).expect("every interned location has an entry");
+            let (reads, writes, accesses) = &reference[key];
+            let all: Vec<u32> = reads.union(writes).copied().collect();
+            assert!(
+                e.read_origins.iter().eq(reads.iter().copied()),
+                "{name} {key:?}"
+            );
+            assert!(
+                e.write_origins.iter().eq(writes.iter().copied()),
+                "{name} {key:?}"
+            );
+            assert_eq!(e.all_origins().as_slice(), all.as_slice(), "{name} {key:?}");
+            assert_eq!(&e.accesses, accesses, "{name} {key:?}: access list");
+            let distinct: BTreeSet<_> = e
+                .accesses
+                .iter()
+                .map(|a| (a.mi, a.stmt, a.is_write))
+                .collect();
+            assert_eq!(
+                distinct.len(),
+                e.accesses.len(),
+                "{name} {key:?}: duplicate access"
+            );
+        }
+
+        let cut = run_osa_bounded(&ctx, &pta, Some(std::time::Duration::ZERO));
+        truncated_runs += usize::from(cut.truncated);
+        for e in &cut.entries {
+            let (mut reads, mut writes) = (BTreeSet::new(), BTreeSet::new());
+            for a in &e.accesses {
+                if a.is_write { &mut writes } else { &mut reads }
+                    .extend(pta.mi_origins(a.mi).iter());
+            }
+            let all: Vec<u32> = reads.union(&writes).copied().collect();
+            assert!(e.read_origins.iter().eq(reads), "{name}: truncated reads");
+            assert!(
+                e.write_origins.iter().eq(writes),
+                "{name}: truncated writes"
+            );
+            assert_eq!(
+                e.all_origins().as_slice(),
+                all.as_slice(),
+                "{name}: truncated all"
+            );
+        }
+    }
+    assert!(
+        truncated_runs > 0,
+        "no input was large enough to truncate the scan"
+    );
+}
