@@ -104,13 +104,6 @@ impl LocTable {
         self.keys.is_empty()
     }
 
-    /// Approximate heap bytes held by the interner (dense key vector plus
-    /// the hash index).
-    pub fn approx_bytes(&self) -> usize {
-        self.keys.capacity() * std::mem::size_of::<MemKey>()
-            + self.map.capacity() * std::mem::size_of::<(MemKey, u32)>()
-    }
-
     /// Iterates `(id, key)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (LocId, &MemKey)> {
         self.keys

@@ -133,21 +133,6 @@ impl OsaResult {
         objs.len() + statics.len()
     }
 
-    /// Approximate heap bytes of the sharing table (entries, their origin
-    /// sets and access lists, plus the location interner).
-    pub fn approx_bytes(&self) -> usize {
-        let entries: usize = self
-            .entries
-            .iter()
-            .map(|e| {
-                e.accesses.capacity() * std::mem::size_of::<Access>()
-                    + (e.write_origins.len() + e.read_origins.len() + e.all_origins.len()) * 4
-            })
-            .sum::<usize>()
-            + self.entries.capacity() * std::mem::size_of::<SharingEntry>();
-        entries + self.locs.approx_bytes()
-    }
-
     /// Renders the sharing report in the style of Figure 2(d).
     pub fn render(&self, program: &Program, pta: &PtaResult) -> String {
         use std::fmt::Write;

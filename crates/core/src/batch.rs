@@ -18,11 +18,10 @@
 
 use crate::incremental::render_reports;
 use crate::O2;
-use o2_db::AnalysisDb;
+use o2_db::{AnalysisDb, CachedReports, Digest};
 use o2_ir::{digest_program, O2Error, Program, ProgramCtx, ProgramId};
 use o2_passes::{PipelineReport, Tier};
 use std::fmt::Write as _;
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -197,6 +196,8 @@ impl BatchReport {
 struct Slot {
     /// `None` when the entry failed (outcome carries the error).
     pipeline: Option<PipelineReport>,
+    /// The program digest and rendered reports, when the run fills a db.
+    cached: Option<(Digest, CachedReports)>,
     outcome: ProgramOutcome,
 }
 
@@ -238,6 +239,7 @@ fn run_entries(
     let workers = workers.max(1);
     let t0 = Instant::now();
     let claim = AtomicUsize::new(0);
+    let render = db.is_some();
     let slots: Mutex<Vec<Option<Slot>>> = Mutex::new((0..entries.len()).map(|_| None).collect());
 
     std::thread::scope(|scope| {
@@ -254,6 +256,7 @@ fn run_entries(
                     Err(e) => {
                         slots.lock().expect("batch slots poisoned")[i] = Some(Slot {
                             pipeline: None,
+                            cached: None,
                             outcome: error_outcome(&entry.name, e.clone(), 0.0),
                         });
                         continue;
@@ -262,14 +265,20 @@ fn run_entries(
                 // ProgramId is the manifest index: unique per entry, and
                 // purely internal — nothing id-derived reaches a report.
                 let ctx = ProgramCtx::new(ProgramId(i as u32), &entry.name, program);
-                // Panic backstop: a bug in one program's analysis becomes
-                // that entry's error; the worker claims the next entry.
-                let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    engine.analyze_ctx(&ctx).run_pipeline(program)
-                }));
+                // Panic backstop: a bug in one program's analysis, passes
+                // or rendering becomes that entry's error; the worker
+                // claims the next entry.
+                let run = O2Error::catch(|| {
+                    let pipeline = engine.analyze_ctx(&ctx).run_pipeline(program);
+                    let cached = render.then(|| {
+                        let digest = digest_program(program).program;
+                        (digest, render_reports(&pipeline, program))
+                    });
+                    Ok((pipeline, cached))
+                });
                 let wall_ms = t.elapsed().as_secs_f64() * 1000.0;
                 let slot = match run {
-                    Ok(pipeline) => {
+                    Ok((pipeline, cached)) => {
                         let outcome = ProgramOutcome {
                             name: entry.name.clone(),
                             tiers: (
@@ -282,12 +291,14 @@ fn run_entries(
                         };
                         Slot {
                             pipeline: Some(pipeline),
+                            cached,
                             outcome,
                         }
                     }
-                    Err(payload) => Slot {
+                    Err(e) => Slot {
                         pipeline: None,
-                        outcome: error_outcome(&entry.name, O2Error::from_panic(payload), wall_ms),
+                        cached: None,
+                        outcome: error_outcome(&entry.name, e, wall_ms),
                     },
                 };
                 slots.lock().expect("batch slots poisoned")[i] = Some(slot);
@@ -302,6 +313,13 @@ fn run_entries(
         .map(|(i, s)| (i, s.expect("every claimed entry completes")))
         .collect();
     done.sort_by(|a, b| entries[a.0].name.cmp(&entries[b.0].name));
+    if let Some(db) = db {
+        for (_, s) in &mut done {
+            if let Some((digest, reports)) = s.cached.take() {
+                db.reports.insert(digest, reports);
+            }
+        }
+    }
 
     let merged: Vec<(&str, &PipelineReport, &Program)> = done
         .iter()
@@ -320,14 +338,6 @@ fn run_entries(
         .collect();
     let json = o2_passes::corpus_json_with_errors(&merged, &errors);
     let sarif = o2_passes::corpus_sarif_with_errors(&merged, &errors);
-    if let Some(db) = db {
-        for (_, pipeline, program) in &merged {
-            db.reports.insert(
-                digest_program(program).program,
-                render_reports(pipeline, program),
-            );
-        }
-    }
 
     BatchReport {
         programs: done.into_iter().map(|(_, s)| s.outcome).collect(),

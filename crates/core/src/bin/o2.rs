@@ -3,61 +3,43 @@
 //!
 //! ```text
 //! o2 <file.o2> [--policy 0ctx|1cfa|2cfa|1obj|2obj|origin|korigin:K]
-//!              [--naive] [--no-dispatcher-lock]
-//!              [--deadlocks] [--oversync] [--racerd]
-//!              [--sharing] [--origins] [--timeout SECS] [--threads N] [--quiet]
-//!              [--format text|json|sarif] [--save-db FILE] [--load-db FILE]
+//!              [--naive] [--no-dispatcher-lock] [--sharing] [--origins]
+//!              [--timeout SECS] [--threads N] [--quiet] [--c]
+//!              [--format text|json|sarif] [--dot-shb] [--dot-callgraph]
+//!              [--html FILE] [--save-db FILE] [--load-db FILE]
 //! o2 diff-analyze <old.o2> <new.o2> [same flags]
 //! ```
 //!
-//! `--format` selects the triaged precision-pipeline output (confidence
-//! tiers, pruned and `@suppress(race)`-suppressed races): `text` for the
-//! human summary, `json` for the machine-readable report, `sarif` for a
-//! SARIF 2.1.0 document covering races, deadlocks, and over-sync. The
-//! legacy `--json` flag still prints the raw detector report.
+//! The output is the triaged report, the same one `o2 batch` and
+//! `o2 serve` print: the races that survive `@suppress(race)`, ownership
+//! pruning and guarded-by inference, with confidence tiers, plus the
+//! deadlock and over-synchronization clients. `--format` picks its form:
+//! `text` (the default) for the human summary, `json` for the
+//! machine-readable report, `sarif` for a SARIF 2.1.0 document with one
+//! result per race, deadlock cycle and over-synchronized site. Unless
+//! `--quiet`, a cold run first prints the analysis summary line.
 //!
-//! `--save-db`/`--load-db` persist the report cache between runs: a
-//! `--format` run on a program whose whole-program digest (and analysis
-//! configuration) matches a cached entry prints the cached bytes without
-//! analyzing; any other program is analyzed cold and its reports are
-//! cached. `diff-analyze` prints the function-level digest diff of two
-//! versions and the report of the new one.
+//! `--save-db`/`--load-db` persist the report cache between runs: a run
+//! on a program whose whole-program digest (and analysis configuration)
+//! matches a cached entry prints the cached bytes without analyzing,
+//! unless a side output (`--origins`, `--sharing`, `--html`, `--dot-*`)
+//! needs the analysis itself; any other program is analyzed cold and its
+//! reports are cached. `diff-analyze` prints the function-level digest
+//! diff of two versions, then the report of the new one.
 
 //! # Exit codes
 //!
-//! `0` — clean run, no races; `1` — races found; `2` — usage or
-//! option errors. Typed pipeline failures map their [`O2Error`] stage
+//! `0` — clean run, no races after triage; `1` — races found; `2` —
+//! usage or option errors. Typed pipeline failures map their [`O2Error`] stage
 //! to a distinct code: parse 10, resolve 11, pta 12, analysis 13,
 //! detect 14, db 15, io 16, timeout 17, budget 18, internal (caught
 //! panic) 19.
 
 use o2::prelude::*;
-use o2::render_reports;
-use o2_db::AnalysisDb;
-use std::panic::AssertUnwindSafe;
+use o2::{render_reports, Format};
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
-
-/// Runs `f` under a panic backstop: a panic anywhere in the pipeline
-/// becomes a typed `internal` error (exit 19) instead of an abort.
-fn run_guarded<T>(f: impl FnOnce() -> T) -> Result<T, O2Error> {
-    std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(O2Error::from_panic)
-}
-
-/// Prints a typed error and maps its stage to the process exit code.
-fn fail(err: &O2Error) -> ExitCode {
-    eprintln!("error: {err}");
-    ExitCode::from(err.exit_code())
-}
-
-/// Output selector for the triaged pipeline report (`--format`). `None`
-/// keeps the legacy raw-detector output paths.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
 
 struct Options {
     file: String,
@@ -71,16 +53,12 @@ struct Options {
     policy: Policy,
     naive: bool,
     dispatcher_lock: bool,
-    deadlocks: bool,
-    oversync: bool,
-    racerd: bool,
     sharing: bool,
     origins: bool,
     timeout: Option<Duration>,
     threads: Option<usize>,
     quiet: bool,
-    json: bool,
-    format: Option<Format>,
+    format: Format,
     c_frontend: bool,
     dot_shb: bool,
     dot_callgraph: bool,
@@ -103,16 +81,12 @@ fn parse_args() -> Result<Options, String> {
         policy: Policy::origin1(),
         naive: false,
         dispatcher_lock: true,
-        deadlocks: false,
-        oversync: false,
-        racerd: false,
         sharing: false,
         origins: false,
         timeout: None,
         threads: None,
         quiet: false,
-        json: false,
-        format: None,
+        format: Format::Text,
         c_frontend: false,
         dot_shb: false,
         dot_callgraph: false,
@@ -134,22 +108,12 @@ fn parse_args() -> Result<Options, String> {
             }
             "--naive" => opts.naive = true,
             "--no-dispatcher-lock" => opts.dispatcher_lock = false,
-            "--deadlocks" => opts.deadlocks = true,
-            "--oversync" => opts.oversync = true,
-            "--racerd" => opts.racerd = true,
             "--sharing" => opts.sharing = true,
             "--origins" => opts.origins = true,
             "--quiet" => opts.quiet = true,
-            "--json" => opts.json = true,
             "--format" => {
                 i += 1;
-                let v = args.get(i).ok_or("--format needs a value")?;
-                opts.format = Some(match v.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    "sarif" => Format::Sarif,
-                    other => return Err(format!("unknown format {other}")),
-                });
+                opts.format = Format::parse(args.get(i).ok_or("--format needs a value")?)?;
             }
             "--c" => opts.c_frontend = true,
             "--html" => {
@@ -260,11 +224,10 @@ fn parse_policy(v: &str) -> Result<Policy, String> {
 fn usage() {
     eprintln!(
         "usage: o2 <file.o2> [--policy 0ctx|1cfa|2cfa|1obj|2obj|origin|korigin:K]\n\
-         \x20         [--naive] [--no-dispatcher-lock] [--deadlocks] [--oversync]\n\
-         \x20         [--racerd] [--sharing] [--origins] [--timeout SECS] [--threads N]\n\
-         \x20         [--quiet] [--json] [--format text|json|sarif] [--c]\n\
-         \x20         [--dot-shb] [--dot-callgraph] [--html FILE]\n\
-         \x20         [--save-db FILE] [--load-db FILE]\n\
+         \x20         [--naive] [--no-dispatcher-lock] [--sharing] [--origins]\n\
+         \x20         [--timeout SECS] [--threads N] [--quiet] [--c]\n\
+         \x20         [--format text|json|sarif] [--dot-shb] [--dot-callgraph]\n\
+         \x20         [--html FILE] [--save-db FILE] [--load-db FILE]\n\
          \x20      o2 diff-analyze <old.o2> <new.o2> [same flags]\n\
          \x20      o2 batch <manifest> [--workers N] [--format json|sarif] [--save-db FILE]\n\
          \x20         [same flags]\n\
@@ -283,27 +246,20 @@ fn usage() {
 fn run_serve_mode(engine: &O2, opts: &Options) -> ExitCode {
     use std::sync::Arc;
     let state = Arc::new(o2::serve::ServeState::new(engine.clone()));
-    if let Some(path) = &opts.load_db {
-        let p = std::path::Path::new(path);
-        if p.exists() {
-            match AnalysisDb::load(p) {
-                Ok(image) => match state.preseed(&image) {
-                    Ok(n) => {
-                        if !opts.quiet {
-                            eprintln!("o2 serve: pre-seeded {n} reports from {path}");
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("error: {path}: {e}");
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    return ExitCode::from(2);
+    match load_db(opts) {
+        Err(code) => return code,
+        Ok(None) => {}
+        Ok(Some((image, path))) => match state.preseed(&image) {
+            Ok(n) => {
+                if !opts.quiet {
+                    eprintln!("o2 serve: pre-seeded {n} reports from {path}");
                 }
             }
-        }
+            Err(e) => {
+                eprintln!("error: {path}: {e}");
+                return ExitCode::from(2);
+            }
+        },
     }
     let listener = match std::net::TcpListener::bind(&opts.file) {
         Ok(l) => l,
@@ -337,9 +293,8 @@ fn run_serve_mode(engine: &O2, opts: &Options) -> ExitCode {
         return ExitCode::from(2);
     }
     if let Some(path) = &opts.save_db {
-        if let Err(e) = state.snapshot_db().save(std::path::Path::new(path)) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::from(2);
+        if let Err(code) = save_db(&state.snapshot_db(), path) {
+            return code;
         }
         if !opts.quiet {
             eprintln!("o2 serve: saved report cache to {path}");
@@ -359,7 +314,7 @@ fn run_serve_mode(engine: &O2, opts: &Options) -> ExitCode {
 /// `--workers` value and manifest order) goes to stdout; the
 /// scheduling-dependent summary table goes to stderr.
 fn run_batch_mode(engine: &O2, opts: &Options) -> ExitCode {
-    let path = std::path::Path::new(&opts.file);
+    let path = Path::new(&opts.file);
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -367,7 +322,7 @@ fn run_batch_mode(engine: &O2, opts: &Options) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let base = path.parent().unwrap_or(std::path::Path::new("."));
+    let base = path.parent().unwrap_or(Path::new("."));
     let entries = match o2::parse_manifest(&text, base) {
         Ok(e) => e,
         Err(e) => {
@@ -382,9 +337,8 @@ fn run_batch_mode(engine: &O2, opts: &Options) -> ExitCode {
     });
     let report = if let Some(path) = &opts.save_db {
         let (report, db) = o2::run_batch_with_db(engine, &entries, workers);
-        if let Err(e) = db.save(std::path::Path::new(path)) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::from(2);
+        if let Err(code) = save_db(&db, path) {
+            return code;
         }
         if !opts.quiet {
             eprintln!("o2 batch: saved {} reports to {path}", db.reports.len());
@@ -394,9 +348,9 @@ fn run_batch_mode(engine: &O2, opts: &Options) -> ExitCode {
         o2::run_batch(engine, &entries, workers)
     };
     match opts.format {
-        Some(Format::Sarif) => print!("{}", report.sarif),
-        Some(Format::Text) | None => {}
-        _ => print!("{}", report.json),
+        Format::Text => {}
+        Format::Json => print!("{}", report.json),
+        Format::Sarif => print!("{}", report.sarif),
     }
     if !opts.quiet {
         eprint!("{}", report.summary());
@@ -422,48 +376,170 @@ fn load_program(path: &str, force_c: bool) -> Result<Program, O2Error> {
     o2::parse_program(&src, force_c || path.ends_with(".c"))
 }
 
-/// `o2 diff-analyze old new`: print the function-level digest diff of
-/// the two versions, then the triaged report of `new`.
-fn run_diff(engine: &O2, opts: &Options, old: &Program, new: &Program) -> ExitCode {
-    let d = match run_guarded(|| engine.diff_analyze(old, new)) {
-        Ok(d) => d,
-        Err(e) => return fail(&e),
-    };
+/// Loads the `--load-db` image, with its path, if the flag names an
+/// existing file. A path that does not exist yet holds no image, so
+/// `--load-db X --save-db X` works from the first run on; an unreadable
+/// or corrupt image is a usage error (exit 2).
+fn load_db(opts: &Options) -> Result<Option<(AnalysisDb, &str)>, ExitCode> {
+    match opts.load_db.as_deref() {
+        Some(path) if Path::new(path).exists() => match AnalysisDb::load(Path::new(path)) {
+            Ok(db) => Ok(Some((db, path))),
+            Err(e) => {
+                eprintln!("error: {path}: {e}");
+                Err(ExitCode::from(2))
+            }
+        },
+        _ => Ok(None),
+    }
+}
+
+/// Writes `db` to `path` (`--save-db`); a failed write exits 2.
+fn save_db(db: &AnalysisDb, path: &str) -> Result<(), ExitCode> {
+    db.save(Path::new(path)).map_err(|e| {
+        eprintln!("error: cannot write {path}: {e}");
+        ExitCode::from(2)
+    })
+}
+
+/// Prints what a cold run shows before the report: the analysis summary
+/// (unless `--quiet`) and the side outputs the flags ask for.
+fn print_side_outputs(
+    opts: &Options,
+    program: &Program,
+    report: &AnalysisReport,
+) -> Result<(), ExitCode> {
     if !opts.quiet {
-        println!("diff: {}", d.diff.summary());
-        for name in &d.diff.changed {
+        println!("{}", report.summary());
+        println!();
+    }
+    if opts.origins {
+        println!("origins:");
+        for (id, data) in report.pta.arena.origins() {
+            let m = program.method(data.entry);
+            println!(
+                "  origin {}: {} entry={}.{} depth={}",
+                id.0,
+                data.kind,
+                program.class(m.class).name,
+                m.name,
+                data.depth
+            );
+        }
+        println!();
+    }
+    if opts.sharing {
+        let text = report.osa.render(program, &report.pta);
+        if text.is_empty() {
+            println!("no origin-shared locations with a writer\n");
+        } else {
+            println!("{text}");
+        }
+    }
+    if let Some(path) = &opts.html {
+        let html = o2_detect::render_html(program, &report.pta, &report.races);
+        if let Err(e) = std::fs::write(path, html) {
+            eprintln!("error: cannot write {path}: {e}");
+            return Err(ExitCode::from(2));
+        }
+        if !opts.quiet {
+            println!("wrote HTML report to {path}");
+        }
+    }
+    if opts.dot_callgraph {
+        print!("{}", report.pta.callgraph_to_dot(program));
+    }
+    if opts.dot_shb {
+        print!("{}", report.shb.to_dot(&report.pta));
+    }
+    Ok(())
+}
+
+/// The one report path of file mode and `diff-analyze`: look the program
+/// up in the report cache by its whole-program digest, or run it cold
+/// (analysis, passes and rendering under the one panic backstop, then the
+/// summary and side outputs); print the triaged report in `--format`;
+/// cache it; exit 1 iff races survive triage.
+fn report_program(engine: &O2, opts: &Options, program: &Program) -> ExitCode {
+    let sig = engine.config_sig();
+    let mut db = match load_db(opts) {
+        Err(code) => return code,
+        Ok(Some((db, _))) => Some(db),
+        Ok(None) => opts.save_db.is_some().then(|| AnalysisDb::new(sig)),
+    };
+    let digest = db.as_ref().map(|_| o2_ir::digest_program(program).program);
+    let side_outputs =
+        opts.origins || opts.sharing || opts.dot_shb || opts.dot_callgraph || opts.html.is_some();
+    let hit = match (&db, digest) {
+        (Some(db), Some(digest)) if !side_outputs => db.lookup(sig, digest).cloned(),
+        _ => None,
+    };
+    let cold = hit.is_none();
+    let reports = match hit {
+        Some(reports) => {
+            if !opts.quiet {
+                eprintln!("o2: replayed cached reports from database");
+            }
+            reports
+        }
+        None => {
+            let run = O2Error::catch(|| {
+                let report = engine.analyze(program);
+                let reports = render_reports(&report.run_pipeline(program), program);
+                Ok((report, reports))
+            });
+            let (report, reports) = match run {
+                Ok(v) => v,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return ExitCode::from(e.exit_code());
+                }
+            };
+            if let Err(code) = print_side_outputs(opts, program, &report) {
+                return code;
+            }
+            reports
+        }
+    };
+    print!("{}", opts.format.select(&reports));
+    let code = if reports.n_races == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
+    };
+    if let (Some(db), Some(digest)) = (&mut db, digest) {
+        if cold {
+            db.commit_program(sig, digest);
+            db.reports.insert(digest, reports);
+        }
+        if let Some(path) = &opts.save_db {
+            if let Err(code) = save_db(db, path) {
+                return code;
+            }
+        }
+    }
+    code
+}
+
+/// `o2 diff-analyze old new`: print the function-level digest diff of
+/// the two versions (unless `--quiet`), then the report of `new` through
+/// the one report path.
+fn run_diff(engine: &O2, opts: &Options, old: &Program, new: &Program) -> ExitCode {
+    if !opts.quiet {
+        let diff = o2_ir::digest_diff(&o2_ir::digest_program(old), &o2_ir::digest_program(new));
+        println!("diff: {}", diff.summary());
+        for name in &diff.changed {
             println!("  ~ {name}");
         }
-        for name in &d.diff.added {
+        for name in &diff.added {
             println!("  + {name}");
         }
-        for name in &d.diff.removed {
+        for name in &diff.removed {
             println!("  - {name}");
         }
         println!();
     }
-    let pipeline = d.new.run_pipeline(new);
-    if let Some(path) = &opts.save_db {
-        let mut db = AnalysisDb::new(engine.config_sig());
-        db.reports
-            .insert(d.new_digest, render_reports(&pipeline, new));
-        if let Err(e) = db.save(std::path::Path::new(path)) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    match opts.format {
-        Some(Format::Json) => print!("{}", pipeline.to_json(new)),
-        Some(Format::Sarif) => print!("{}", pipeline.to_sarif(new)),
-        _ => print!("{}", pipeline.render(new)),
-    }
-    if pipeline.races.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    report_program(engine, opts, new)
 }
-
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
@@ -518,185 +594,5 @@ fn main() -> ExitCode {
         return run_diff(&engine, &opts, &program, &new);
     }
 
-    // Report cache: load (or start fresh at a not-yet-existing path, so
-    // `--load-db X --save-db X` works from the first run on).
-    let use_db = opts.load_db.is_some() || opts.save_db.is_some();
-    let mut db = match &opts.load_db {
-        Some(path) if std::path::Path::new(path).exists() => {
-            match AnalysisDb::load(std::path::Path::new(path)) {
-                Ok(db) => db,
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        _ => AnalysisDb::new(engine.config_sig()),
-    };
-
-    // Fast path: digest-identical program and configuration with cached
-    // rendered reports — print the cached rendering without re-running
-    // anything. Only when no side output needs the full analysis result.
-    let wants_full_report = opts.origins
-        || opts.sharing
-        || opts.deadlocks
-        || opts.oversync
-        || opts.racerd
-        || opts.json
-        || opts.dot_shb
-        || opts.dot_callgraph
-        || opts.html.is_some();
-    // Digest once: the cache probe and the commit after a miss both
-    // need the program digests.
-    let digests = if use_db {
-        Some(o2_ir::digest_program(&program))
-    } else {
-        None
-    };
-    if let (Some(digests), Some(format), false) = (&digests, opts.format, wants_full_report) {
-        if let Some(reports) = db.lookup(engine.config_sig(), digests.program) {
-            if !opts.quiet {
-                eprintln!("o2: replayed cached reports from database");
-            }
-            match format {
-                Format::Text => print!("{}", reports.text),
-                Format::Json => print!("{}", reports.json),
-                Format::Sarif => print!("{}", reports.sarif),
-            }
-            let code = if reports.n_races == 0 {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            };
-            if let Some(path) = &opts.save_db {
-                if let Err(e) = db.save(std::path::Path::new(path)) {
-                    eprintln!("error: cannot write {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-            return code;
-        }
-    }
-
-    let run = run_guarded(|| match &digests {
-        Some(digests) => {
-            engine
-                .analyze_with_db_prepared(&program, &mut db, digests)
-                .0
-        }
-        None => engine.analyze(&program),
-    });
-    let report = match run {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-
-    if !opts.quiet {
-        println!("{}", report.summary());
-        println!();
-    }
-    if opts.origins {
-        println!("origins:");
-        for (id, data) in report.pta.arena.origins() {
-            let m = program.method(data.entry);
-            println!(
-                "  origin {}: {} entry={}.{} depth={}",
-                id.0,
-                data.kind,
-                program.class(m.class).name,
-                m.name,
-                data.depth
-            );
-        }
-        println!();
-    }
-    if opts.sharing {
-        let text = report.osa.render(&program, &report.pta);
-        if text.is_empty() {
-            println!("no origin-shared locations with a writer\n");
-        } else {
-            println!("{text}");
-        }
-    }
-    if let Some(path) = &opts.html {
-        let html = o2_detect::render_html(&program, &report.pta, &report.races);
-        if let Err(e) = std::fs::write(path, html) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        if !opts.quiet {
-            println!("wrote HTML report to {path}");
-        }
-    }
-    if opts.dot_callgraph {
-        print!("{}", report.pta.callgraph_to_dot(&program));
-    }
-    if opts.dot_shb {
-        print!("{}", report.shb.to_dot(&report.pta));
-    }
-
-    let code = if let Some(format) = opts.format {
-        // Pipeline mode: triage the detector output (suppression,
-        // ownership pruning, guarded-by inference, racerd agreement) and
-        // print the requested rendering. The exit code reflects the
-        // *triaged* race list, so `@suppress(race)` and pruning make a
-        // clean run exit 0.
-        let pipeline = report.run_pipeline(&program);
-        match format {
-            Format::Text => print!("{}", pipeline.render(&program)),
-            Format::Json => print!("{}", pipeline.to_json(&program)),
-            Format::Sarif => print!("{}", pipeline.to_sarif(&program)),
-        }
-        if let Some(digests) = &digests {
-            db.reports
-                .insert(digests.program, render_reports(&pipeline, &program));
-        }
-        if pipeline.races.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(1)
-        }
-    } else {
-        if opts.json {
-            print!("{}", report.races.to_json(&program));
-        } else {
-            print!("{}", report.races.render(&program));
-        }
-        if opts.deadlocks {
-            println!();
-            print!(
-                "{}",
-                report
-                    .detect_deadlocks(&program)
-                    .render(&program, &report.shb)
-            );
-        }
-        if opts.oversync {
-            println!();
-            print!("{}", report.find_oversync(&program).render(&program));
-        }
-        if opts.racerd {
-            println!();
-            let rd = o2_racerd::run_racerd(&program);
-            println!(
-                "RacerD-style comparison: {} warnings ({} read/write, {} unprotected writes)",
-                rd.total_warnings(),
-                rd.num_read_write_races,
-                rd.num_unprotected_writes
-            );
-        }
-        if report.num_races() > 0 {
-            ExitCode::from(1)
-        } else {
-            ExitCode::SUCCESS
-        }
-    };
-
-    if let Some(path) = &opts.save_db {
-        if let Err(e) = db.save(std::path::Path::new(path)) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    code
+    report_program(&engine, &opts, &program)
 }

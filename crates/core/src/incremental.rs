@@ -15,7 +15,7 @@
 
 use crate::{AnalysisReport, O2};
 use o2_db::{AnalysisDb, CachedReports, Digest, DigestHasher};
-use o2_ir::{digest_diff, digest_program, DigestDiff, Program, ProgramDigests};
+use o2_ir::{digest_program, Program, ProgramDigests};
 use o2_passes::PipelineReport;
 use o2_pta::Policy;
 use std::time::Duration;
@@ -28,6 +28,44 @@ pub fn render_reports(pipeline: &PipelineReport, program: &Program) -> CachedRep
         text: pipeline.render(program),
         json: pipeline.to_json(program),
         sarif: pipeline.to_sarif(program),
+    }
+}
+
+/// One form of the triaged report: what `--format` selects in the CLI
+/// (file mode, `diff-analyze`, `batch`) and the `format` field selects in
+/// an `o2 serve` request.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Format {
+    /// The human-readable summary.
+    Text,
+    /// The machine-readable report.
+    Json,
+    /// SARIF 2.1.0, covering races, deadlocks and over-sync.
+    Sarif,
+}
+
+impl Format {
+    /// Parses `text`, `json` or `sarif`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the unknown format.
+    pub fn parse(s: &str) -> Result<Format, String> {
+        match s {
+            "text" => Ok(Format::Text),
+            "json" => Ok(Format::Json),
+            "sarif" => Ok(Format::Sarif),
+            other => Err(format!("unknown format {other:?} (text|json|sarif)")),
+        }
+    }
+
+    /// The bytes of `reports` this format prints.
+    pub fn select(self, reports: &CachedReports) -> &str {
+        match self {
+            Format::Text => &reports.text,
+            Format::Json => &reports.json,
+            Format::Sarif => &reports.sarif,
+        }
     }
 }
 
@@ -175,29 +213,6 @@ impl O2 {
         let stats = IncrStats::of(&report);
         (report, stats)
     }
-
-    /// Diffs `old` against `new` by their function digests and analyzes
-    /// `new` once.
-    pub fn diff_analyze(&self, old: &Program, new: &Program) -> DiffAnalysis {
-        let new_digests = digest_program(new);
-        DiffAnalysis {
-            diff: digest_diff(&digest_program(old), &new_digests),
-            new_digest: new_digests.program,
-            new: self.analyze(new),
-        }
-    }
-}
-
-/// Result of [`O2::diff_analyze`]: the digest diff and the report on the
-/// new version.
-#[derive(Debug)]
-pub struct DiffAnalysis {
-    /// Function-level digest diff between the two versions.
-    pub diff: DigestDiff,
-    /// Whole-program digest of the new version (its report-cache key).
-    pub new_digest: Digest,
-    /// Report on the new program.
-    pub new: AnalysisReport,
 }
 
 #[cfg(test)]
@@ -305,20 +320,6 @@ mod tests {
         fill(&o2, &new, &mut db);
         let keys: Vec<Digest> = db.reports.keys().copied().collect();
         assert_eq!(keys, vec![digest_program(&new).program]);
-    }
-
-    #[test]
-    fn diff_analyze_matches_cold() {
-        let old = parse(BASE).unwrap();
-        let new = parse(EDITED).unwrap();
-        let o2 = O2Builder::new().build();
-        let d = o2.diff_analyze(&old, &new);
-        assert_eq!(d.diff.changed, vec!["W2.run/0".to_string()]);
-        assert_eq!(d.new_digest, digest_program(&new).program);
-        assert_eq!(
-            render_all(&new, &o2.analyze(&new)),
-            render_all(&new, &d.new)
-        );
     }
 
     #[test]

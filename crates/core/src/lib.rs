@@ -42,7 +42,7 @@ pub mod serve;
 pub use batch::{
     parse_manifest, run_batch, run_batch_with_db, BatchEntry, BatchReport, ProgramOutcome,
 };
-pub use incremental::{render_reports, DiffAnalysis, IncrStats};
+pub use incremental::{render_reports, Format, IncrStats};
 pub use serve::{Client, ServeOptions, ServerHandle};
 
 use o2_analysis::{run_osa_bounded, OsaResult};
@@ -55,10 +55,7 @@ use std::time::{Duration, Instant};
 
 /// Re-exports of the most commonly used items across the workspace.
 pub mod prelude {
-    pub use crate::{
-        peak_rss_bytes, AnalysisReport, DiffAnalysis, IncrStats, MemoryFootprint, O2Builder,
-        Timings, O2,
-    };
+    pub use crate::{peak_rss_bytes, AnalysisReport, IncrStats, O2Builder, Timings, O2};
     pub use o2_analysis::{MemKey, OsaResult};
     pub use o2_db::AnalysisDb;
     pub use o2_detect::{
@@ -147,18 +144,6 @@ impl AnalysisReport {
         o2_passes::run_pipeline(&ctx, &self.pta, &self.osa, &self.shb, &self.races)
     }
 
-    /// Per-structure heap estimates for this run's long-lived state.
-    pub fn memory_footprint(&self) -> MemoryFootprint {
-        let (shb_traces, shb_csr, shb_locks, shb_access_index) = self.shb.approx_bytes();
-        MemoryFootprint {
-            shb_traces,
-            shb_csr,
-            shb_locks,
-            shb_access_index,
-            osa: self.osa.approx_bytes(),
-        }
-    }
-
     /// A one-paragraph textual summary (policy, origins, sharing, races).
     pub fn summary(&self) -> String {
         format!(
@@ -179,33 +164,6 @@ impl AnalysisReport {
             self.timings.shb,
             self.timings.detect,
         )
-    }
-}
-
-/// Approximate heap bytes held by each long-lived analysis structure,
-/// gathered from the per-crate `approx_bytes` estimators. These are
-/// capacity-based estimates (what the structures asked the allocator
-/// for), not allocator-measured truth — compare them against
-/// [`peak_rss_bytes`] for the whole-process ceiling.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MemoryFootprint {
-    /// SHB per-origin traces (nodes + per-node metadata).
-    pub shb_traces: usize,
-    /// The frozen CSR adjacency (entry + join edge arrays).
-    pub shb_csr: usize,
-    /// Interned locksets: canonical element slices, bitset mirrors, and
-    /// the intern index.
-    pub shb_locks: usize,
-    /// The per-location access index driving candidate collection.
-    pub shb_access_index: usize,
-    /// OSA sharing entries, origin sets, and the location interner.
-    pub osa: usize,
-}
-
-impl MemoryFootprint {
-    /// Sum over all tracked structures.
-    pub fn total(&self) -> usize {
-        self.shb_traces + self.shb_csr + self.shb_locks + self.shb_access_index + self.osa
     }
 }
 
@@ -285,12 +243,6 @@ impl O2Builder {
     /// Sets a wall-clock budget for race detection.
     pub fn detect_timeout(mut self, timeout: Duration) -> Self {
         self.detect.timeout = Some(timeout);
-        self
-    }
-
-    /// Replaces the pointer-analysis configuration.
-    pub fn pta_config(mut self, cfg: PtaConfig) -> Self {
-        self.pta = cfg;
         self
     }
 

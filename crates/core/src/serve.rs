@@ -38,9 +38,9 @@
 //! shape `{"ok":false,"error":"...","stage":"<tag>"}` where the tag is
 //! the [`O2Error`] stage (`parse`, `resolve`, `timeout`, …). Protocol
 //! errors (unparseable line, unknown op, bad fields) answer without a
-//! stage. Every analysis runs under a panic backstop: a bug that would
-//! abort a solo run answers a structured `internal` error here and the
-//! daemon keeps serving.
+//! stage. Every analysis, with its passes and rendering, runs under the
+//! one panic backstop ([`O2Error::catch`]): a bug answers a structured
+//! `internal` error and the daemon keeps serving.
 //!
 //! # Invariants
 //!
@@ -56,8 +56,8 @@
 //! shared state (the two caches, the counters) is behind mutexes held
 //! only for copies, never across an analysis.
 
-use crate::incremental::{render_reports, IncrStats};
-use crate::{AnalysisReport, O2};
+use crate::incremental::{render_reports, Format, IncrStats};
+use crate::O2;
 use o2_db::{AnalysisDb, CachedReports, Digest, DigestHasher, FastMap};
 use o2_ir::{
     digest_diff, digest_program, json_escape, Budget, O2Error, Program, ProgramCtx, ProgramDigests,
@@ -66,7 +66,6 @@ use o2_ir::{
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -99,14 +98,6 @@ impl JsonValue {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
             _ => None,
         }
     }
@@ -317,28 +308,6 @@ impl FlatParser<'_> {
 // ---------------------------------------------------------------------
 // Requests.
 // ---------------------------------------------------------------------
-
-/// Output rendering of an analyze / diff-analyze request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Format {
-    /// The human-readable pipeline summary (`--format text`).
-    Text,
-    /// The machine-readable pipeline report (`--format json`).
-    Json,
-    /// SARIF 2.1.0 (`--format sarif`).
-    Sarif,
-}
-
-impl Format {
-    fn parse(s: &str) -> Result<Format, String> {
-        match s {
-            "text" => Ok(Format::Text),
-            "json" => Ok(Format::Json),
-            "sarif" => Ok(Format::Sarif),
-            other => Err(format!("unknown format {other:?} (text|json|sarif)")),
-        }
-    }
-}
 
 /// What an analyze request names: a registry workload or inline source,
 /// plus a deterministic edit depth.
@@ -912,23 +881,6 @@ impl ServeState {
         }
     }
 
-    /// Runs the budgeted cold pipeline under a panic backstop. No
-    /// `ServeState` lock is held across this call, so a caught panic can
-    /// never poison shared state; it surfaces as a structured `internal`
-    /// error and the worker returns to the pool.
-    fn run_pipeline_guarded(
-        &self,
-        ctx: &ProgramCtx<'_>,
-        budget: &Budget,
-    ) -> Result<AnalysisReport, O2Error> {
-        match std::panic::catch_unwind(AssertUnwindSafe(|| {
-            self.engine.try_analyze_ctx(ctx, budget)
-        })) {
-            Ok(result) => result,
-            Err(payload) => Err(O2Error::from_panic(payload)),
-        }
-    }
-
     /// The rendered reports of `resolved`: from the report cache on a
     /// digest hit, else from a cold run that is then cached. Returns the
     /// reports, whether they were a hit, and the run's stage totals (0 on
@@ -948,10 +900,17 @@ impl ServeState {
             return Ok((r, true, 0));
         }
         let ctx = ProgramCtx::new(self.fresh_program_id(), &resolved.name, &resolved.program);
-        let report = self.run_pipeline_guarded(&ctx, budget)?;
-        let recomputes = IncrStats::of(&report).recomputes();
-        let pipeline = report.run_pipeline(&resolved.program);
-        let cached = Arc::new(render_reports(&pipeline, &resolved.program));
+        // No `ServeState` lock is held here, so a caught panic poisons
+        // nothing shared: it answers an `internal` error and the worker
+        // returns to the pool.
+        let (cached, recomputes) = O2Error::catch(|| {
+            let report = self.engine.try_analyze_ctx(&ctx, budget)?;
+            let pipeline = report.run_pipeline(&resolved.program);
+            Ok((
+                Arc::new(render_reports(&pipeline, &resolved.program)),
+                IncrStats::of(&report).recomputes(),
+            ))
+        })?;
         self.reports
             .lock()
             .expect("report cache poisoned")
@@ -1105,12 +1064,7 @@ fn push_counter_fields(out: &mut String, races: u64, digest_hit: bool, wall_ms: 
 
 fn push_output(out: &mut String, format: Format, reports: &CachedReports) {
     out.push_str(",\"output\":\"");
-    let payload = match format {
-        Format::Text => &reports.text,
-        Format::Json => &reports.json,
-        Format::Sarif => &reports.sarif,
-    };
-    out.push_str(&json_escape(payload));
+    out.push_str(&json_escape(format.select(reports)));
     out.push_str("\"}");
 }
 

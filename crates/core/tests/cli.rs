@@ -39,14 +39,24 @@ const RACY: &str = r#"
     }
 "#;
 
+const RACY_C: &str = r#"
+    struct S { any data; };
+    void worker(any s) { s->data = s; }
+    void main() {
+        s = malloc(S);
+        pthread_create(&t, worker, s);
+        x = s->data;
+    }
+"#;
+
 #[test]
 fn reports_race_with_exit_code_one() {
     let file = write_temp("racy.o2", RACY);
     let out = Command::new(o2_bin()).arg(&file).output().unwrap();
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("race #1"), "{stdout}");
-    assert!(stdout.contains("data"), "{stdout}");
+    assert!(stdout.contains("1 race(s) after triage"), "{stdout}");
+    assert!(stdout.contains("] data : "), "{stdout}");
 }
 
 #[test]
@@ -55,7 +65,55 @@ fn clean_program_exits_zero() {
     let out = Command::new(o2_bin()).arg(&file).output().unwrap();
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("no races detected"), "{stdout}");
+    assert!(stdout.contains("0 race(s) after triage"), "{stdout}");
+}
+
+/// `o2 <file> --quiet` prints exactly the text report `o2 serve` and
+/// `o2 batch --save-db` cache for the program, and each `--format`
+/// prints exactly that form.
+#[test]
+fn every_format_prints_the_solo_report_bytes() {
+    for (name, src, c) in [("solo.o2", RACY, false), ("solo.c", RACY_C, true)] {
+        let file = write_temp(name, src);
+        let program = o2::parse_program(src, c).unwrap();
+        let solo = solo_reports(&O2::default(), &program);
+        for (format, want) in [
+            (None, &solo.text),
+            (Some("text"), &solo.text),
+            (Some("json"), &solo.json),
+            (Some("sarif"), &solo.sarif),
+        ] {
+            let mut cmd = Command::new(o2_bin());
+            cmd.arg(&file).arg("--quiet");
+            if let Some(format) = format {
+                cmd.args(["--format", format]);
+            }
+            let out = cmd.output().unwrap();
+            assert_eq!(out.status.code(), Some(1), "{name} {format:?}");
+            assert_eq!(
+                String::from_utf8_lossy(&out.stdout),
+                want.as_str(),
+                "{name} {format:?}"
+            );
+        }
+    }
+}
+
+/// The raw detector dump and its flags are gone: the triaged report
+/// carries every fact they printed.
+#[test]
+fn retired_raw_output_flags_are_usage_errors() {
+    let file = write_temp("racy_retired.o2", RACY);
+    for flag in ["--json", "--deadlocks", "--oversync", "--racerd"] {
+        let out = Command::new(o2_bin())
+            .arg(&file)
+            .arg(flag)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+    }
 }
 
 #[test]
@@ -108,8 +166,10 @@ fn policy_flag_changes_results() {
     assert_eq!(zero.status.code(), Some(1), "0-ctx: false positive");
 }
 
+/// Deadlock cycles and over-synchronized sites are SARIF results of the
+/// one triaged report.
 #[test]
-fn deadlock_and_oversync_flags() {
+fn deadlocks_and_oversync_are_sarif_results() {
     let src = r#"
         class L { }
         class T1 impl Runnable {
@@ -136,12 +196,20 @@ fn deadlock_and_oversync_flags() {
     let file = write_temp("deadlock.o2", src);
     let out = Command::new(o2_bin())
         .arg(&file)
-        .args(["--deadlocks", "--oversync", "--quiet"])
+        .args(["--quiet", "--format", "sarif"])
         .output()
         .unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("deadlock #1"), "{stdout}");
-    assert!(stdout.contains("no over-synchronization"), "{stdout}");
+    assert_eq!(
+        stdout.matches("\"ruleId\": \"o2/deadlock\"").count(),
+        1,
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("Lock-order cycle obj#0 -> obj#1"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("\"ruleId\": \"o2/oversync\""), "{stdout}");
 }
 
 #[test]
@@ -168,13 +236,14 @@ fn json_output_is_well_formed() {
     let file = write_temp("racy_json.o2", RACY);
     let out = Command::new(o2_bin())
         .arg(&file)
-        .args(["--quiet", "--json"])
+        .args(["--quiet", "--format", "json"])
         .output()
         .unwrap();
+    assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.trim_start().starts_with('{'), "{stdout}");
     assert!(stdout.contains("\"races\""), "{stdout}");
-    assert!(stdout.contains("\"field\": \"data\""), "{stdout}");
+    assert!(stdout.contains("\"location\": \"data\""), "{stdout}");
     // Balanced braces as a cheap well-formedness check.
     let opens = stdout.matches('{').count();
     let closes = stdout.matches('}').count();
@@ -205,9 +274,9 @@ fn threads_one_is_accepted() {
     assert_eq!(out.status.code(), Some(1));
 }
 
-/// `--save-db` then `--load-db`: the warm run replays the cached reports
-/// (it prints the replay note) and its stdout is byte-identical to the
-/// cold run's.
+/// `--save-db` then `--load-db`, neither with a `--format`: the warm run
+/// replays the cached reports (it prints the replay note) and its stdout
+/// is byte-identical to the cold run's.
 #[test]
 fn save_and_load_db_roundtrip() {
     let file = write_temp("racy_db.o2", RACY);
@@ -215,7 +284,7 @@ fn save_and_load_db_roundtrip() {
     let _ = std::fs::remove_file(&db);
     let cold = Command::new(o2_bin())
         .arg(&file)
-        .args(["--quiet", "--format", "json", "--save-db"])
+        .args(["--quiet", "--save-db"])
         .arg(&db)
         .output()
         .unwrap();
@@ -223,7 +292,7 @@ fn save_and_load_db_roundtrip() {
     assert!(db.exists(), "database written");
     let warm = Command::new(o2_bin())
         .arg(&file)
-        .args(["--format", "json", "--load-db"])
+        .arg("--load-db")
         .arg(&db)
         .output()
         .unwrap();
@@ -328,8 +397,8 @@ fn cold_json(file: &std::path::Path) -> Vec<u8> {
 
 /// `diff-analyze --save-db` caches the new version's reports, and
 /// `o2 batch --save-db` caches every manifest program's: a later
-/// `--load-db` run on either answers from the cache, byte-identical to
-/// a cold run.
+/// `--load-db` run on either, file mode or `diff-analyze`, answers from
+/// the cache, byte-identical to a cold run.
 #[test]
 fn diff_and_batch_images_feed_the_load_db_fast_path() {
     let old = write_temp("img_old.o2", RACY);
@@ -362,6 +431,70 @@ fn diff_and_batch_images_feed_the_load_db_fast_path() {
     assert_eq!(out.status.code(), Some(1));
     assert_eq!(load_db_hit(&old, &batch_db), cold_json(&old));
     assert_eq!(load_db_hit(&new, &batch_db), cold_json(&new));
+
+    let out = Command::new(o2_bin())
+        .arg("diff-analyze")
+        .arg(&old)
+        .arg(&new)
+        .args(["--format", "json", "--load-db"])
+        .arg(&batch_db)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("replayed cached reports"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.starts_with("diff: 1 changed, 0 added, 0 removed\n"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.ends_with(String::from_utf8_lossy(&cold_json(&new)).as_ref()),
+        "{stdout}"
+    );
+}
+
+/// `o2 batch` as a process: the merged SARIF is byte-identical at 1 and
+/// 4 workers, and a manifest entry that fails to resolve is recorded in
+/// the merged JSON with its stage while the rest of the corpus runs.
+#[test]
+fn batch_process_merges_deterministically_and_records_failing_entries() {
+    let manifest = write_temp(
+        "smoke.manifest",
+        "avrora\nlusearch\nmega-smoke\nrealbug:ZooKeeper\nrealbug-c:Memcached\n",
+    );
+    let sarif = |workers: &str| {
+        let out = Command::new(o2_bin())
+            .arg("batch")
+            .arg(&manifest)
+            .args(["--workers", workers, "--format", "sarif", "--quiet"])
+            .output()
+            .unwrap();
+        out.stdout
+    };
+    let one = sarif("1");
+    assert!(!one.is_empty());
+    assert_eq!(
+        one,
+        sarif("4"),
+        "merged SARIF differs between 1 and 4 workers"
+    );
+
+    let manifest = write_temp("failing.manifest", "avrora\nno-such-workload\n");
+    let out = Command::new(o2_bin())
+        .arg("batch")
+        .arg(&manifest)
+        .args(["--workers", "2", "--format", "json", "--quiet"])
+        .output()
+        .unwrap();
+    // Races take precedence over the failing entry's resolve code (11).
+    assert!(
+        matches!(out.status.code(), Some(1 | 11)),
+        "{:?}",
+        out.status
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("\"stage\": \"resolve\""), "{stdout}");
 }
 
 #[test]
@@ -379,16 +512,7 @@ fn diff_analyze_needs_two_files() {
 
 #[test]
 fn c_frontend_by_extension() {
-    let src = r#"
-        struct S { any data; };
-        void worker(any s) { s->data = s; }
-        void main() {
-            s = malloc(S);
-            pthread_create(&t, worker, s);
-            x = s->data;
-        }
-    "#;
-    let file = write_temp("racy.c", src);
+    let file = write_temp("racy.c", RACY_C);
     let out = Command::new(o2_bin()).arg(&file).output().unwrap();
     assert_eq!(
         out.status.code(),
@@ -397,7 +521,8 @@ fn c_frontend_by_extension() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("race #1"), "{stdout}");
+    assert!(stdout.contains("1 race(s) after triage"), "{stdout}");
+    assert!(stdout.contains("] data : "), "{stdout}");
 }
 
 /// Upper bound on every wait of the `o2 serve` process test: port file,

@@ -139,11 +139,6 @@ impl ProgramBuilder {
         &mut self.entry_config
     }
 
-    /// Replaces the entry-point recognition rules.
-    pub fn set_entry_config(&mut self, cfg: EntryPointConfig) {
-        self.entry_config = cfg;
-    }
-
     /// Adds a class. Duplicate names are reported by [`Self::finish`].
     pub fn add_class(&mut self, name: impl Into<String>, superclass: Option<ClassId>) -> ClassId {
         let name = name.into();

@@ -112,18 +112,28 @@ impl O2Error {
         }
     }
 
-    /// Converts a caught panic payload (from `std::panic::catch_unwind`)
-    /// into [`O2Error::Internal`], recovering the panic message when it
-    /// was a string.
-    pub fn from_panic(payload: Box<dyn std::any::Any + Send>) -> O2Error {
-        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "panic with non-string payload".to_string()
-        };
-        O2Error::Internal(format!("caught panic: {msg}"))
+    /// Runs `f` under the pipeline's one panic backstop: a panic anywhere
+    /// inside becomes [`O2Error::Internal`] (carrying the panic message
+    /// when it was a string) instead of unwinding further, so one bad
+    /// program can never take down the CLI, a batch worker or a daemon
+    /// worker. Each front end wraps a program's whole work in one call:
+    /// analysis, the precision passes and rendering. The caller must not
+    /// hold a lock across `f`, so a caught panic poisons nothing shared.
+    ///
+    /// # Errors
+    ///
+    /// The error `f` returns, or [`O2Error::Internal`] if `f` panicked.
+    pub fn catch<T>(f: impl FnOnce() -> Result<T, O2Error>) -> Result<T, O2Error> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+            let msg: &str = if let Some(s) = payload.downcast_ref::<&str>() {
+                s
+            } else if let Some(s) = payload.downcast_ref::<String>() {
+                s
+            } else {
+                "panic with non-string payload"
+            };
+            Err(O2Error::Internal(format!("caught panic: {msg}")))
+        })
     }
 }
 
@@ -214,12 +224,6 @@ impl Budget {
         }
     }
 
-    /// Sets the deadline on an existing budget (builder-style).
-    pub fn and_deadline(mut self, timeout: Duration) -> Budget {
-        self.deadline = Instant::now().checked_add(timeout);
-        self
-    }
-
     /// `true` if neither a deadline nor a step ceiling is set — hot
     /// loops skip polling entirely in that case.
     pub fn is_unlimited(&self) -> bool {
@@ -231,11 +235,6 @@ impl Budget {
         if self.max_steps != u64::MAX {
             self.steps.fetch_add(n, Ordering::Relaxed);
         }
-    }
-
-    /// Steps consumed so far.
-    pub fn steps_used(&self) -> u64 {
-        self.steps.load(Ordering::Relaxed)
     }
 
     /// Cheap poll: `true` once the budget is exhausted. Safe to call
@@ -352,12 +351,15 @@ mod tests {
     }
 
     #[test]
-    fn from_panic_recovers_messages() {
-        let e = O2Error::from_panic(Box::new("boom"));
+    fn catch_turns_panics_into_internal_errors() {
+        let e = O2Error::catch(|| -> Result<(), O2Error> { panic!("boom") }).unwrap_err();
         assert_eq!(e.stage(), "internal");
         assert!(e.message().contains("boom"));
-        let e = O2Error::from_panic(Box::new("ouch".to_string()));
+        let e = O2Error::catch(|| -> Result<(), O2Error> { panic!("{}", "ouch") }).unwrap_err();
         assert!(e.message().contains("ouch"));
+        assert_eq!(O2Error::catch(|| Ok(7)), Ok(7));
+        let err = O2Error::Resolve("x".into());
+        assert_eq!(O2Error::catch(|| Err::<(), _>(err.clone())), Err(err));
     }
 
     #[test]

@@ -229,11 +229,6 @@ impl BitSet {
             BitIter { block, base }
         })
     }
-
-    /// Heap bytes held by the set (capacity, not just length).
-    pub fn approx_bytes(&self) -> usize {
-        self.blocks.capacity() * 8
-    }
 }
 
 struct BitIter {

@@ -55,7 +55,7 @@ pub mod sarif;
 pub mod triage;
 
 use o2_analysis::osa::OsaResult;
-use o2_detect::{DeadlockReport, OversyncReport, Race, RaceReport};
+use o2_detect::{DeadlockReport, OversyncReport, RaceReport};
 use o2_ir::program::Program;
 use o2_ir::ProgramCtx;
 use o2_pta::PtaResult;
@@ -304,10 +304,4 @@ pub fn run_pipeline(
         shb,
     };
     PassManager::standard().run(&ctx, races)
-}
-
-/// A human-readable label for the memory location of `race` (re-exported
-/// from the detector so downstream callers need only this crate).
-pub fn race_location_label(program: &Program, race: &Race) -> String {
-    o2_detect::mem_key_label(program, race.key)
 }

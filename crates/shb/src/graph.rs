@@ -235,10 +235,6 @@ impl HopTable {
     fn row(&self, o: u32) -> &[Hop] {
         &self.hops[self.offsets[o as usize] as usize..self.offsets[o as usize + 1] as usize]
     }
-
-    fn approx_bytes(&self) -> usize {
-        self.offsets.capacity() * 4 + self.hops.capacity() * std::mem::size_of::<Hop>()
-    }
 }
 
 /// The SHB graph: per-origin traces plus inter-origin edges.
@@ -413,36 +409,6 @@ impl ShbGraph {
             }
         }
         best
-    }
-
-    /// Approximate heap bytes of the frozen graph, broken down by
-    /// structure: `(traces, csr, locks, accesses_by_loc)`.
-    pub fn approx_bytes(&self) -> (usize, usize, usize, usize) {
-        let traces: usize = self
-            .traces
-            .iter()
-            .map(|t| {
-                t.accesses.capacity() * std::mem::size_of::<AccessNode>()
-                    + t.acquires.capacity() * std::mem::size_of::<AcquireNode>()
-                    + t.acquires
-                        .iter()
-                        .map(|a| a.elems.capacity() * 4)
-                        .sum::<usize>()
-            })
-            .sum::<usize>()
-            + self.traces.capacity() * std::mem::size_of::<OriginTrace>();
-        let csr = self.hops.approx_bytes()
-            + self.entry_edges.capacity() * std::mem::size_of::<EntryEdge>()
-            + self.join_edges.capacity() * std::mem::size_of::<JoinEdge>()
-            + self.cond_edges.capacity() * std::mem::size_of::<CondEdge>();
-        let locks = self.locks.approx_bytes();
-        let by_loc = self
-            .accesses_by_loc
-            .iter()
-            .map(|v| v.capacity() * std::mem::size_of::<(OriginId, u32)>())
-            .sum::<usize>()
-            + self.accesses_by_loc.capacity() * std::mem::size_of::<Vec<(OriginId, u32)>>();
-        (traces, csr, locks, by_loc)
     }
 }
 

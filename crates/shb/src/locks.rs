@@ -238,26 +238,6 @@ impl LockTable {
     pub fn num_sets(&self) -> usize {
         self.sets.len()
     }
-
-    /// Approximate heap bytes held by the table (interned sets and bitset
-    /// mirrors).
-    pub fn approx_bytes(&self) -> usize {
-        let set_bytes: usize = (0..self.sets.len() as u32)
-            .map(|i| self.sets.resolve(i).capacity() * 4)
-            .sum();
-        let bit_bytes: usize = self
-            .bits
-            .iter()
-            .chain(self.excl.iter())
-            .map(BitSet::approx_bytes)
-            .sum();
-        let conflict_bytes: usize = self.elem_conflicts.iter().map(|c| c.capacity() * 4).sum();
-        set_bytes
-            + bit_bytes
-            + conflict_bytes
-            + (self.bits.capacity() + self.excl.capacity()) * std::mem::size_of::<BitSet>()
-            + self.elems.len() * std::mem::size_of::<LockElem>()
-    }
 }
 
 #[cfg(test)]

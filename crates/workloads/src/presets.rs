@@ -679,14 +679,6 @@ pub fn preset_by_name(name: &str) -> Option<Preset> {
     all_presets().into_iter().find(|p| p.name == name)
 }
 
-/// The DaCapo subset (Tables 7 and 8).
-pub fn dacapo_presets() -> Vec<Preset> {
-    all_presets()
-        .into_iter()
-        .filter(|p| p.group == Group::DaCapo)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
