@@ -10,9 +10,9 @@
 //!
 //! Scheduling is a std-only work-stealing pool: `workers` scoped threads
 //! race on one atomic claim counter; whoever claims index `i` analyzes
-//! entry `i`. The merged JSON and SARIF reports are byte-identical for
-//! every worker count and claim order — they are pure functions of the
-//! per-program reports sorted by program name. Only the
+//! entry `i`. The merged text, JSON and SARIF reports are byte-identical
+//! for every worker count and claim order — they are pure functions of
+//! the per-program reports sorted by program name. Only the
 //! [`BatchReport::summary`] table (wall times) is scheduling-dependent,
 //! which is why it is a separate artifact.
 
@@ -106,7 +106,7 @@ pub fn parse_manifest(text: &str, base: &std::path::Path) -> Result<Vec<BatchEnt
 }
 
 /// Per-program outcome of a batch run (summary-table data; the full
-/// triaged report lives in [`BatchReport::json`]/[`BatchReport::sarif`]).
+/// triaged report lives in [`BatchReport`]'s text, JSON and SARIF).
 #[derive(Debug)]
 pub struct ProgramOutcome {
     /// The manifest name.
@@ -127,6 +127,10 @@ pub struct ProgramOutcome {
 pub struct BatchReport {
     /// Per-program outcomes, sorted by name.
     pub programs: Vec<ProgramOutcome>,
+    /// The text report: in name order, a `== <name>` line, then the text
+    /// report `o2 <file> --quiet` prints for that entry (or, for an entry
+    /// that failed, the `error: ...` line it prints instead).
+    pub text: String,
     /// The merged JSON report ([`o2_passes::corpus_json`] bytes).
     pub json: String,
     /// The merged SARIF report ([`o2_passes::corpus_sarif`] bytes).
@@ -336,11 +340,22 @@ fn run_entries(
         .iter()
         .filter_map(|(i, s)| Some((entries[*i].name.as_str(), s.outcome.error.as_ref()?)))
         .collect();
+    let mut text = String::new();
+    for (i, s) in &done {
+        let entry = &entries[*i];
+        let _ = writeln!(text, "== {}", entry.name);
+        if let Some(e) = &s.outcome.error {
+            let _ = writeln!(text, "error: {e}");
+        } else if let (Some(pipeline), Ok(program)) = (&s.pipeline, &entry.program) {
+            text.push_str(&pipeline.render(program));
+        }
+    }
     let json = o2_passes::corpus_json_with_errors(&merged, &errors);
     let sarif = o2_passes::corpus_sarif_with_errors(&merged, &errors);
 
     BatchReport {
         programs: done.into_iter().map(|(_, s)| s.outcome).collect(),
+        text,
         json,
         sarif,
         wall_ms: t0.elapsed().as_secs_f64() * 1000.0,

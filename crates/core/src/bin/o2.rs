@@ -229,7 +229,7 @@ fn usage() {
          \x20         [--format text|json|sarif] [--dot-shb] [--dot-callgraph]\n\
          \x20         [--html FILE] [--save-db FILE] [--load-db FILE]\n\
          \x20      o2 diff-analyze <old.o2> <new.o2> [same flags]\n\
-         \x20      o2 batch <manifest> [--workers N] [--format json|sarif] [--save-db FILE]\n\
+         \x20      o2 batch <manifest> [--workers N] [--format text|json|sarif] [--save-db FILE]\n\
          \x20         [same flags]\n\
          \x20         manifest: one entry per line — a registry workload name\n\
          \x20         (avrora, mega-smoke, realbug:ZooKeeper, realbug-c:Memcached)\n\
@@ -310,8 +310,9 @@ fn run_serve_mode(engine: &O2, opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `o2 batch manifest`: analyze the whole corpus. The merged report (JSON or SARIF, byte-identical for every
-/// `--workers` value and manifest order) goes to stdout; the
+/// `o2 batch manifest`: analyze the whole corpus. The merged report (text,
+/// JSON or SARIF, byte-identical for every `--workers` value and
+/// manifest order) goes to stdout; the
 /// scheduling-dependent summary table goes to stderr.
 fn run_batch_mode(engine: &O2, opts: &Options) -> ExitCode {
     let path = Path::new(&opts.file);
@@ -348,7 +349,7 @@ fn run_batch_mode(engine: &O2, opts: &Options) -> ExitCode {
         o2::run_batch(engine, &entries, workers)
     };
     match opts.format {
-        Format::Text => {}
+        Format::Text => print!("{}", report.text),
         Format::Json => print!("{}", report.json),
         Format::Sarif => print!("{}", report.sarif),
     }

@@ -497,6 +497,53 @@ fn batch_process_merges_deterministically_and_records_failing_entries() {
     assert!(stdout.contains("\"stage\": \"resolve\""), "{stdout}");
 }
 
+/// `o2 batch` with no `--format` (and with `--format text`) prints, in
+/// name order, each entry's `o2 <file> --quiet` bytes under a
+/// `== <name>` header.
+#[test]
+fn batch_text_report_is_each_entry_solo_report() {
+    let clean = "class Main { static method main() { } }";
+    let entries = [
+        ("zeta", "batch_text_racy.o2", RACY),
+        ("alpha", "batch_text_clean.o2", clean),
+        ("mid", "batch_text_racy.c", RACY_C),
+    ];
+    let mut manifest = String::new();
+    let mut sorted: Vec<(&str, Vec<u8>)> = Vec::new();
+    for (name, file, src) in entries {
+        let path = write_temp(file, src);
+        manifest.push_str(&format!("{name} = {file}\n"));
+        let solo = Command::new(o2_bin())
+            .arg(&path)
+            .arg("--quiet")
+            .output()
+            .unwrap();
+        sorted.push((name, solo.stdout));
+    }
+    sorted.sort();
+    let mut want = Vec::new();
+    for (name, stdout) in sorted {
+        want.extend(format!("== {name}\n").bytes());
+        want.extend(stdout);
+    }
+    let manifest = write_temp("batch_text.manifest", &manifest);
+    for format in [&[][..], &["--format", "text"][..]] {
+        let out = Command::new(o2_bin())
+            .arg("batch")
+            .arg(&manifest)
+            .args(["--workers", "2"])
+            .args(format)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{format:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&want),
+            "{format:?}"
+        );
+    }
+}
+
 #[test]
 fn diff_analyze_needs_two_files() {
     let old = write_temp("diff_only.o2", RACY);

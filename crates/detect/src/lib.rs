@@ -11,8 +11,8 @@
 //! [`DetectConfig`], which is how the ablation benches measure them:
 //!
 //! - `integer_hb` — intra-origin HB by node-id comparison, and inter-origin
-//!   HB from memoized reachability closures, instead of per-pair graph
-//!   traversal;
+//!   HB from one shared table of reachability closures, instead of
+//!   per-pair graph traversal;
 //! - `canonical_locksets` — interned lockset ids with a word-parallel
 //!   bitset disjointness check instead of per-pair list intersection;
 //! - `lock_region_merging` — one representative access per
@@ -61,6 +61,7 @@ pub use html::render_html;
 pub use oversync::{find_oversync, OversyncReport, OversyncWarning};
 
 use o2_analysis::{MemKey, OsaResult};
+use o2_db::FastSet;
 use o2_ir::error::{Budget, O2Error};
 use o2_ir::ids::GStmt;
 use o2_ir::json_escape;
@@ -68,16 +69,18 @@ use o2_ir::program::Program;
 use o2_ir::ProgramCtx;
 use o2_pta::{OriginId, PtaResult};
 use o2_shb::{AccessNode, ShbGraph};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Configuration of the race detection engine.
 #[derive(Clone, Debug)]
 pub struct DetectConfig {
     /// §4.1 optimization 1: integer-id intra-origin happens-before, with
-    /// each worker memoizing one [`ShbGraph::reach_closure`] per source
-    /// position. Off, every pair walks the graph node by node
+    /// one [`ShbGraph::segment_closure`] per closure slot (origin and hop
+    /// segment), computed once and shared by every worker. Off, every
+    /// pair walks the graph node by node
     /// ([`ShbGraph::happens_before_naive`]).
     pub integer_hb: bool,
     /// §4.1 optimization 2: canonical lockset ids with bitset disjointness.
@@ -334,6 +337,9 @@ impl RaceReport {
 struct Candidate {
     key: MemKey,
     accesses: Vec<(OriginId, AccessNode)>,
+    /// [`ShbGraph::closure_slot`] of each access, parallel to `accesses`;
+    /// empty unless the pair loop runs with [`DetectConfig::integer_hb`].
+    slots: Vec<usize>,
     region_merged: u64,
     /// Dense `origin id → (multi_instance, allocated_only_by_that_origin)`
     /// covering every origin appearing in `accesses` (slots for origins
@@ -350,8 +356,9 @@ struct Candidate {
 /// candidate order so the final report is independent of scheduling.
 #[derive(Default)]
 struct KeyOutcome {
-    /// Races in discovery order, *before* global deduplication (the merge
-    /// phase applies the cross-location `seen` filter).
+    /// Races in discovery order, each the first of its [`dedup_key`] that
+    /// its worker found (the merge phase applies the cross-worker `seen`
+    /// filter).
     races: Vec<Race>,
     pairs_checked: u64,
     lock_pruned: u64,
@@ -363,11 +370,12 @@ struct KeyOutcome {
 /// Runs race detection over the results of the pipeline stages.
 ///
 /// The check is embarrassingly parallel across memory locations: phase 1
-/// collects per-location access lists and per-origin flags serially (this
-/// is the only part that reads the pointer analysis), phase 2 fans the
-/// candidates out over [`DetectConfig::threads`] workers that share only
-/// the frozen SHB graph (each worker keeps a local happens-before closure
-/// memo), and phase 3 merges the per-candidate outcomes back in candidate
+/// collects per-location access lists, per-origin flags and closure slots
+/// serially (this is the only part that reads the pointer analysis),
+/// phase 2 fans the candidates out over [`DetectConfig::threads`] workers
+/// that share the frozen SHB graph and one table of happens-before
+/// closures (filled on first use), each dropping the races it already
+/// found, and phase 3 merges the per-candidate outcomes back in candidate
 /// order. Because the merge order is fixed,
 /// the report is byte-identical for every worker count (absent a
 /// [`DetectConfig::timeout`], which aborts mid-flight wherever the clock
@@ -464,7 +472,7 @@ fn detect_with_budget(
     merged.sort_unstable_by_key(|(i, _)| *i);
     // Candidate order already fixes which duplicate survives, so the dedup
     // set only needs membership, not ordering.
-    let mut seen: HashSet<(MemKey, GStmt, GStmt)> = HashSet::new();
+    let mut seen: FastSet<(MemKey, GStmt, GStmt)> = FastSet::default();
     for (i, outcome) in merged {
         report.region_merged += candidates[i].region_merged;
         report.pairs_checked += outcome.pairs_checked;
@@ -475,7 +483,7 @@ fn detect_with_budget(
         for r in outcome.races {
             // Deduplicate by field and unordered statement pair, across
             // all locations, in candidate order.
-            if seen.insert(dedup_key(r.key, r.a.stmt, r.b.stmt)) {
+            if seen.insert(dedup_key(&r)) {
                 report.races.push(r);
             }
         }
@@ -490,9 +498,9 @@ fn detect_with_budget(
 }
 
 /// Phase 1 of [`detect`]: collects the candidate locations with their
-/// (possibly region-merged) access lists and per-origin flags, and
-/// classifies every SHB-indexed location into the pre-loop pruning
-/// taxonomy. Serial — the only detection phase that reads the
+/// (possibly region-merged) access lists, per-origin flags and closure
+/// slots, and classifies every SHB-indexed location into the pre-loop
+/// pruning taxonomy. Serial — the only detection phase that reads the
 /// pointer-analysis result.
 fn collect_candidates(
     pta: &PtaResult,
@@ -506,16 +514,20 @@ fn collect_candidates(
     // context), so its accesses may race with themselves. Context-
     // sensitive policies split such origins; coarse ones rely on this
     // flag for soundness.
-    let mut entry_points: HashMap<u32, BTreeSet<(u32, GStmt)>> = HashMap::new();
-    for e in &shb.entry_edges {
-        entry_points
-            .entry(e.child.0)
-            .or_default()
-            .insert((e.parent.0, e.stmt));
+    let mut multi: Vec<bool> = (0..pta.num_origins() as u32)
+        .map(|o| pta.origin_is_multi(OriginId(o)))
+        .collect();
+    let mut entries: Vec<_> = shb
+        .entry_edges
+        .iter()
+        .map(|e| (e.child, e.parent, e.stmt))
+        .collect();
+    entries.sort_unstable();
+    entries.dedup();
+    for w in entries.windows(2).filter(|w| w[0].0 == w[1].0) {
+        multi[w[0].0 .0 as usize] = true;
     }
-    let is_multi = |o: o2_pta::OriginId| {
-        pta.origin_is_multi(o) || entry_points.get(&o.0).is_some_and(|s| s.len() >= 2)
-    };
+    let is_multi = |o: OriginId| multi[o.0 as usize];
     // Allocator attribution: an object allocated *inside* a multi-instance
     // origin is fresh per runtime instance, so accesses to it from its own
     // origin never self-race. `allocated_only_by(key, o)` is true when the
@@ -553,6 +565,7 @@ fn collect_candidates(
 
     let mut candidates: Vec<Candidate> = Vec::new();
     let mut stats = PruneStats::default();
+    let mut rep: FastSet<(u32, u32, bool)> = FastSet::default();
     // Walk candidate ids in canonical `MemKey` order (the order the old
     // keyed map iterated in), so region-merge representatives and the
     // phase-3 dedup retain exactly the same accesses as before the
@@ -612,7 +625,7 @@ fn collect_candidates(
         let mut region_merged = 0u64;
         let mut accesses: Vec<(OriginId, AccessNode)> = Vec::with_capacity(indexed.len());
         if config.lock_region_merging {
-            let mut rep: BTreeSet<(u32, u32, bool)> = BTreeSet::new();
+            rep.clear();
             for &(origin, idx) in indexed {
                 let a = shb.traces[origin.0 as usize].accesses[idx as usize];
                 if rep.insert((origin.0, a.region, a.is_write)) {
@@ -628,20 +641,15 @@ fn collect_candidates(
             }
         }
         let mut flags: Vec<(bool, bool)> = Vec::new();
-        let mut flag_set: Vec<bool> = Vec::new();
         for &(origin, _) in &accesses {
             let slot = origin.0 as usize;
             if slot >= flags.len() {
                 flags.resize(slot + 1, (false, false));
-                flag_set.resize(slot + 1, false);
             }
-            if !flag_set[slot] {
-                flag_set[slot] = true;
-                let multi = is_multi(origin);
-                // Allocator attribution only matters for multi-instance
-                // origins (it gates self-races); skip the lookup otherwise.
-                let sole = multi && allocated_only_by(&key, origin);
-                flags[slot] = (multi, sole);
+            // Allocator attribution only matters for multi-instance
+            // origins (it gates self-races); skip the lookup otherwise.
+            if !flags[slot].0 && is_multi(origin) {
+                flags[slot] = (true, allocated_only_by(&key, origin));
             }
         }
         // Stage 3: a lock element held at *every* access (word-parallel
@@ -657,9 +665,14 @@ fn collect_candidates(
             stats.candidate_locs += 1;
             stats.candidate_pairs += raw_pairs;
         }
+        let mut slots = Vec::new();
+        if config.integer_hb && !(config.preloop_prune && common_guard) {
+            slots.extend(accesses.iter().map(|&(o, a)| shb.closure_slot((o, a.pos))));
+        }
         candidates.push(Candidate {
             key,
             accesses,
+            slots,
             region_merged,
             flags,
             common_guard,
@@ -687,8 +700,8 @@ fn check_candidates_parallel(
     // Claim contiguous chunks of the candidate range instead of single
     // indices: one atomic per ~chunk keeps the claim overhead negligible
     // and gives each worker runs of adjacent candidates (which share trace
-    // and reach-closure locality), while `workers * 8` chunks per worker
-    // still balance the tail. Outcomes carry their candidate index, so the
+    // and closure slots), while `workers * 8` chunks per worker still
+    // balance the tail. Outcomes carry their candidate index, so the
     // claiming schedule cannot affect the merged report.
     let n = candidates.len();
     let workers = workers.clamp(1, n.max(1));
@@ -696,8 +709,11 @@ fn check_candidates_parallel(
     // A worker beyond the chunk count would exit its first claim without
     // doing any work; don't spawn it.
     let workers = workers.min(n.div_ceil(chunk).max(1));
+    // One closure per slot, computed by the first worker that needs it
+    // from the segment's lowest position, so no schedule changes it.
+    let closures: Vec<OnceLock<Vec<u32>>> = vec![OnceLock::new(); shb.num_closure_slots()];
     let run_worker = || {
-        let mut hb_memo: HbMemo = HashMap::new();
+        let mut seen: FastSet<(MemKey, GStmt, GStmt)> = FastSet::default();
         let mut pair_tick: u64 = 0;
         let mut outcomes: Vec<(usize, KeyOutcome)> = Vec::new();
         'claim: loop {
@@ -723,15 +739,18 @@ fn check_candidates_parallel(
                 if out_of_time.load(Ordering::Relaxed) {
                     break 'claim;
                 }
-                let outcome = check_candidate(
+                let mut outcome = check_candidate(
                     cand,
                     shb,
                     config,
                     deadline,
                     &out_of_time,
-                    &mut hb_memo,
+                    &closures,
                     &mut pair_tick,
                 );
+                // Claims only grow, so a worker's first copy of a race is
+                // its minimum by (candidate, discovery order): drop the rest.
+                outcome.races.retain(|r| seen.insert(dedup_key(r)));
                 outcomes.push((i, outcome));
             }
         }
@@ -756,15 +775,15 @@ fn check_candidates_parallel(
 }
 
 /// Checks every conflicting access pair of one candidate location.
-/// Runs on worker threads: reads only the frozen SHB graph plus the
-/// worker-local closure memo.
+/// Runs on worker threads: reads only the frozen SHB graph and the
+/// shared closure table.
 fn check_candidate(
     cand: &Candidate,
     shb: &ShbGraph,
     config: &DetectConfig,
     deadline: Option<Instant>,
     out_of_time: &AtomicBool,
-    hb_memo: &mut HbMemo,
+    closures: &[OnceLock<Vec<u32>>],
     pair_tick: &mut u64,
 ) -> KeyOutcome {
     let mut out = KeyOutcome::default();
@@ -846,20 +865,13 @@ fn check_candidate(
             let ordered = if same_origin {
                 false
             } else if config.integer_hb {
-                // One memoized reachability closure per source position
-                // answers *every* sink in O(1), so a position queried
-                // against k partners costs one DFS instead of k.
-                let ra = hb_memo
-                    .entry((oa.0, a.pos))
-                    .or_insert_with(|| shb.reach_closure(pa));
-                if ra[ob.0 as usize] <= b.pos {
-                    true
-                } else {
-                    let rb = hb_memo
-                        .entry((ob.0, b.pos))
-                        .or_insert_with(|| shb.reach_closure(pb));
-                    rb[oa.0 as usize] <= a.pos
-                }
+                // One shared reachability closure per closure slot answers
+                // *every* sink in another origin in O(1), so a slot queried
+                // against k partners by any worker costs one DFS, not k.
+                let closure =
+                    |slot: usize, at| closures[slot].get_or_init(|| shb.segment_closure(at));
+                closure(cand.slots[i], pa)[ob.0 as usize] <= b.pos
+                    || closure(cand.slots[j], pb)[oa.0 as usize] <= a.pos
             } else {
                 shb.happens_before_naive(pa, pb) || shb.happens_before_naive(pb, pa)
             };
@@ -906,23 +918,23 @@ fn synthesize_common_guard(
     multi: &impl Fn(OriginId) -> bool,
     sole_alloc: &impl Fn(OriginId) -> bool,
 ) -> KeyOutcome {
-    let c2 = |n: u64| n * n.saturating_sub(1) / 2;
-    let (mut n, mut r) = (0u64, 0u64);
-    let mut per_origin: HashMap<u32, (u64, u64)> = HashMap::new();
-    for &(origin, a) in &cand.accesses {
-        n += 1;
-        let slot = per_origin.entry(origin.0).or_default();
-        slot.0 += 1;
-        if !a.is_write {
-            r += 1;
-            slot.1 += 1;
-        }
-    }
-    let mut countable = c2(n) - c2(r);
-    for (&o, &(no, ro)) in &per_origin {
-        let o = OriginId(o);
+    // Pairs among `s`'s accesses that are not read-read.
+    let countable_in = |s: &[(u32, bool)]| {
+        let c2 = |n: u64| n * n.saturating_sub(1) / 2;
+        c2(s.len() as u64) - c2(s.iter().filter(|&&(_, read)| read).count() as u64)
+    };
+    // Sorted by origin, each origin's accesses form one run.
+    let mut sides: Vec<(u32, bool)> = cand
+        .accesses
+        .iter()
+        .map(|&(o, a)| (o.0, !a.is_write))
+        .collect();
+    sides.sort_unstable();
+    let mut countable = countable_in(&sides);
+    for run in sides.chunk_by(|x, y| x.0 == y.0) {
+        let o = OriginId(run[0].0);
         if !multi(o) || sole_alloc(o) {
-            countable -= c2(no) - c2(ro);
+            countable -= countable_in(run);
         }
     }
     let budget = config.max_pairs_per_location as u64;
@@ -947,27 +959,18 @@ pub fn mem_key_label(program: &Program, key: MemKey) -> String {
     }
 }
 
-/// Memoized reachability closures: `(origin, pos)` → the per-origin
-/// minimum reachable positions from that node
-/// ([`ShbGraph::reach_closure`]). One closure answers every
-/// happens-before query with that source in O(1).
-type HbMemo = HashMap<(u32, u32), Vec<u32>>;
-
 /// Dedup key: races are counted per (location-up-to-field, unordered
 /// statement pair), so the same code racing over many abstract objects is
 /// reported once — matching how the paper counts reported races.
-fn dedup_key(key: MemKey, s1: GStmt, s2: GStmt) -> (MemKey, GStmt, GStmt) {
-    let norm_key = match key {
+fn dedup_key(r: &Race) -> (MemKey, GStmt, GStmt) {
+    let norm_key = match r.key {
         // Keep the field but drop the object so identical code pairs on
         // sibling objects collapse.
         MemKey::Field(_, f) => MemKey::Field(o2_pta::ObjId(u32::MAX), f),
         s @ MemKey::Static(..) => s,
     };
-    if s1 <= s2 {
-        (norm_key, s1, s2)
-    } else {
-        (norm_key, s2, s1)
-    }
+    let (s1, s2) = (r.a.stmt, r.b.stmt);
+    (norm_key, s1.min(s2), s1.max(s2))
 }
 
 #[cfg(test)]

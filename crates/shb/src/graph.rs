@@ -191,7 +191,7 @@ pub struct ShbStats {
 /// reachable. Entry, join and condvar edges all fold into this shape; a
 /// join edge carries `from_pos = u32::MAX` because it is usable from any
 /// position in the child.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 struct Hop {
     from_pos: u32,
     to: u32,
@@ -209,31 +209,34 @@ struct HopTable {
 }
 
 impl HopTable {
-    /// Builds the table from `(source origin, hop)` pairs via a stable
-    /// counting sort, so each row keeps edge-emission order. The edges are
-    /// walked twice instead of collected, so no transient copy of the
-    /// edge set is allocated.
-    fn build(num_origins: usize, edges: impl Iterator<Item = (u32, Hop)> + Clone) -> HopTable {
+    /// Builds the table from `(source origin, hop)` pairs with one sort
+    /// by `(source origin, from_pos)`, so each row is sorted by `from_pos`
+    /// (the closure DFS is a min-fixpoint, so row order does not change
+    /// what it computes).
+    fn build(num_origins: usize, edges: impl Iterator<Item = (u32, Hop)>) -> HopTable {
+        let mut edges: Vec<(u32, Hop)> = edges.collect();
+        edges.sort_unstable_by_key(|&(from, hop)| (from, hop.from_pos));
         let mut offsets = vec![0u32; num_origins + 1];
-        for (from, _) in edges.clone() {
+        for &(from, _) in &edges {
             offsets[from as usize + 1] += 1;
         }
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
-        let mut cursor: Vec<u32> = offsets[..num_origins].to_vec();
-        let mut hops = vec![Hop::default(); offsets[num_origins] as usize];
-        for (from, hop) in edges {
-            hops[cursor[from as usize] as usize] = hop;
-            cursor[from as usize] += 1;
-        }
+        let hops = edges.into_iter().map(|(_, hop)| hop).collect();
         HopTable { offsets, hops }
     }
 
-    /// The hops leaving origin `o`.
+    /// The hops leaving origin `o`, by ascending `from_pos`.
     #[inline]
     fn row(&self, o: u32) -> &[Hop] {
         &self.hops[self.offsets[o as usize] as usize..self.offsets[o as usize + 1] as usize]
+    }
+
+    /// `p`'s hop segment: the index in `row(o)` of the first hop usable
+    /// from `p` (`from_pos >= p`); the row's suffix from there is usable.
+    fn segment(&self, o: u32, p: u32) -> usize {
+        self.row(o).partition_point(|h| h.from_pos < p)
     }
 }
 
@@ -391,9 +394,7 @@ impl ShbGraph {
     /// unreachable), so for `b.0 != from.0`, `from` happens-before `b`
     /// ⟺ `result[b.0] <= b.1`. A DFS with per-origin minimal-position
     /// pruning: a hop usable from position `p` is usable from any earlier
-    /// one. Detect workers memoize these vectors per source position,
-    /// turning the per-pair HB query of a candidate into one indexed
-    /// comparison.
+    /// one.
     pub fn reach_closure(&self, from: (OriginId, u32)) -> Vec<u32> {
         let mut best: Vec<u32> = vec![u32::MAX; self.traces.len()];
         let mut stack: Vec<(u32, u32)> = vec![(from.0 .0, from.1)];
@@ -402,13 +403,32 @@ impl ShbGraph {
                 continue;
             }
             best[o as usize] = p;
-            for h in self.hops.row(o) {
-                if h.from_pos >= p {
-                    stack.push((h.to, h.to_pos));
-                }
+            for h in &self.hops.row(o)[self.hops.segment(o, p)..] {
+                stack.push((h.to, h.to_pos));
             }
         }
         best
+    }
+
+    /// Number of [`ShbGraph::closure_slot`]s: one per origin and hop segment.
+    pub fn num_closure_slots(&self) -> usize {
+        self.hops.hops.len() + self.traces.len()
+    }
+
+    /// The dense slot of a trace position's hop segment: two positions
+    /// of one origin share it exactly when no hop leaves between them,
+    /// and then their [`ShbGraph::reach_closure`]s differ only in their
+    /// own origin's entry, so one closure per slot serves both.
+    pub fn closure_slot(&self, (o, p): (OriginId, u32)) -> usize {
+        self.hops.offsets[o.0 as usize] as usize + o.0 as usize + self.hops.segment(o.0, p)
+    }
+
+    /// [`ShbGraph::reach_closure`] from the lowest position of `(o, p)`'s
+    /// hop segment: the same for every position of the segment.
+    pub fn segment_closure(&self, (o, p): (OriginId, u32)) -> Vec<u32> {
+        let prev = self.hops.segment(o.0, p).checked_sub(1);
+        let start = prev.map_or(0, |k| self.hops.row(o.0)[k].from_pos + 1);
+        self.reach_closure((o, start))
     }
 }
 

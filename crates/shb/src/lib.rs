@@ -58,18 +58,23 @@ mod tests {
     fn shb_for(src: &str) -> (o2_ir::Program, o2_pta::PtaResult, ShbGraph, LocTable) {
         let p = parse(src).unwrap();
         o2_ir::validate::assert_valid(&p);
+        let (pta, shb, locs) = shb_of(&p);
+        (p, pta, shb, locs)
+    }
+
+    fn shb_of(p: &o2_ir::Program) -> (o2_pta::PtaResult, ShbGraph, LocTable) {
         let pta = analyze(
-            &o2_ir::ProgramCtx::solo(&p),
+            &o2_ir::ProgramCtx::solo(p),
             &PtaConfig::with_policy(Policy::origin1()),
         );
         let mut locs = LocTable::new();
         let shb = build_shb(
-            &o2_ir::ProgramCtx::solo(&p),
+            &o2_ir::ProgramCtx::solo(p),
             &pta,
             &ShbConfig::default(),
             &mut locs,
         );
-        (p, pta, shb, locs)
+        (pta, shb, locs)
     }
 
     const FORK_JOIN: &str = r#"
@@ -400,6 +405,51 @@ mod tests {
                             }
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// Closure slots key a position by its hop segment: the slot changes
+    /// between positions `p` and `p + 1` of one origin exactly when a hop
+    /// leaves at `p` (read off the public edge lists, not the hop table),
+    /// slots of different origins never meet, and every position's
+    /// closure equals its segment's canonical closure in every origin but
+    /// its own, which is the same for the whole segment.
+    #[test]
+    fn closure_slots_key_positions_by_hop_segment() {
+        let mut programs: Vec<o2_ir::Program> =
+            [FORK_JOIN, WAIT_NOTIFY].map(|s| parse(s).unwrap()).into();
+        let mega = o2_workloads::mega::mega_by_name("mega-smoke").unwrap();
+        programs.push(mega.generate().program);
+        for p in &programs {
+            let (_, shb, _) = shb_of(p);
+            let mut cuts: Vec<Vec<u32>> = vec![Vec::new(); shb.traces.len()];
+            for e in &shb.entry_edges {
+                cuts[e.parent.0 as usize].push(e.pos);
+            }
+            for c in &shb.cond_edges {
+                cuts[c.from.0 as usize].push(c.from_pos);
+            }
+            let mut canonical: std::collections::HashMap<usize, Vec<u32>> = Default::default();
+            let mut last: Option<usize> = None;
+            for (o, trace) in shb.traces.iter().enumerate() {
+                for pos in 0..trace.len {
+                    let at = (OriginId(o as u32), pos);
+                    let slot = shb.closure_slot(at);
+                    assert!(slot < shb.num_closure_slots());
+                    if let Some(prev) = last {
+                        let cut = pos == 0 || cuts[o].contains(&(pos - 1));
+                        assert_eq!(slot != prev, cut, "{at:?}: slot {prev} -> {slot}");
+                        assert!(slot >= prev, "{at:?}: slot {prev} -> {slot}");
+                    }
+                    last = Some(slot);
+                    let reach = shb.reach_closure(at);
+                    let seg = shb.segment_closure(at);
+                    for k in (0..reach.len()).filter(|&k| k != o) {
+                        assert_eq!(reach[k], seg[k], "{at:?} in origin {k}");
+                    }
+                    assert_eq!(canonical.entry(slot).or_insert_with(|| seg.clone()), &seg);
                 }
             }
         }
