@@ -4,7 +4,7 @@
 //! ```text
 //! o2 <file.o2> [--policy 0ctx|1cfa|2cfa|1obj|2obj|origin|korigin:K]
 //!              [--naive] [--no-dispatcher-lock] [--sharing] [--origins]
-//!              [--timeout SECS] [--threads N] [--quiet] [--c]
+//!              [--timeout SECS] [--quiet] [--c]
 //!              [--format text|json|sarif] [--dot-shb] [--dot-callgraph]
 //!              [--html FILE] [--save-db FILE] [--load-db FILE]
 //! o2 diff-analyze <old.o2> <new.o2> [same flags]
@@ -26,6 +26,10 @@
 //! needs the analysis itself; any other program is analyzed cold and its
 //! reports are cached. `diff-analyze` prints the function-level digest
 //! diff of two versions, then the report of the new one.
+//!
+//! `--timeout SECS` is a deadline for the analysis: a run that misses it
+//! exits 17 with no report and caches nothing. `o2 batch` and `o2 serve`
+//! reject it (serve requests carry their own `deadline_ms`).
 
 //! # Exit codes
 //!
@@ -56,7 +60,6 @@ struct Options {
     sharing: bool,
     origins: bool,
     timeout: Option<Duration>,
-    threads: Option<usize>,
     quiet: bool,
     format: Format,
     c_frontend: bool,
@@ -84,7 +87,6 @@ fn parse_args() -> Result<Options, String> {
         sharing: false,
         origins: false,
         timeout: None,
-        threads: None,
         quiet: false,
         format: Format::Text,
         c_frontend: false,
@@ -151,17 +153,6 @@ fn parse_args() -> Result<Options, String> {
                 }
                 opts.workers = Some(n);
             }
-            "--threads" => {
-                i += 1;
-                let v = args.get(i).ok_or("--threads needs a value")?;
-                let n: usize = v.parse().map_err(|_| "invalid --threads")?;
-                if n == 0 {
-                    return Err(
-                        "--threads must be at least 1 (omit the flag to use all cores)".to_string(),
-                    );
-                }
-                opts.threads = Some(n);
-            }
             "--help" | "-h" => return Err(String::new()),
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown flag {flag}"));
@@ -196,6 +187,11 @@ fn parse_args() -> Result<Options, String> {
             _ => return Err("multiple input files".to_string()),
         }
     }
+    if (opts.batch || opts.serve) && opts.timeout.is_some() {
+        return Err(
+            "--timeout applies to one program (serve requests carry deadline_ms)".to_string(),
+        );
+    }
     Ok(opts)
 }
 
@@ -225,17 +221,17 @@ fn usage() {
     eprintln!(
         "usage: o2 <file.o2> [--policy 0ctx|1cfa|2cfa|1obj|2obj|origin|korigin:K]\n\
          \x20         [--naive] [--no-dispatcher-lock] [--sharing] [--origins]\n\
-         \x20         [--timeout SECS] [--threads N] [--quiet] [--c]\n\
+         \x20         [--timeout SECS] [--quiet] [--c]\n\
          \x20         [--format text|json|sarif] [--dot-shb] [--dot-callgraph]\n\
          \x20         [--html FILE] [--save-db FILE] [--load-db FILE]\n\
          \x20      o2 diff-analyze <old.o2> <new.o2> [same flags]\n\
          \x20      o2 batch <manifest> [--workers N] [--format text|json|sarif] [--save-db FILE]\n\
-         \x20         [same flags]\n\
+         \x20         [same flags but --timeout]\n\
          \x20         manifest: one entry per line — a registry workload name\n\
          \x20         (avrora, mega-smoke, realbug:ZooKeeper, realbug-c:Memcached)\n\
          \x20         or `name = path/to/file.o2`; `#` starts a comment\n\
          \x20      o2 serve <addr> [--workers N] [--load-db FILE] [--save-db FILE]\n\
-         \x20         [--port-file FILE] [--quiet] [same engine flags]\n\
+         \x20         [--port-file FILE] [--quiet] [same engine flags but --timeout]\n\
          \x20         resident daemon; line-delimited JSON protocol (DESIGN §14)"
     );
 }
@@ -457,9 +453,10 @@ fn print_side_outputs(
 
 /// The one report path of file mode and `diff-analyze`: look the program
 /// up in the report cache by its whole-program digest, or run it cold
-/// (analysis, passes and rendering under the one panic backstop, then the
-/// summary and side outputs); print the triaged report in `--format`;
-/// cache it; exit 1 iff races survive triage.
+/// within `--timeout` (analysis, passes and rendering under the one panic
+/// backstop, then the summary and side outputs); print the triaged report
+/// in `--format`; cache it; exit 1 iff races survive triage. A run that
+/// misses its deadline prints and caches nothing.
 fn report_program(engine: &O2, opts: &Options, program: &Program) -> ExitCode {
     let sig = engine.config_sig();
     let mut db = match load_db(opts) {
@@ -483,8 +480,11 @@ fn report_program(engine: &O2, opts: &Options, program: &Program) -> ExitCode {
             reports
         }
         None => {
+            let budget = opts
+                .timeout
+                .map_or_else(Budget::unlimited, Budget::with_deadline);
             let run = O2Error::catch(|| {
-                let report = engine.analyze(program);
+                let report = engine.try_analyze(program, &budget)?;
                 let reports = render_reports(&report.run_pipeline(program), program);
                 Ok((report, reports))
             });
@@ -558,12 +558,6 @@ fn main() -> ExitCode {
     });
     if opts.naive {
         builder = builder.detect_config(DetectConfig::naive());
-    }
-    if let Some(t) = opts.threads {
-        builder = builder.detect_threads(t);
-    }
-    if let Some(t) = opts.timeout {
-        builder = builder.pta_timeout(t).detect_timeout(t);
     }
     let engine = builder.build();
 

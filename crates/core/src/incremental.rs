@@ -151,9 +151,7 @@ impl O2 {
     /// Digest of every configuration field that can influence analysis
     /// *results*: cached reports rendered under a different signature
     /// are never served. Kept for the benchmark, which binds its images
-    /// to it. `detect.threads` is deliberately excluded:
-    /// the report is byte-identical for every worker count, so warm
-    /// databases are shareable across `--threads` settings.
+    /// to it.
     pub fn config_sig(&self) -> Digest {
         let mut h = DigestHasher::with_tag("o2.config.v1");
         write_policy(&mut h, self.pta.policy);

@@ -258,13 +258,6 @@ impl O2Builder {
         self
     }
 
-    /// Sets the worker-thread count for the race-checking engine
-    /// (0 = available parallelism).
-    pub fn detect_threads(mut self, threads: usize) -> Self {
-        self.detect.threads = threads;
-        self
-    }
-
     /// Finishes the builder.
     pub fn build(self) -> O2 {
         O2 {
@@ -307,7 +300,7 @@ impl O2 {
 
     /// Runs the full pipeline under `ctx` with a request-scoped [`Budget`]
     /// checked at every stage boundary (and polled inside the OPA solver
-    /// loop and the detect chunk-claim loop). With an unlimited budget
+    /// loop and the detect candidate loop). With an unlimited budget
     /// this is exactly [`Self::analyze_ctx`]; with a deadline or step
     /// ceiling, tripping the budget aborts the request with
     /// [`O2Error::Timeout`] / [`O2Error::Budget`] instead of returning a

@@ -104,7 +104,13 @@ fn every_format_prints_the_solo_report_bytes() {
 #[test]
 fn retired_raw_output_flags_are_usage_errors() {
     let file = write_temp("racy_retired.o2", RACY);
-    for flag in ["--json", "--deadlocks", "--oversync", "--racerd"] {
+    for flag in [
+        "--json",
+        "--deadlocks",
+        "--oversync",
+        "--racerd",
+        "--threads",
+    ] {
         let out = Command::new(o2_bin())
             .arg(&file)
             .arg(flag)
@@ -250,28 +256,51 @@ fn json_output_is_well_formed() {
     assert_eq!(opens, closes, "{stdout}");
 }
 
+/// `--timeout` is a deadline for the whole run, not a truncation: a run
+/// out of time exits with the timeout stage code, prints no report and
+/// leaves nothing in the `--save-db` image; `batch` and `serve` reject
+/// the flag.
 #[test]
-fn threads_zero_is_rejected() {
-    let file = write_temp("racy_t0.o2", RACY);
+fn timeout_aborts_without_a_report_and_caches_nothing() {
+    let program = o2_workloads::workload_by_name("telegram").unwrap().program;
+    let file = write_temp(
+        "telegram_timeout.o2",
+        &o2_ir::printer::print_program(&program),
+    );
+    let db = std::env::temp_dir()
+        .join("o2-cli-tests")
+        .join("telegram_timeout.o2db");
+    let _ = std::fs::remove_file(&db);
     let out = Command::new(o2_bin())
         .arg(&file)
-        .args(["--threads", "0"])
+        .args(["--timeout", "0", "--quiet", "--save-db"])
+        .arg(&db)
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(out.status.code(), Some(17), "timeout stage exit code");
+    assert!(out.stdout.is_empty(), "no report on stdout");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--threads must be at least 1"), "{stderr}");
-}
-
-#[test]
-fn threads_one_is_accepted() {
-    let file = write_temp("racy_t1.o2", RACY);
-    let out = Command::new(o2_bin())
-        .arg(&file)
-        .args(["--threads", "1", "--quiet"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr.contains("timeout"), "{stderr}");
+    let digest = o2_ir::digest_program(&program).program;
+    if db.exists() {
+        let image = o2::prelude::AnalysisDb::load(&db).unwrap();
+        assert!(
+            image.lookup(O2::default().config_sig(), digest).is_none(),
+            "a timed-out run must not be cached"
+        );
+    }
+    let manifest = write_temp("timeout_manifest.txt", "avrora\n");
+    for args in [
+        vec!["batch".to_string(), manifest.display().to_string()],
+        vec!["serve".to_string(), "127.0.0.1:0".to_string()],
+    ] {
+        let out = Command::new(o2_bin())
+            .args(&args)
+            .args(["--timeout", "5"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+    }
 }
 
 /// `--save-db` then `--load-db`, neither with a `--format`: the warm run

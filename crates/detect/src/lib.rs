@@ -69,9 +69,9 @@ use o2_ir::program::Program;
 use o2_ir::ProgramCtx;
 use o2_pta::{OriginId, PtaResult};
 use o2_shb::{AccessNode, ShbGraph};
+use std::cell::OnceCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
 /// Configuration of the race detection engine.
@@ -79,8 +79,8 @@ use std::time::{Duration, Instant};
 pub struct DetectConfig {
     /// §4.1 optimization 1: integer-id intra-origin happens-before, with
     /// one [`ShbGraph::segment_closure`] per closure slot (origin and hop
-    /// segment), computed once and shared by every worker. Off, every
-    /// pair walks the graph node by node
+    /// segment), computed once per run and shared by every candidate. Off,
+    /// every pair walks the graph node by node
     /// ([`ShbGraph::happens_before_naive`]).
     pub integer_hb: bool,
     /// §4.1 optimization 2: canonical lockset ids with bitset disjointness.
@@ -97,12 +97,6 @@ pub struct DetectConfig {
     pub max_pairs_per_location: usize,
     /// Wall-clock budget for the whole detection.
     pub timeout: Option<Duration>,
-    /// Worker threads for the per-location pair check. `0` (the default)
-    /// uses [`std::thread::available_parallelism`]. Per-location checks
-    /// only read the frozen SHB graph and lockset table, so they fan out
-    /// across workers; results are merged back in candidate order, making
-    /// the report byte-identical for every thread count.
-    pub threads: usize,
 }
 
 impl DetectConfig {
@@ -115,7 +109,6 @@ impl DetectConfig {
             preloop_prune: true,
             max_pairs_per_location: 100_000,
             timeout: None,
-            threads: 0,
         }
     }
 
@@ -130,25 +123,6 @@ impl DetectConfig {
             preloop_prune: false,
             max_pairs_per_location: 100_000,
             timeout: None,
-            threads: 0,
-        }
-    }
-
-    /// The same configuration with an explicit worker count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Resolves the configured worker count: `0` means all available
-    /// hardware parallelism.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
         }
     }
 }
@@ -257,8 +231,6 @@ pub struct RaceReport {
     /// `true` if some location hit [`DetectConfig::max_pairs_per_location`]
     /// and its remaining pairs were skipped.
     pub pairs_budget_hit: bool,
-    /// Worker threads used for the pair check.
-    pub threads_used: usize,
     /// Pre-loop pruning classification of every SHB-indexed location
     /// (computed during candidate collection, so warm and cold runs agree;
     /// not serialized into [`RaceReport::to_json`]).
@@ -332,8 +304,8 @@ impl RaceReport {
 }
 
 /// One candidate memory location with its (possibly region-merged) access
-/// list and precomputed per-origin flags, ready to be checked by any
-/// worker without touching the pointer-analysis result.
+/// list and precomputed per-origin flags, ready for the pair loop without
+/// touching the pointer-analysis result.
 struct Candidate {
     key: MemKey,
     accesses: Vec<(OriginId, AccessNode)>,
@@ -352,34 +324,15 @@ struct Candidate {
     common_guard: bool,
 }
 
-/// Per-candidate results produced by a worker, merged serially in
-/// candidate order so the final report is independent of scheduling.
-#[derive(Default)]
-struct KeyOutcome {
-    /// Races in discovery order, each the first of its [`dedup_key`] that
-    /// its worker found (the merge phase applies the cross-worker `seen`
-    /// filter).
-    races: Vec<Race>,
-    pairs_checked: u64,
-    lock_pruned: u64,
-    hb_pruned: u64,
-    pairs_budget_hit: bool,
-    timed_out: bool,
-}
-
 /// Runs race detection over the results of the pipeline stages.
 ///
-/// The check is embarrassingly parallel across memory locations: phase 1
-/// collects per-location access lists, per-origin flags and closure slots
-/// serially (this is the only part that reads the pointer analysis),
-/// phase 2 fans the candidates out over [`DetectConfig::threads`] workers
-/// that share the frozen SHB graph and one table of happens-before
-/// closures (filled on first use), each dropping the races it already
-/// found, and phase 3 merges the per-candidate outcomes back in candidate
-/// order. Because the merge order is fixed,
-/// the report is byte-identical for every worker count (absent a
-/// [`DetectConfig::timeout`], which aborts mid-flight wherever the clock
-/// expires).
+/// Phase 1 collects per-location access lists, per-origin flags and
+/// closure slots (the only part that reads the pointer analysis); phase 2
+/// checks the candidates in candidate order against the frozen SHB graph
+/// and one table of happens-before closures filled on first use, keeping
+/// the first race of each field and unordered statement pair. A
+/// [`DetectConfig::timeout`] stops the pair loop wherever the clock
+/// expires ([`RaceReport::timed_out`]).
 pub fn detect(
     ctx: &ProgramCtx<'_>,
     pta: &PtaResult,
@@ -387,13 +340,14 @@ pub fn detect(
     shb: &ShbGraph,
     config: &DetectConfig,
 ) -> RaceReport {
-    detect_with_budget(ctx, pta, osa, shb, config, None).0
+    let Ok(report) = run_detect(ctx, pta, osa, shb, config, || Ok::<(), Infallible>(()));
+    report
 }
 
-/// Like [`detect`], but polls a request-scoped [`Budget`] in the
-/// chunk-claim loop of the parallel phase and *aborts* with a typed
-/// error when it trips — unlike [`DetectConfig::timeout`], which
-/// truncates the report ([`RaceReport::timed_out`]) and keeps going.
+/// Like [`detect`], but polls a request-scoped [`Budget`] once per
+/// candidate, one step each, and *aborts* with a typed error when it
+/// trips — unlike [`DetectConfig::timeout`], which truncates the report
+/// ([`RaceReport::timed_out`]) and keeps going.
 ///
 /// # Errors
 ///
@@ -408,31 +362,22 @@ pub fn detect_budgeted(
     budget: &Budget,
 ) -> Result<RaceReport, O2Error> {
     budget.check("detect entry")?;
-    let b = if budget.is_unlimited() {
-        None
-    } else {
-        Some(budget)
-    };
-    let (report, budget_hit) = detect_with_budget(ctx, pta, osa, shb, config, b);
-    if budget_hit {
-        budget.check("detect chunk claim")?;
-        // The flag was set but a sub-millisecond re-check came back
-        // clean; report the abort honestly anyway.
-        return Err(O2Error::Timeout(
-            "deadline exceeded at detect chunk claim".into(),
-        ));
-    }
-    Ok(report)
+    run_detect(ctx, pta, osa, shb, config, || {
+        budget.step(1);
+        budget.check("detect candidate loop")
+    })
 }
 
-fn detect_with_budget(
+/// [`detect`] with `poll` called before each candidate; its first error
+/// aborts the run.
+fn run_detect<E>(
     ctx: &ProgramCtx<'_>,
     pta: &PtaResult,
     osa: &OsaResult,
     shb: &ShbGraph,
     config: &DetectConfig,
-    budget: Option<&Budget>,
-) -> (RaceReport, bool) {
+    mut poll: impl FnMut() -> Result<(), E>,
+) -> Result<RaceReport, E> {
     debug_assert_eq!(
         pta.program_id,
         ctx.id(),
@@ -449,58 +394,42 @@ fn detect_with_budget(
         "detect: OsaResult from a different ProgramCtx"
     );
     let start = Instant::now();
-    let deadline = config.timeout.map(|t| start + t);
-    let mut report = RaceReport::default();
 
-    // ---- phase 1: serial candidate collection ---------------------------
+    // ---- phase 1: candidate collection ----------------------------------
     let (candidates, prune) = collect_candidates(pta, osa, shb, config);
-    report.prune = prune;
 
-    // ---- phase 2: parallel per-candidate checking -----------------------
-    let budget_hit = AtomicBool::new(false);
-    let (mut merged, out_of_time, workers) = check_candidates_parallel(
-        &candidates,
+    // ---- phase 2: the pair loop, in candidate order ---------------------
+    let mut pairs = PairLoop {
         shb,
         config,
-        deadline,
-        config.effective_threads(),
-        budget,
-        &budget_hit,
-    );
-
-    // ---- phase 3: deterministic merge -----------------------------------
-    merged.sort_unstable_by_key(|(i, _)| *i);
-    // Candidate order already fixes which duplicate survives, so the dedup
-    // set only needs membership, not ordering.
-    let mut seen: FastSet<(MemKey, GStmt, GStmt)> = FastSet::default();
-    for (i, outcome) in merged {
-        report.region_merged += candidates[i].region_merged;
-        report.pairs_checked += outcome.pairs_checked;
-        report.lock_pruned += outcome.lock_pruned;
-        report.hb_pruned += outcome.hb_pruned;
-        report.pairs_budget_hit |= outcome.pairs_budget_hit;
-        report.timed_out |= outcome.timed_out;
-        for r in outcome.races {
-            // Deduplicate by field and unordered statement pair, across
-            // all locations, in candidate order.
-            if seen.insert(dedup_key(&r)) {
-                report.races.push(r);
-            }
+        deadline: config.timeout.map(|t| start + t),
+        closures: vec![OnceCell::new(); shb.num_closure_slots()],
+        pair_tick: 0,
+        seen: FastSet::default(),
+        report: RaceReport {
+            prune,
+            ..RaceReport::default()
+        },
+    };
+    for cand in &candidates {
+        if pairs.report.timed_out {
+            break;
         }
+        poll()?;
+        pairs.check(cand);
     }
-    report.timed_out |= out_of_time;
-    report.threads_used = workers;
+    let mut report = pairs.report;
     report
         .races
         .sort_by_key(|r| (r.key, r.a.stmt, r.b.stmt, r.a.origin.0, r.b.origin.0));
     report.duration = start.elapsed();
-    (report, budget_hit.load(Ordering::Relaxed))
+    Ok(report)
 }
 
 /// Phase 1 of [`detect`]: collects the candidate locations with their
 /// (possibly region-merged) access lists, per-origin flags and closure
 /// slots, and classifies every SHB-indexed location into the pre-loop
-/// pruning taxonomy. Serial — the only detection phase that reads the
+/// pruning taxonomy. The only detection phase that reads the
 /// pointer-analysis result.
 fn collect_candidates(
     pta: &PtaResult,
@@ -568,8 +497,8 @@ fn collect_candidates(
     let mut rep: FastSet<(u32, u32, bool)> = FastSet::default();
     // Walk candidate ids in canonical `MemKey` order (the order the old
     // keyed map iterated in), so region-merge representatives and the
-    // phase-3 dedup retain exactly the same accesses as before the
-    // dense-id refactor.
+    // race dedup retain exactly the same accesses as before the dense-id
+    // refactor.
     for id in osa.locs.sorted_ids() {
         let indexed = shb.accesses_of(id);
         let raw_pairs = {
@@ -681,220 +610,148 @@ fn collect_candidates(
     (candidates, stats)
 }
 
-/// Phase 2 of [`detect`]: fans the candidates out over at most `workers`
-/// threads. Returns the per-candidate outcomes (tagged with their index
-/// into `candidates`, unsorted), whether the deadline expired, and the
-/// worker count actually spawned (capped at the number of claimable
-/// chunks, so oversubscribed small workloads don't spawn idle threads).
-fn check_candidates_parallel(
-    candidates: &[Candidate],
-    shb: &ShbGraph,
-    config: &DetectConfig,
+/// Phase 2 of [`detect`]: checks candidates one at a time, adding their
+/// counters and first-seen races to `report`.
+struct PairLoop<'a> {
+    shb: &'a ShbGraph,
+    config: &'a DetectConfig,
     deadline: Option<Instant>,
-    workers: usize,
-    budget: Option<&Budget>,
-    budget_hit: &AtomicBool,
-) -> (Vec<(usize, KeyOutcome)>, bool, usize) {
-    let next = AtomicUsize::new(0);
-    let out_of_time = AtomicBool::new(false);
-    // Claim contiguous chunks of the candidate range instead of single
-    // indices: one atomic per ~chunk keeps the claim overhead negligible
-    // and gives each worker runs of adjacent candidates (which share trace
-    // and closure slots), while `workers * 8` chunks per worker still
-    // balance the tail. Outcomes carry their candidate index, so the
-    // claiming schedule cannot affect the merged report.
-    let n = candidates.len();
-    let workers = workers.clamp(1, n.max(1));
-    let chunk = (n / (workers * 8)).max(1);
-    // A worker beyond the chunk count would exit its first claim without
-    // doing any work; don't spawn it.
-    let workers = workers.min(n.div_ceil(chunk).max(1));
-    // One closure per slot, computed by the first worker that needs it
-    // from the segment's lowest position, so no schedule changes it.
-    let closures: Vec<OnceLock<Vec<u32>>> = vec![OnceLock::new(); shb.num_closure_slots()];
-    let run_worker = || {
-        let mut seen: FastSet<(MemKey, GStmt, GStmt)> = FastSet::default();
-        let mut pair_tick: u64 = 0;
-        let mut outcomes: Vec<(usize, KeyOutcome)> = Vec::new();
-        'claim: loop {
-            let begin = next.fetch_add(chunk, Ordering::Relaxed);
-            if begin >= n
-                || out_of_time.load(Ordering::Relaxed)
-                || budget_hit.load(Ordering::Relaxed)
-            {
-                break;
-            }
-            // Request-budget checkpoint: one poll per claimed chunk (the
-            // per-pair deadline checks below stay the fine-grained guard
-            // for the truncation path).
-            if let Some(b) = budget {
-                b.step(chunk as u64);
-                if b.exceeded() {
-                    budget_hit.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
-            let end = (begin + chunk).min(n);
-            for (i, cand) in (begin..end).zip(&candidates[begin..end]) {
-                if out_of_time.load(Ordering::Relaxed) {
-                    break 'claim;
-                }
-                let mut outcome = check_candidate(
-                    cand,
-                    shb,
-                    config,
-                    deadline,
-                    &out_of_time,
-                    &closures,
-                    &mut pair_tick,
-                );
-                // Claims only grow, so a worker's first copy of a race is
-                // its minimum by (candidate, discovery order): drop the rest.
-                outcome.races.retain(|r| seen.insert(dedup_key(r)));
-                outcomes.push((i, outcome));
-            }
-        }
-        outcomes
-    };
-    let worker_results: Vec<Vec<(usize, KeyOutcome)>> = if workers <= 1 {
-        vec![run_worker()]
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers).map(|_| s.spawn(run_worker)).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("detect worker panicked"))
-                .collect()
-        })
-    };
-    let mut merged: Vec<(usize, KeyOutcome)> = Vec::with_capacity(n);
-    for outcomes in worker_results {
-        merged.extend(outcomes);
-    }
-    (merged, out_of_time.load(Ordering::Relaxed), workers)
+    /// One closure per [`ShbGraph::closure_slot`], computed on first use
+    /// from the segment's lowest position.
+    closures: Vec<OnceCell<Vec<u32>>>,
+    /// Pairs checked so far; the deadline is read every 4096th.
+    pair_tick: u64,
+    /// [`dedup_key`]s of the races in `report`: candidate order fixes
+    /// which copy of a race survives.
+    seen: FastSet<(MemKey, GStmt, GStmt)>,
+    report: RaceReport,
 }
 
-/// Checks every conflicting access pair of one candidate location.
-/// Runs on worker threads: reads only the frozen SHB graph and the
-/// shared closure table.
-fn check_candidate(
-    cand: &Candidate,
-    shb: &ShbGraph,
-    config: &DetectConfig,
-    deadline: Option<Instant>,
-    out_of_time: &AtomicBool,
-    closures: &[OnceLock<Vec<u32>>],
-    pair_tick: &mut u64,
-) -> KeyOutcome {
-    let mut out = KeyOutcome::default();
-    let key = cand.key;
-    let accesses = &cand.accesses;
-    let multi = |o: OriginId| cand.flags.get(o.0 as usize).is_some_and(|f| f.0);
-    let sole_alloc = |o: OriginId| cand.flags.get(o.0 as usize).is_some_and(|f| f.1);
-
-    if config.preloop_prune && cand.common_guard {
-        return synthesize_common_guard(cand, config, &multi, &sole_alloc);
-    }
-
-    // Self-races of multi-instance origins: a write by an abstract
-    // origin that stands for several runtime threads races with the
-    // same write in another instance — unless a lock protects it or
-    // the object is allocated per-instance inside the origin.
-    for &(origin, a) in accesses {
-        if a.is_write
-            && multi(origin)
-            && shb.locks.disjoint(a.lockset, a.lockset)
-            && !sole_alloc(origin)
-        {
-            let side = RaceAccess {
-                origin,
-                stmt: a.stmt,
-                is_write: true,
-            };
-            out.races.push(Race {
-                key,
-                a: side,
-                b: side,
-            });
+impl PairLoop<'_> {
+    /// Adds the race unless one with its [`dedup_key`] is already in.
+    fn push(&mut self, race: Race) {
+        if self.seen.insert(dedup_key(&race)) {
+            self.report.races.push(race);
         }
     }
 
-    let mut pairs_here: usize = 0;
-    'pairs: for i in 0..accesses.len() {
-        for j in (i + 1)..accesses.len() {
-            let (oa, a) = accesses[i];
-            let (ob, b) = accesses[j];
-            if !a.is_write && !b.is_write {
-                continue; // read-read
+    /// Checks every conflicting access pair of one candidate location.
+    fn check(&mut self, cand: &Candidate) {
+        let (shb, config) = (self.shb, self.config);
+        let key = cand.key;
+        let accesses = &cand.accesses;
+        let multi = |o: OriginId| cand.flags.get(o.0 as usize).is_some_and(|f| f.0);
+        let sole_alloc = |o: OriginId| cand.flags.get(o.0 as usize).is_some_and(|f| f.1);
+        self.report.region_merged += cand.region_merged;
+
+        if config.preloop_prune && cand.common_guard {
+            let (pairs_checked, budget_hit) =
+                synthesize_common_guard(cand, config, &multi, &sole_alloc);
+            self.report.pairs_checked += pairs_checked;
+            self.report.lock_pruned += pairs_checked;
+            self.report.pairs_budget_hit |= budget_hit;
+            return;
+        }
+
+        // Self-races of multi-instance origins: a write by an abstract
+        // origin that stands for several runtime threads races with the
+        // same write in another instance — unless a lock protects it or
+        // the object is allocated per-instance inside the origin.
+        for &(origin, a) in accesses {
+            if a.is_write
+                && multi(origin)
+                && shb.locks.disjoint(a.lockset, a.lockset)
+                && !sole_alloc(origin)
+            {
+                let side = RaceAccess {
+                    origin,
+                    stmt: a.stmt,
+                    is_write: true,
+                };
+                self.push(Race {
+                    key,
+                    a: side,
+                    b: side,
+                });
             }
-            let same_origin = oa == ob;
-            if same_origin && (!multi(oa) || sole_alloc(oa)) {
-                continue; // one runtime instance, or per-instance data
-            }
-            pairs_here += 1;
-            if pairs_here > config.max_pairs_per_location {
-                out.pairs_budget_hit = true;
-                break 'pairs;
-            }
-            out.pairs_checked += 1;
-            *pair_tick += 1;
-            if pair_tick.is_multiple_of(4096) {
-                if let Some(d) = deadline {
-                    if Instant::now() > d {
-                        out.timed_out = true;
-                        out_of_time.store(true, Ordering::Relaxed);
-                        break 'pairs;
+        }
+
+        let mut pairs_here: usize = 0;
+        'pairs: for i in 0..accesses.len() {
+            for j in (i + 1)..accesses.len() {
+                let (oa, a) = accesses[i];
+                let (ob, b) = accesses[j];
+                if !a.is_write && !b.is_write {
+                    continue; // read-read
+                }
+                let same_origin = oa == ob;
+                if same_origin && (!multi(oa) || sole_alloc(oa)) {
+                    continue; // one runtime instance, or per-instance data
+                }
+                pairs_here += 1;
+                if pairs_here > config.max_pairs_per_location {
+                    self.report.pairs_budget_hit = true;
+                    break 'pairs;
+                }
+                self.report.pairs_checked += 1;
+                self.pair_tick += 1;
+                if self.pair_tick.is_multiple_of(4096) {
+                    if let Some(d) = self.deadline {
+                        if Instant::now() > d {
+                            self.report.timed_out = true;
+                            break 'pairs;
+                        }
                     }
                 }
+                // Lockset check.
+                let disjoint = if config.canonical_locksets {
+                    shb.locks.disjoint(a.lockset, b.lockset)
+                } else {
+                    shb.locks.disjoint_uncached(a.lockset, b.lockset)
+                };
+                if !disjoint {
+                    self.report.lock_pruned += 1;
+                    continue;
+                }
+                // Happens-before check (both directions). Two instances
+                // of a multi-instance origin are mutually unordered, so
+                // same-origin pairs skip it.
+                let pa = (oa, a.pos);
+                let pb = (ob, b.pos);
+                let ordered = if same_origin {
+                    false
+                } else if config.integer_hb {
+                    // One reachability closure per closure slot answers
+                    // *every* sink in another origin in O(1), so a slot
+                    // queried against k partners costs one DFS, not k.
+                    let closure = |slot: usize, at| {
+                        self.closures[slot].get_or_init(|| shb.segment_closure(at))
+                    };
+                    closure(cand.slots[i], pa)[ob.0 as usize] <= b.pos
+                        || closure(cand.slots[j], pb)[oa.0 as usize] <= a.pos
+                } else {
+                    shb.happens_before_naive(pa, pb) || shb.happens_before_naive(pb, pa)
+                };
+                if ordered {
+                    self.report.hb_pruned += 1;
+                    continue;
+                }
+                self.push(Race {
+                    key,
+                    a: RaceAccess {
+                        origin: oa,
+                        stmt: a.stmt,
+                        is_write: a.is_write,
+                    },
+                    b: RaceAccess {
+                        origin: ob,
+                        stmt: b.stmt,
+                        is_write: b.is_write,
+                    },
+                });
             }
-            // Lockset check.
-            let disjoint = if config.canonical_locksets {
-                shb.locks.disjoint(a.lockset, b.lockset)
-            } else {
-                shb.locks.disjoint_uncached(a.lockset, b.lockset)
-            };
-            if !disjoint {
-                out.lock_pruned += 1;
-                continue;
-            }
-            // Happens-before check (both directions). Two instances
-            // of a multi-instance origin are mutually unordered, so
-            // same-origin pairs skip it.
-            let pa = (oa, a.pos);
-            let pb = (ob, b.pos);
-            let ordered = if same_origin {
-                false
-            } else if config.integer_hb {
-                // One shared reachability closure per closure slot answers
-                // *every* sink in another origin in O(1), so a slot queried
-                // against k partners by any worker costs one DFS, not k.
-                let closure =
-                    |slot: usize, at| closures[slot].get_or_init(|| shb.segment_closure(at));
-                closure(cand.slots[i], pa)[ob.0 as usize] <= b.pos
-                    || closure(cand.slots[j], pb)[oa.0 as usize] <= a.pos
-            } else {
-                shb.happens_before_naive(pa, pb) || shb.happens_before_naive(pb, pa)
-            };
-            if ordered {
-                out.hb_pruned += 1;
-                continue;
-            }
-            out.races.push(Race {
-                key,
-                a: RaceAccess {
-                    origin: oa,
-                    stmt: a.stmt,
-                    is_write: a.is_write,
-                },
-                b: RaceAccess {
-                    origin: ob,
-                    stmt: b.stmt,
-                    is_write: b.is_write,
-                },
-            });
         }
     }
-    out
 }
 
 /// Closed-form outcome for a common-guard candidate: every enumerable
@@ -911,13 +768,14 @@ fn check_candidate(
 /// where `n`/`r` count accesses/reads and `n_o`/`r_o` count them per
 /// origin (the subtracted term is the same-origin skip for
 /// single-instance or per-instance-allocating origins; read-read pairs
-/// are never counted).
+/// are never counted). Returns the pairs checked (all lock-pruned) and
+/// whether the pair budget was hit.
 fn synthesize_common_guard(
     cand: &Candidate,
     config: &DetectConfig,
     multi: &impl Fn(OriginId) -> bool,
     sole_alloc: &impl Fn(OriginId) -> bool,
-) -> KeyOutcome {
+) -> (u64, bool) {
     // Pairs among `s`'s accesses that are not read-read.
     let countable_in = |s: &[(u32, bool)]| {
         let c2 = |n: u64| n * n.saturating_sub(1) / 2;
@@ -938,15 +796,7 @@ fn synthesize_common_guard(
         }
     }
     let budget = config.max_pairs_per_location as u64;
-    let pairs_checked = countable.min(budget);
-    KeyOutcome {
-        races: Vec::new(),
-        pairs_checked,
-        lock_pruned: pairs_checked,
-        hb_pruned: 0,
-        pairs_budget_hit: countable > budget,
-        timed_out: false,
-    }
+    (countable.min(budget), countable > budget)
 }
 
 /// Renders a memory location as `field` or `Class::field` for reports.

@@ -7,8 +7,8 @@
 //! without ever panicking on user input.
 //!
 //! [`Budget`] is the companion request-lifecycle type: a wall-clock
-//! deadline plus a shared step counter, checked at stage boundaries, in
-//! the OPA solver's iteration loop, and in the detect chunk-claim loop.
+//! deadline plus a step counter, checked at stage boundaries, in the OPA
+//! solver's iteration loop, and in the detect candidate loop.
 //! Unlike the per-stage *truncation* budgets ([`PtaConfig::timeout`]
 //! and friends, which degrade the result and keep going), an exceeded
 //! `Budget` aborts the request with [`O2Error::Timeout`] /
@@ -172,21 +172,20 @@ impl From<crate::parser::ParseError> for O2Error {
 
 /// A request-scoped execution budget: an optional wall-clock deadline
 /// plus an optional step ceiling, shared (by reference) across every
-/// stage and worker thread of one analysis. All state is atomic or
-/// immutable, so one `Budget` can be polled concurrently from the
-/// detect worker pool.
+/// stage of one analysis. All state is atomic or immutable, so a
+/// `Budget` is `Sync`.
 ///
 /// The checkpoints are deliberately coarse — stage boundaries, every
-/// 256 OPA solver iterations, every detect chunk claim — so an
-/// unlimited budget costs two atomic loads per checkpoint and nothing
-/// in the inner pair loops.
+/// 256 OPA solver iterations, every detect candidate — so an unlimited
+/// budget costs two atomic loads per checkpoint and nothing in the
+/// inner pair loops.
 #[derive(Debug)]
 pub struct Budget {
     /// Absolute wall-clock deadline, if any.
     deadline: Option<Instant>,
     /// Step ceiling (`u64::MAX` = unlimited).
     max_steps: u64,
-    /// Steps consumed so far, across all stages and threads.
+    /// Steps consumed so far, across all stages.
     steps: AtomicU64,
 }
 

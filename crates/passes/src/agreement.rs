@@ -43,7 +43,6 @@ impl Pass for RacerdAgreementPass {
             }
         }
         let total = report.total_warnings() as u64;
-        state.racerd = Some(report);
         vec![("racerd_warnings", total), ("agreements", agreements)]
     }
 }

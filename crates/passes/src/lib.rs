@@ -59,7 +59,6 @@ use o2_detect::{DeadlockReport, OversyncReport, RaceReport};
 use o2_ir::program::Program;
 use o2_ir::ProgramCtx;
 use o2_pta::PtaResult;
-use o2_racerd::RacerDReport;
 use o2_shb::{LockTable, ShbGraph};
 use std::time::{Duration, Instant};
 
@@ -101,8 +100,6 @@ pub struct PipelineState {
     pub deadlocks: Option<DeadlockReport>,
     /// Over-synchronization report (attached by the over-sync pass).
     pub oversync: Option<OversyncReport>,
-    /// RacerD baseline report (attached by the agreement pass).
-    pub racerd: Option<RacerDReport>,
 }
 
 /// Per-pass counters, rendered into the pipeline text and JSON. Keys are
@@ -182,7 +179,6 @@ impl PassManager {
             suppressed: state.suppressed,
             deadlocks: state.deadlocks,
             oversync: state.oversync,
-            racerd: state.racerd,
             passes: runs,
         }
     }
@@ -202,8 +198,6 @@ pub struct PipelineReport {
     pub deadlocks: Option<DeadlockReport>,
     /// Over-synchronization report, if that pass ran.
     pub oversync: Option<OversyncReport>,
-    /// RacerD baseline report, if the agreement pass ran.
-    pub racerd: Option<RacerDReport>,
     /// Per-pass timings and counters, in execution order.
     pub passes: Vec<PassRun>,
 }

@@ -8,8 +8,7 @@
 //! *logical* locations (`Class.method:line` fully-qualified names)
 //! rather than physical artifact locations. Serialization reads only
 //! from the report's already-sorted lists and contains no timestamps or
-//! absolute paths, so the bytes are identical across runs and across
-//! `--threads` values.
+//! absolute paths, so the bytes are identical across runs.
 
 use crate::triage::Tier;
 use crate::{PipelineReport, TriagedRace};

@@ -191,7 +191,7 @@ fn triaged_json(program: &Program, tr: &TriagedRace) -> String {
 }
 
 /// The deterministic JSON rendering of a pipeline report (no durations,
-/// byte-stable across runs and `--threads` values).
+/// byte-stable across runs).
 pub fn report_to_json(report: &PipelineReport, program: &Program) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"races\": [\n");

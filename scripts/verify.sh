@@ -67,7 +67,7 @@ done > "$work/nontest.rs"
 # new panic crept into code reachable from a request, which the typed
 # error plane forbids. Lower the ceiling when you remove panics; never
 # raise it without an audit.
-panic_budget=157
+panic_budget=156
 echo "==> panic-budget lint (ceiling $panic_budget)"
 panic_count=$(grep -v -E '^[[:space:]]*//' "$work/nontest.rs" |
     grep -c -E '\.unwrap\(\)|\.expect\(|panic!\(' || true)
@@ -80,7 +80,7 @@ fi
 
 # Non-test line count, a tracked number that should only go down. Lower
 # the ceiling when you delete code; never raise it without an audit.
-line_budget=18937
+line_budget=18763
 echo "==> non-test line count (ceiling $line_budget)"
 line_count=$(($(wc -l < "$work/nontest.rs")))
 echo "non-test lines in crate code: $line_count"

@@ -80,6 +80,21 @@ fn step_budget_aborts_with_budget_stage() {
     assert_eq!(err.exit_code(), 18);
 }
 
+/// The step budget is polled inside detect's candidate loop, not only at
+/// stage entries. On avrora the OPA solver polls 4 × 256 steps and the
+/// loop one step per candidate (11 of them), so a ceiling of 1029 passes
+/// PTA and every entry check and trips mid-loop.
+#[test]
+fn step_budget_trips_inside_the_detect_candidate_loop() {
+    let engine = O2Builder::new().build();
+    let w = o2_workloads::workload_by_name("avrora").unwrap();
+    let err = engine
+        .try_analyze(&w.program, &Budget::with_max_steps(1029))
+        .unwrap_err();
+    assert_eq!(err.stage(), "budget");
+    assert!(err.to_string().contains("detect candidate loop"), "{err}");
+}
+
 // ---------------------------------------------------------------------
 // Batch: failing entries become corpus error records, deterministically.
 // ---------------------------------------------------------------------
