@@ -156,14 +156,10 @@ impl O2 {
         let mut h = DigestHasher::with_tag("o2.config.v1");
         write_policy(&mut h, self.pta.policy);
         write_timeout(&mut h, self.pta.timeout);
-        h.write_u64(self.pta.max_steps);
-        h.write_u64(self.pta.wrapper_site_limit as u64);
         h.write_u32(self.pta.max_origin_depth);
         h.write_bool(self.pta.anonymous_external_objects);
         h.write_bool(self.pta.difference_propagation);
         h.write_u64(self.shb.node_budget as u64);
-        h.write_u64(self.shb.max_walk_depth as u64);
-        h.write_u64(self.shb.max_visited_methods as u64);
         h.write_bool(self.shb.event_dispatcher_lock);
         match self.shb.main_dispatcher {
             Some(d) => {
@@ -179,7 +175,6 @@ impl O2 {
         h.write_bool(self.detect.integer_hb);
         h.write_bool(self.detect.canonical_locksets);
         h.write_bool(self.detect.lock_region_merging);
-        h.write_u64(self.detect.max_pairs_per_location as u64);
         write_timeout(&mut h, self.detect.timeout);
         h.finish()
     }

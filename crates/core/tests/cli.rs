@@ -124,11 +124,29 @@ fn retired_raw_output_flags_are_usage_errors() {
 
 #[test]
 fn parse_error_exits_with_parse_stage_code() {
-    let file = write_temp("bad.o2", "class {");
-    let out = Command::new(o2_bin()).arg(&file).output().unwrap();
-    assert_eq!(out.status.code(), Some(10), "parse stage exit code");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("parse error"), "{stderr}");
+    // An unclosed `/*` is an error at its position, not a comment that
+    // silently swallows the rest of the file.
+    let unclosed_c = RACY_C.replacen("void worker", "/* void worker", 1);
+    let unclosed_o2 = RACY.replacen("class W", "/* class W", 1);
+    for (name, src, want) in [
+        ("bad.o2", "class {", "parse error"),
+        (
+            "unclosed.c",
+            unclosed_c.as_str(),
+            "line 3, col 5: unterminated `/*`",
+        ),
+        (
+            "unclosed.o2",
+            unclosed_o2.as_str(),
+            "line 3, col 5: unterminated `/*`",
+        ),
+    ] {
+        let file = write_temp(name, src);
+        let out = Command::new(o2_bin()).arg(&file).output().unwrap();
+        assert_eq!(out.status.code(), Some(10), "{name}: parse stage exit code");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(want), "{name}: {stderr}");
+    }
 }
 
 #[test]

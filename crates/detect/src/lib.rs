@@ -74,6 +74,9 @@ use std::collections::HashMap;
 use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
+/// Budget: maximum access pairs checked per memory location.
+const MAX_PAIRS_PER_LOCATION: usize = 100_000;
+
 /// Configuration of the race detection engine.
 #[derive(Clone, Debug)]
 pub struct DetectConfig {
@@ -93,8 +96,6 @@ pub struct DetectConfig {
     /// candidate fails the lockset-disjointness test — and exact: the
     /// synthesized outcome reproduces the loop's counters bit for bit.
     pub preloop_prune: bool,
-    /// Budget: maximum access pairs checked per memory location.
-    pub max_pairs_per_location: usize,
     /// Wall-clock budget for the whole detection.
     pub timeout: Option<Duration>,
 }
@@ -107,7 +108,6 @@ impl DetectConfig {
             canonical_locksets: true,
             lock_region_merging: true,
             preloop_prune: true,
-            max_pairs_per_location: 100_000,
             timeout: None,
         }
     }
@@ -121,7 +121,6 @@ impl DetectConfig {
             canonical_locksets: false,
             lock_region_merging: false,
             preloop_prune: false,
-            max_pairs_per_location: 100_000,
             timeout: None,
         }
     }
@@ -228,8 +227,8 @@ pub struct RaceReport {
     /// `true` if the time budget expired before all candidates were
     /// checked.
     pub timed_out: bool,
-    /// `true` if some location hit [`DetectConfig::max_pairs_per_location`]
-    /// and its remaining pairs were skipped.
+    /// `true` if some location hit the pair budget (100,000 pairs per
+    /// location) and its remaining pairs were skipped.
     pub pairs_budget_hit: bool,
     /// Pre-loop pruning classification of every SHB-indexed location
     /// (computed during candidate collection, so warm and cold runs agree;
@@ -645,8 +644,7 @@ impl PairLoop<'_> {
         self.report.region_merged += cand.region_merged;
 
         if config.preloop_prune && cand.common_guard {
-            let (pairs_checked, budget_hit) =
-                synthesize_common_guard(cand, config, &multi, &sole_alloc);
+            let (pairs_checked, budget_hit) = synthesize_common_guard(cand, &multi, &sole_alloc);
             self.report.pairs_checked += pairs_checked;
             self.report.lock_pruned += pairs_checked;
             self.report.pairs_budget_hit |= budget_hit;
@@ -689,7 +687,7 @@ impl PairLoop<'_> {
                     continue; // one runtime instance, or per-instance data
                 }
                 pairs_here += 1;
-                if pairs_here > config.max_pairs_per_location {
+                if pairs_here > MAX_PAIRS_PER_LOCATION {
                     self.report.pairs_budget_hit = true;
                     break 'pairs;
                 }
@@ -772,7 +770,6 @@ impl PairLoop<'_> {
 /// whether the pair budget was hit.
 fn synthesize_common_guard(
     cand: &Candidate,
-    config: &DetectConfig,
     multi: &impl Fn(OriginId) -> bool,
     sole_alloc: &impl Fn(OriginId) -> bool,
 ) -> (u64, bool) {
@@ -795,7 +792,7 @@ fn synthesize_common_guard(
             countable -= countable_in(run);
         }
     }
-    let budget = config.max_pairs_per_location as u64;
+    let budget = MAX_PAIRS_PER_LOCATION as u64;
     (countable.min(budget), countable > budget)
 }
 

@@ -23,6 +23,11 @@
 //! - `p->f` is a field access, `p[i]` an array access, `malloc(S)` an
 //!   allocation.
 //!
+//! The lexical rules are the text frontend's: `//` and `/* */` comments
+//! (an unclosed `/*` is an error at its position), identifiers
+//! `[A-Za-z_$][A-Za-z0-9_$]*` and `<init>`-style `<` word `>` names,
+//! decimal numbers.
+//!
 //! ```
 //! let program = o2_ir::cfront::parse_c(r#"
 //!     struct Slab { any slabs; };
@@ -39,211 +44,10 @@
 //! ```
 
 use crate::builder::{MethodBuilder, ProgramBuilder};
+use crate::lex::{Cursor, Tok};
 use crate::origins::OriginKind;
-use crate::parser::{ParseError, Pos};
+use crate::parser::ParseError;
 use crate::program::{Program, RwMode};
-
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
-    Num(u64),
-    LBrace,
-    RBrace,
-    LParen,
-    RParen,
-    LBracket,
-    RBracket,
-    Semi,
-    Comma,
-    Eq,
-    Arrow,
-    Amp,
-    Star,
-}
-
-fn lex(src: &str) -> Result<Vec<(Tok, Pos)>, ParseError> {
-    let mut toks = Vec::new();
-    let mut line = 1u32;
-    let mut line_start: usize = 0;
-    let bytes = src.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        // `i` is at the first byte of the candidate token for every arm.
-        let pos = Pos {
-            line,
-            col: (i - line_start) as u32 + 1,
-        };
-        match c {
-            '\n' => {
-                line += 1;
-                i += 1;
-                line_start = i;
-            }
-            c if c.is_whitespace() => i += 1,
-            '/' if i + 1 < bytes.len() && bytes[i + 1] == b'/' => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            '/' if i + 1 < bytes.len() && bytes[i + 1] == b'*' => {
-                i += 2;
-                while i + 1 < bytes.len() && !(bytes[i] == b'*' && bytes[i + 1] == b'/') {
-                    if bytes[i] == b'\n' {
-                        line += 1;
-                        line_start = i + 1;
-                    }
-                    i += 1;
-                }
-                i = (i + 2).min(bytes.len());
-            }
-            '{' => {
-                toks.push((Tok::LBrace, pos));
-                i += 1;
-            }
-            '}' => {
-                toks.push((Tok::RBrace, pos));
-                i += 1;
-            }
-            '(' => {
-                toks.push((Tok::LParen, pos));
-                i += 1;
-            }
-            ')' => {
-                toks.push((Tok::RParen, pos));
-                i += 1;
-            }
-            '[' => {
-                toks.push((Tok::LBracket, pos));
-                i += 1;
-            }
-            ']' => {
-                toks.push((Tok::RBracket, pos));
-                i += 1;
-            }
-            ';' => {
-                toks.push((Tok::Semi, pos));
-                i += 1;
-            }
-            ',' => {
-                toks.push((Tok::Comma, pos));
-                i += 1;
-            }
-            '=' => {
-                toks.push((Tok::Eq, pos));
-                i += 1;
-            }
-            '&' => {
-                toks.push((Tok::Amp, pos));
-                i += 1;
-            }
-            '*' => {
-                toks.push((Tok::Star, pos));
-                i += 1;
-            }
-            '-' if i + 1 < bytes.len() && bytes[i + 1] == b'>' => {
-                toks.push((Tok::Arrow, pos));
-                i += 2;
-            }
-            c if c.is_ascii_digit() => {
-                let start = i;
-                while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
-                    i += 1;
-                }
-                let n = src[start..i].parse().map_err(|_| ParseError {
-                    line,
-                    col: pos.col,
-                    message: "invalid number".into(),
-                })?;
-                toks.push((Tok::Num(n), pos));
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len() {
-                    let ch = bytes[i] as char;
-                    if ch.is_ascii_alphanumeric() || ch == '_' {
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
-                toks.push((Tok::Ident(src[start..i].to_string()), pos));
-            }
-            other => {
-                return Err(ParseError {
-                    line,
-                    col: pos.col,
-                    message: format!("unexpected character `{other}`"),
-                })
-            }
-        }
-    }
-    Ok(toks)
-}
-
-struct P {
-    toks: Vec<(Tok, Pos)>,
-    pos: usize,
-}
-
-impl P {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
-    }
-    fn cur_pos(&self) -> Pos {
-        self.toks
-            .get(self.pos)
-            .or_else(|| self.toks.last())
-            .map(|(_, p)| *p)
-            .unwrap_or(Pos { line: 0, col: 0 })
-    }
-    fn line(&self) -> u32 {
-        self.cur_pos().line
-    }
-    fn err(&self, m: impl Into<String>) -> ParseError {
-        let at = self.cur_pos();
-        ParseError {
-            line: at.line,
-            col: at.col,
-            message: m.into(),
-        }
-    }
-    fn next(&mut self) -> Result<Tok, ParseError> {
-        let t = self
-            .toks
-            .get(self.pos)
-            .map(|(t, _)| t.clone())
-            .ok_or_else(|| self.err("unexpected end of input"))?;
-        self.pos += 1;
-        Ok(t)
-    }
-    fn expect(&mut self, t: Tok) -> Result<(), ParseError> {
-        let got = self.next()?;
-        if got == t {
-            Ok(())
-        } else {
-            self.pos -= 1;
-            Err(self.err(format!("expected {t:?}, found {got:?}")))
-        }
-    }
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.next()? {
-            Tok::Ident(s) => Ok(s),
-            got => {
-                self.pos -= 1;
-                Err(self.err(format!("expected identifier, found {got:?}")))
-            }
-        }
-    }
-    fn eat(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Some(Tok::Ident(s)) if s == kw) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-}
 
 /// The synthetic class holding all free functions.
 pub const C_UNIT_CLASS: &str = "CUnit";
@@ -257,40 +61,34 @@ pub const C_GLOBALS_CLASS: &str = "Globals";
 /// Returns a [`ParseError`] with the offending line for syntax errors and
 /// line 0 for program-level errors (missing `main`, unresolved calls).
 pub fn parse_c(src: &str) -> Result<Program, ParseError> {
-    let toks = lex(src)?;
-    let mut p = P { toks, pos: 0 };
+    let mut p = Cursor::new(src)?;
     let mut pb = ProgramBuilder::new();
     pb.add_class(C_GLOBALS_CLASS, None);
     let cunit = pb.add_class(C_UNIT_CLASS, None);
 
     // Pre-scan: struct names (for malloc forward references).
-    {
-        let mut i = 0;
-        while i < p.toks.len() {
-            if matches!(&p.toks[i].0, Tok::Ident(s) if s == "struct") {
-                if let Some((Tok::Ident(name), _)) = p.toks.get(i + 1) {
-                    // Only declarations (followed by `{`), not uses.
-                    if matches!(p.toks.get(i + 2), Some((Tok::LBrace, _))) {
-                        pb.add_class(name.clone(), None);
-                    }
-                }
-            }
-            i += 1;
+    let rest = p.rest();
+    for (i, tok) in rest.iter().enumerate() {
+        // Only declarations (followed by `{`), not uses.
+        if let (Tok::Ident("struct"), Some(&Tok::Ident(name)), Some(Tok::LBrace)) =
+            (tok, rest.get(i + 1), rest.get(i + 2))
+        {
+            pb.add_class(name, None);
         }
     }
 
     while p.peek().is_some() {
-        if p.eat("struct") {
+        if p.eat_ident("struct") {
             let name = p.ident()?;
             let _class = pb
-                .class_id(&name)
+                .class_id(name)
                 .ok_or_else(|| p.err("struct not pre-registered"))?;
             p.expect(Tok::LBrace)?;
             while !matches!(p.peek(), Some(Tok::RBrace)) {
                 // `any fieldname;` — untyped field declarations.
                 let _ty = p.ident()?;
                 let fname = p.ident()?;
-                pb.field(&fname);
+                pb.field(fname);
                 p.expect(Tok::Semi)?;
             }
             p.expect(Tok::RBrace)?;
@@ -299,9 +97,9 @@ pub fn parse_c(src: &str) -> Result<Program, ParseError> {
             }
             continue;
         }
-        if p.eat("global") {
+        if p.eat_ident("global") {
             let name = p.ident()?;
-            pb.field(&name);
+            pb.field(name);
             p.expect(Tok::Semi)?;
             continue;
         }
@@ -327,15 +125,14 @@ pub fn parse_c(src: &str) -> Result<Program, ParseError> {
             }
         }
         p.expect(Tok::RParen)?;
-        let param_refs: Vec<&str> = params.iter().map(|s| s.as_str()).collect();
-        let mut mb = pb.begin_static_method(cunit, &name, &param_refs);
+        let mut mb = pb.begin_static_method(cunit, name, &params);
         parse_block(&mut p, &mut mb)?;
         mb.finish();
     }
     pb.finish().map_err(ParseError::from)
 }
 
-fn parse_block(p: &mut P, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
+fn parse_block(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
     p.expect(Tok::LBrace)?;
     while !matches!(p.peek(), Some(Tok::RBrace)) {
         parse_stmt(p, mb)?;
@@ -344,7 +141,7 @@ fn parse_block(p: &mut P, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> 
     Ok(())
 }
 
-fn parse_args(p: &mut P) -> Result<Vec<String>, ParseError> {
+fn parse_args<'a>(p: &mut Cursor<'a>) -> Result<Vec<&'a str>, ParseError> {
     p.expect(Tok::LParen)?;
     let mut args = Vec::new();
     while !matches!(p.peek(), Some(Tok::RParen)) {
@@ -360,26 +157,22 @@ fn parse_args(p: &mut P) -> Result<Vec<String>, ParseError> {
     Ok(args)
 }
 
-fn refs(v: &[String]) -> Vec<&str> {
-    v.iter().map(|s| s.as_str()).collect()
-}
-
-fn parse_stmt(p: &mut P, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
+fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
     mb.at_line(p.line());
     // Control flow is flattened: both branches of `if` and the body of
     // `while`/`for` are included in the static trace; `while`/`for` mark
     // the loop flag for origin doubling.
-    if p.eat("if") {
+    if p.eat_ident("if") {
         p.expect(Tok::LParen)?;
         let _cond = p.ident()?;
         p.expect(Tok::RParen)?;
         parse_block(p, mb)?;
-        if p.eat("else") {
+        if p.eat_ident("else") {
             parse_block(p, mb)?;
         }
         return Ok(());
     }
-    if p.eat("while") || p.eat("for") {
+    if p.eat_ident("while") || p.eat_ident("for") {
         p.expect(Tok::LParen)?;
         while !matches!(p.peek(), Some(Tok::RParen)) {
             p.next()?;
@@ -390,18 +183,18 @@ fn parse_stmt(p: &mut P, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
         mb.loop_close();
         return Ok(());
     }
-    if p.eat("return") {
+    if p.eat_ident("return") {
         let src = if matches!(p.peek(), Some(Tok::Ident(_))) {
             Some(p.ident()?)
         } else {
             None
         };
         p.expect(Tok::Semi)?;
-        mb.ret(src.as_deref());
+        mb.ret(src);
         return Ok(());
     }
     // pthread / event-loop intrinsics.
-    if p.eat("pthread_create") {
+    if p.eat_ident("pthread_create") {
         p.expect(Tok::LParen)?;
         p.expect(Tok::Amp)?;
         let handle = p.ident()?;
@@ -414,24 +207,18 @@ fn parse_stmt(p: &mut P, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
         }
         p.expect(Tok::RParen)?;
         p.expect(Tok::Semi)?;
-        mb.spawn(
-            Some(&handle),
-            C_UNIT_CLASS,
-            &func,
-            &refs(&args),
-            OriginKind::Thread,
-        );
+        mb.spawn(Some(handle), C_UNIT_CLASS, func, &args, OriginKind::Thread);
         return Ok(());
     }
-    if p.eat("pthread_join") {
+    if p.eat_ident("pthread_join") {
         p.expect(Tok::LParen)?;
         let h = p.ident()?;
         p.expect(Tok::RParen)?;
         p.expect(Tok::Semi)?;
-        mb.join(&h);
+        mb.join(h);
         return Ok(());
     }
-    if p.eat("pthread_mutex_lock") {
+    if p.eat_ident("pthread_mutex_lock") {
         p.expect(Tok::LParen)?;
         if matches!(p.peek(), Some(Tok::Amp)) {
             p.next()?;
@@ -439,10 +226,10 @@ fn parse_stmt(p: &mut P, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
         let m = p.ident()?;
         p.expect(Tok::RParen)?;
         p.expect(Tok::Semi)?;
-        mb.sync_open(&m);
+        mb.sync_open(m);
         return Ok(());
     }
-    if p.eat("pthread_mutex_unlock") {
+    if p.eat_ident("pthread_mutex_unlock") {
         p.expect(Tok::LParen)?;
         if matches!(p.peek(), Some(Tok::Amp)) {
             p.next()?;
@@ -450,14 +237,14 @@ fn parse_stmt(p: &mut P, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
         let m = p.ident()?;
         p.expect(Tok::RParen)?;
         p.expect(Tok::Semi)?;
-        mb.sync_close(&m);
+        mb.sync_close(m);
         return Ok(());
     }
     for (kw, mode) in [
         ("pthread_rwlock_rdlock", RwMode::Read),
         ("pthread_rwlock_wrlock", RwMode::Write),
     ] {
-        if p.eat(kw) {
+        if p.eat_ident(kw) {
             p.expect(Tok::LParen)?;
             if matches!(p.peek(), Some(Tok::Amp)) {
                 p.next()?;
@@ -465,11 +252,11 @@ fn parse_stmt(p: &mut P, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
             let m = p.ident()?;
             p.expect(Tok::RParen)?;
             p.expect(Tok::Semi)?;
-            mb.rw_open(&m, mode);
+            mb.rw_open(m, mode);
             return Ok(());
         }
     }
-    if p.eat("pthread_rwlock_unlock") {
+    if p.eat_ident("pthread_rwlock_unlock") {
         p.expect(Tok::LParen)?;
         if matches!(p.peek(), Some(Tok::Amp)) {
             p.next()?;
@@ -477,11 +264,11 @@ fn parse_stmt(p: &mut P, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
         let m = p.ident()?;
         p.expect(Tok::RParen)?;
         p.expect(Tok::Semi)?;
-        mb.rw_close(&m);
+        mb.rw_close(m);
         return Ok(());
     }
-    if p.eat("pthread_cond_wait") {
-        // pthread_cond_wait(&c, &m) — releases and reacquires m.
+    if p.eat_ident("pthread_cond_wait") {
+        // pthread_cond_wait(c, m) — releases and reacquires m.
         p.expect(Tok::LParen)?;
         if matches!(p.peek(), Some(Tok::Amp)) {
             p.next()?;
@@ -494,14 +281,14 @@ fn parse_stmt(p: &mut P, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
         let m = p.ident()?;
         p.expect(Tok::RParen)?;
         p.expect(Tok::Semi)?;
-        mb.wait(&c, &m);
+        mb.wait(c, m);
         return Ok(());
     }
     for (kw, all) in [
         ("pthread_cond_signal", false),
         ("pthread_cond_broadcast", true),
     ] {
-        if p.eat(kw) {
+        if p.eat_ident(kw) {
             p.expect(Tok::LParen)?;
             if matches!(p.peek(), Some(Tok::Amp)) {
                 p.next()?;
@@ -509,7 +296,7 @@ fn parse_stmt(p: &mut P, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
             let c = p.ident()?;
             p.expect(Tok::RParen)?;
             p.expect(Tok::Semi)?;
-            mb.notify(&c, all);
+            mb.notify(c, all);
             return Ok(());
         }
     }
@@ -519,7 +306,7 @@ fn parse_stmt(p: &mut P, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
         ("spawn_kthread", OriginKind::KernelThread),
         ("spawn_irq", OriginKind::Interrupt),
     ] {
-        if p.eat(kw) {
+        if p.eat_ident(kw) {
             let func = p.ident()?;
             let args = parse_args(p)?;
             let mut replicas = 1u8;
@@ -532,12 +319,12 @@ fn parse_stmt(p: &mut P, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
                 }
             }
             p.expect(Tok::Semi)?;
-            mb.spawn_replicated(None, C_UNIT_CLASS, &func, &refs(&args), kind, replicas);
+            mb.spawn_replicated(None, C_UNIT_CLASS, func, &args, kind, replicas);
             return Ok(());
         }
     }
 
-    if p.eat("global_write") {
+    if p.eat_ident("global_write") {
         // `global_write(name, v);` — write a global variable.
         p.expect(Tok::LParen)?;
         let name = p.ident()?;
@@ -545,7 +332,7 @@ fn parse_stmt(p: &mut P, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
         let v = p.ident()?;
         p.expect(Tok::RParen)?;
         p.expect(Tok::Semi)?;
-        mb.store_static(C_GLOBALS_CLASS, &name, &v);
+        mb.store_static(C_GLOBALS_CLASS, name, v);
         return Ok(());
     }
 
@@ -554,7 +341,7 @@ fn parse_stmt(p: &mut P, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
     match p.peek() {
         Some(Tok::Eq) => {
             p.next()?;
-            parse_rhs(p, mb, &first)?;
+            parse_rhs(p, mb, first)?;
             p.expect(Tok::Semi)?;
         }
         Some(Tok::Arrow) => {
@@ -563,7 +350,7 @@ fn parse_stmt(p: &mut P, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
             p.expect(Tok::Eq)?;
             let src = p.ident()?;
             p.expect(Tok::Semi)?;
-            mb.store(&first, &field, &src);
+            mb.store(first, field, src);
         }
         Some(Tok::LBracket) => {
             p.next()?;
@@ -575,30 +362,35 @@ fn parse_stmt(p: &mut P, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
             p.expect(Tok::Eq)?;
             let src = p.ident()?;
             p.expect(Tok::Semi)?;
-            mb.store_array(&first, &src);
+            mb.store_array(first, src);
         }
         Some(Tok::LParen) => {
             let args = parse_args(p)?;
             p.expect(Tok::Semi)?;
-            mb.call_static(None, C_UNIT_CLASS, &first, &refs(&args));
+            mb.call_static(None, C_UNIT_CLASS, first, &args);
         }
-        other => return Err(p.err(format!("unexpected token {other:?}"))),
+        other => {
+            return Err(p.err(format!(
+                "unexpected token `{}`",
+                other.map(|t| t.to_string()).unwrap_or_default()
+            )))
+        }
     }
     Ok(())
 }
 
-fn parse_rhs(p: &mut P, mb: &mut MethodBuilder<'_>, dst: &str) -> Result<(), ParseError> {
-    if p.eat("malloc") {
+fn parse_rhs(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>, dst: &str) -> Result<(), ParseError> {
+    if p.eat_ident("malloc") {
         p.expect(Tok::LParen)?;
         let struct_name = p.ident()?;
         p.expect(Tok::RParen)?;
-        if !mb.class_exists(&struct_name) {
+        if !mb.class_exists(struct_name) {
             return Err(p.err(format!("unknown struct {struct_name}")));
         }
-        mb.new_obj(dst, &struct_name, &[]);
+        mb.new_obj(dst, struct_name, &[]);
         return Ok(());
     }
-    if p.eat("calloc_array") {
+    if p.eat_ident("calloc_array") {
         p.expect(Tok::LParen)?;
         while !matches!(p.peek(), Some(Tok::RParen)) {
             p.next()?;
@@ -607,12 +399,12 @@ fn parse_rhs(p: &mut P, mb: &mut MethodBuilder<'_>, dst: &str) -> Result<(), Par
         mb.new_array(dst);
         return Ok(());
     }
-    if p.eat("global_read") {
+    if p.eat_ident("global_read") {
         // `x = global_read(name);` — read a global variable.
         p.expect(Tok::LParen)?;
         let name = p.ident()?;
         p.expect(Tok::RParen)?;
-        mb.load_static(Some(dst), C_GLOBALS_CLASS, &name);
+        mb.load_static(Some(dst), C_GLOBALS_CLASS, name);
         return Ok(());
     }
     let first = p.ident()?;
@@ -620,7 +412,7 @@ fn parse_rhs(p: &mut P, mb: &mut MethodBuilder<'_>, dst: &str) -> Result<(), Par
         Some(Tok::Arrow) => {
             p.next()?;
             let field = p.ident()?;
-            mb.load(Some(dst), &first, &field);
+            mb.load(Some(dst), first, field);
         }
         Some(Tok::LBracket) => {
             p.next()?;
@@ -628,14 +420,14 @@ fn parse_rhs(p: &mut P, mb: &mut MethodBuilder<'_>, dst: &str) -> Result<(), Par
                 p.next()?;
             }
             p.expect(Tok::RBracket)?;
-            mb.load_array(Some(dst), &first);
+            mb.load_array(Some(dst), first);
         }
         Some(Tok::LParen) => {
             let args = parse_args(p)?;
-            mb.call_static(Some(dst), C_UNIT_CLASS, &first, &refs(&args));
+            mb.call_static(Some(dst), C_UNIT_CLASS, first, &args);
         }
         _ => {
-            mb.assign(dst, &first);
+            mb.assign(dst, first);
         }
     }
     Ok(())

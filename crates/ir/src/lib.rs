@@ -44,6 +44,7 @@ pub mod ctx;
 pub mod digest;
 pub mod error;
 pub mod ids;
+mod lex;
 pub mod origins;
 pub mod parser;
 pub mod printer;

@@ -28,6 +28,11 @@
 //! assert!(program.class_by_name("Task").is_some());
 //! ```
 //!
+//! Lexical rules (shared with [`crate::cfront`]): `//` comments run to the
+//! end of the line and `/* */` comments may span lines (an unclosed `/*`
+//! is an error at its position); a `NAME` is `[A-Za-z_$][A-Za-z0-9_$]*`
+//! or an `<init>`-style `<` word `>`; a `NUM` is a decimal `u64`.
+//!
 //! Grammar sketch (`NAME* = identifier`):
 //!
 //! ```text
@@ -53,6 +58,7 @@
 //! ```
 
 use crate::builder::{BuildError, MethodBuilder, ProgramBuilder};
+use crate::lex::{Cursor, Tok};
 use crate::origins::OriginKind;
 use crate::program::{Program, RwMode};
 use std::error::Error;
@@ -95,294 +101,6 @@ impl From<BuildError> for ParseError {
     }
 }
 
-/// A 1-based source position attached to every token.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Pos {
-    pub(crate) line: u32,
-    pub(crate) col: u32,
-}
-
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
-    Num(u64),
-    LBrace,
-    RBrace,
-    LParen,
-    RParen,
-    LBracket,
-    RBracket,
-    Semi,
-    Comma,
-    Eq,
-    Dot,
-    Colon,
-    ColonColon,
-    Arrow,
-    Star,
-    At,
-}
-
-impl fmt::Display for Tok {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Tok::Ident(s) => write!(f, "{s}"),
-            Tok::Num(n) => write!(f, "{n}"),
-            Tok::LBrace => write!(f, "{{"),
-            Tok::RBrace => write!(f, "}}"),
-            Tok::LParen => write!(f, "("),
-            Tok::RParen => write!(f, ")"),
-            Tok::LBracket => write!(f, "["),
-            Tok::RBracket => write!(f, "]"),
-            Tok::Semi => write!(f, ";"),
-            Tok::Comma => write!(f, ","),
-            Tok::Eq => write!(f, "="),
-            Tok::Dot => write!(f, "."),
-            Tok::Colon => write!(f, ":"),
-            Tok::ColonColon => write!(f, "::"),
-            Tok::Arrow => write!(f, "->"),
-            Tok::Star => write!(f, "*"),
-            Tok::At => write!(f, "@"),
-        }
-    }
-}
-
-fn lex(src: &str) -> Result<Vec<(Tok, Pos)>, ParseError> {
-    let mut toks = Vec::new();
-    let mut line: u32 = 1;
-    let mut line_start: usize = 0;
-    let bytes = src.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        // `i` is at the first byte of the candidate token here, so the
-        // column is valid for every arm below (multi-byte tokens included).
-        let pos = Pos {
-            line,
-            col: (i - line_start) as u32 + 1,
-        };
-        match c {
-            '\n' => {
-                line += 1;
-                i += 1;
-                line_start = i;
-            }
-            c if c.is_whitespace() => i += 1,
-            '/' if i + 1 < bytes.len() && bytes[i + 1] == b'/' => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            '{' => {
-                toks.push((Tok::LBrace, pos));
-                i += 1;
-            }
-            '}' => {
-                toks.push((Tok::RBrace, pos));
-                i += 1;
-            }
-            '(' => {
-                toks.push((Tok::LParen, pos));
-                i += 1;
-            }
-            ')' => {
-                toks.push((Tok::RParen, pos));
-                i += 1;
-            }
-            '[' => {
-                toks.push((Tok::LBracket, pos));
-                i += 1;
-            }
-            ']' => {
-                toks.push((Tok::RBracket, pos));
-                i += 1;
-            }
-            ';' => {
-                toks.push((Tok::Semi, pos));
-                i += 1;
-            }
-            ',' => {
-                toks.push((Tok::Comma, pos));
-                i += 1;
-            }
-            '=' => {
-                toks.push((Tok::Eq, pos));
-                i += 1;
-            }
-            '.' => {
-                toks.push((Tok::Dot, pos));
-                i += 1;
-            }
-            '*' => {
-                toks.push((Tok::Star, pos));
-                i += 1;
-            }
-            '@' => {
-                toks.push((Tok::At, pos));
-                i += 1;
-            }
-            ':' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b':' {
-                    toks.push((Tok::ColonColon, pos));
-                    i += 2;
-                } else {
-                    toks.push((Tok::Colon, pos));
-                    i += 1;
-                }
-            }
-            '-' if i + 1 < bytes.len() && bytes[i + 1] == b'>' => {
-                toks.push((Tok::Arrow, pos));
-                i += 2;
-            }
-            '<' => {
-                // Allow `<init>`-style identifiers: short, single-line,
-                // word characters only. Anything else is a lex error (an
-                // unbounded scan would swallow whole method bodies and
-                // report wrong line numbers).
-                let start = i;
-                i += 1;
-                while i < bytes.len()
-                    && i - start <= 32
-                    && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
-                    i += 1;
-                }
-                if i < bytes.len() && bytes[i] == b'>' && i - start > 1 {
-                    i += 1;
-                    toks.push((Tok::Ident(src[start..i].to_string()), pos));
-                } else {
-                    return Err(ParseError {
-                        line,
-                        col: pos.col,
-                        message: "malformed `<...>` identifier".to_string(),
-                    });
-                }
-            }
-            c if c.is_ascii_digit() => {
-                let start = i;
-                while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
-                    i += 1;
-                }
-                let n: u64 = src[start..i].parse().map_err(|_| ParseError {
-                    line,
-                    col: pos.col,
-                    message: "invalid number".to_string(),
-                })?;
-                toks.push((Tok::Num(n), pos));
-            }
-            c if c.is_ascii_alphabetic() || c == '_' || c == '$' => {
-                let start = i;
-                while i < bytes.len() {
-                    let ch = bytes[i] as char;
-                    if ch.is_ascii_alphanumeric() || ch == '_' || ch == '$' {
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
-                toks.push((Tok::Ident(src[start..i].to_string()), pos));
-            }
-            other => {
-                return Err(ParseError {
-                    line,
-                    col: pos.col,
-                    message: format!("unexpected character `{other}`"),
-                })
-            }
-        }
-    }
-    Ok(toks)
-}
-
-struct Parser {
-    toks: Vec<(Tok, Pos)>,
-    pos: usize,
-}
-
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
-    }
-
-    fn peek2(&self) -> Option<&Tok> {
-        self.toks.get(self.pos + 1).map(|(t, _)| t)
-    }
-
-    fn peek3(&self) -> Option<&Tok> {
-        self.toks.get(self.pos + 2).map(|(t, _)| t)
-    }
-
-    fn cur_pos(&self) -> Pos {
-        self.toks
-            .get(self.pos)
-            .or_else(|| self.toks.last())
-            .map(|(_, p)| *p)
-            .unwrap_or(Pos { line: 0, col: 0 })
-    }
-
-    fn line(&self) -> u32 {
-        self.cur_pos().line
-    }
-
-    fn err(&self, message: impl Into<String>) -> ParseError {
-        let at = self.cur_pos();
-        ParseError {
-            line: at.line,
-            col: at.col,
-            message: message.into(),
-        }
-    }
-
-    fn next(&mut self) -> Result<Tok, ParseError> {
-        let t = self
-            .toks
-            .get(self.pos)
-            .map(|(t, _)| t.clone())
-            .ok_or_else(|| self.err("unexpected end of input"))?;
-        self.pos += 1;
-        Ok(t)
-    }
-
-    fn expect(&mut self, want: Tok) -> Result<(), ParseError> {
-        let got = self.next()?;
-        if got == want {
-            Ok(())
-        } else {
-            self.pos -= 1;
-            Err(self.err(format!("expected `{want}`, found `{got}`")))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.next()? {
-            Tok::Ident(s) => Ok(s),
-            got => {
-                self.pos -= 1;
-                Err(self.err(format!("expected identifier, found `{got}`")))
-            }
-        }
-    }
-
-    fn eat_ident(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Some(Tok::Ident(s)) if s == kw) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn num(&mut self) -> Result<u64, ParseError> {
-        match self.next()? {
-            Tok::Num(n) => Ok(n),
-            got => {
-                self.pos -= 1;
-                Err(self.err(format!("expected number, found `{got}`")))
-            }
-        }
-    }
-}
-
 /// Parses source text into a [`Program`].
 ///
 /// # Errors
@@ -391,14 +109,13 @@ impl Parser {
 /// with line 0 for program-level errors surfaced by the builder (missing
 /// `main`, unresolved call targets, duplicate classes).
 pub fn parse(src: &str) -> Result<Program, ParseError> {
-    let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Cursor::new(src)?;
     let mut pb = ProgramBuilder::new();
 
     // Pragmas (entry-point annotations) come first.
     while p.eat_ident("pragma") {
         let kind = p.ident()?;
-        match kind.as_str() {
+        match kind {
             "thread_entry" => {
                 let name = p.ident()?;
                 pb.entry_config_mut().add_thread_entry(name);
@@ -411,7 +128,7 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
             "entry_prefix" => {
                 let prefix = p.ident()?;
                 let kind =
-                    parse_kind_name(&p.ident()?).ok_or_else(|| p.err("unknown origin kind"))?;
+                    parse_kind_name(p.ident()?).ok_or_else(|| p.err("unknown origin kind"))?;
                 pb.entry_config_mut().add_prefix(prefix, kind);
             }
             other => return Err(p.err(format!("unknown pragma `{other}`"))),
@@ -421,28 +138,25 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
 
     // Pre-scan: register every class name so `new` and `extends` can be
     // forward references.
-    let mut extends: Vec<(String, String)> = Vec::new();
-    {
-        let mut i = p.pos;
-        while i < p.toks.len() {
-            if matches!(&p.toks[i].0, Tok::Ident(s) if s == "class") {
-                if let Some((Tok::Ident(name), _)) = p.toks.get(i + 1) {
-                    pb.add_class(name.clone(), None);
-                    if let Some((Tok::Colon, _)) = p.toks.get(i + 2) {
-                        if let Some((Tok::Ident(sup), _)) = p.toks.get(i + 3) {
-                            extends.push((name.clone(), sup.clone()));
-                        }
-                    }
+    let mut extends: Vec<(&str, &str)> = Vec::new();
+    let rest = p.rest();
+    for (i, tok) in rest.iter().enumerate() {
+        if *tok == Tok::Ident("class") {
+            if let Some(&Tok::Ident(name)) = rest.get(i + 1) {
+                pb.add_class(name, None);
+                if let (Some(Tok::Colon), Some(&Tok::Ident(sup))) =
+                    (rest.get(i + 2), rest.get(i + 3))
+                {
+                    extends.push((name, sup));
                 }
             }
-            i += 1;
         }
     }
     for (sub, sup) in extends {
         let sub_id = pb
-            .class_id(&sub)
+            .class_id(sub)
             .expect("pre-scanned class must be registered");
-        let sup_id = pb.class_id(&sup).ok_or_else(|| ParseError {
+        let sup_id = pb.class_id(sup).ok_or_else(|| ParseError {
             line: 0,
             col: 0,
             message: format!("unknown superclass {sup}"),
@@ -472,13 +186,13 @@ fn parse_kind_name(name: &str) -> Option<OriginKind> {
     }
 }
 
-fn parse_class(p: &mut Parser, pb: &mut ProgramBuilder) -> Result<(), ParseError> {
+fn parse_class(p: &mut Cursor<'_>, pb: &mut ProgramBuilder) -> Result<(), ParseError> {
     if !p.eat_ident("class") {
         return Err(p.err("expected `class`"));
     }
     let name = p.ident()?;
     let class = pb
-        .class_id(&name)
+        .class_id(name)
         .ok_or_else(|| p.err("class not pre-registered"))?;
     if matches!(p.peek(), Some(Tok::Colon)) {
         p.next()?;
@@ -499,7 +213,7 @@ fn parse_class(p: &mut Parser, pb: &mut ProgramBuilder) -> Result<(), ParseError
     while !matches!(p.peek(), Some(Tok::RBrace)) {
         if p.eat_ident("field") {
             let fname = p.ident()?;
-            pb.field(&fname);
+            pb.field(fname);
             p.expect(Tok::Semi)?;
             continue;
         }
@@ -529,7 +243,7 @@ fn parse_class(p: &mut Parser, pb: &mut ProgramBuilder) -> Result<(), ParseError
         }
         let mname = p.ident()?;
         p.expect(Tok::LParen)?;
-        let mut params: Vec<String> = Vec::new();
+        let mut params = Vec::new();
         while !matches!(p.peek(), Some(Tok::RParen)) {
             params.push(p.ident()?);
             if matches!(p.peek(), Some(Tok::Comma)) {
@@ -537,11 +251,10 @@ fn parse_class(p: &mut Parser, pb: &mut ProgramBuilder) -> Result<(), ParseError
             }
         }
         p.expect(Tok::RParen)?;
-        let param_refs: Vec<&str> = params.iter().map(|s| s.as_str()).collect();
         let mut mb = if is_static {
-            pb.begin_static_method(class, &mname, &param_refs)
+            pb.begin_static_method(class, mname, &params)
         } else {
-            pb.begin_method(class, &mname, &param_refs)
+            pb.begin_method(class, mname, &params)
         };
         if is_sync {
             mb.synchronized();
@@ -556,7 +269,7 @@ fn parse_class(p: &mut Parser, pb: &mut ProgramBuilder) -> Result<(), ParseError
     Ok(())
 }
 
-fn parse_block(p: &mut Parser, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
+fn parse_block(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
     p.expect(Tok::LBrace)?;
     while !matches!(p.peek(), Some(Tok::RBrace)) {
         parse_stmt(p, mb)?;
@@ -565,7 +278,7 @@ fn parse_block(p: &mut Parser, mb: &mut MethodBuilder<'_>) -> Result<(), ParseEr
     Ok(())
 }
 
-fn parse_args(p: &mut Parser) -> Result<Vec<String>, ParseError> {
+fn parse_args<'a>(p: &mut Cursor<'a>) -> Result<Vec<&'a str>, ParseError> {
     p.expect(Tok::LParen)?;
     let mut args = Vec::new();
     while !matches!(p.peek(), Some(Tok::RParen)) {
@@ -578,11 +291,7 @@ fn parse_args(p: &mut Parser) -> Result<Vec<String>, ParseError> {
     Ok(args)
 }
 
-fn as_refs(v: &[String]) -> Vec<&str> {
-    v.iter().map(|s| s.as_str()).collect()
-}
-
-fn parse_stmt(p: &mut Parser, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
+fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
     mb.at_line(p.line());
     // Keyword statements.
     if matches!(p.peek(), Some(Tok::Ident(s)) if s == "sync")
@@ -592,11 +301,10 @@ fn parse_stmt(p: &mut Parser, mb: &mut MethodBuilder<'_>) -> Result<(), ParseErr
         p.expect(Tok::LParen)?;
         let lock = p.ident()?;
         p.expect(Tok::RParen)?;
-        let var = lock.clone();
         // Manual open/close to keep the recursive descent simple.
-        mb.sync_open(&var);
+        mb.sync_open(lock);
         parse_block(p, mb)?;
-        mb.sync_close(&var);
+        mb.sync_close(lock);
         return Ok(());
     }
     for (kw, mode) in [("rwread", RwMode::Read), ("rwwrite", RwMode::Write)] {
@@ -607,9 +315,9 @@ fn parse_stmt(p: &mut Parser, mb: &mut MethodBuilder<'_>) -> Result<(), ParseErr
             p.expect(Tok::LParen)?;
             let lock = p.ident()?;
             p.expect(Tok::RParen)?;
-            mb.rw_open(&lock, mode);
+            mb.rw_open(lock, mode);
             parse_block(p, mb)?;
-            mb.rw_close(&lock);
+            mb.rw_close(lock);
             return Ok(());
         }
     }
@@ -624,7 +332,7 @@ fn parse_stmt(p: &mut Parser, mb: &mut MethodBuilder<'_>) -> Result<(), ParseErr
         let lock = p.ident()?;
         p.expect(Tok::RParen)?;
         p.expect(Tok::Semi)?;
-        mb.wait(&cond, &lock);
+        mb.wait(cond, lock);
         return Ok(());
     }
     for (kw, all) in [("notify", false), ("notifyall", true)] {
@@ -635,7 +343,7 @@ fn parse_stmt(p: &mut Parser, mb: &mut MethodBuilder<'_>) -> Result<(), ParseErr
             p.next()?;
             let cond = p.ident()?;
             p.expect(Tok::Semi)?;
-            mb.notify(&cond, all);
+            mb.notify(cond, all);
             return Ok(());
         }
     }
@@ -658,7 +366,7 @@ fn parse_stmt(p: &mut Parser, mb: &mut MethodBuilder<'_>) -> Result<(), ParseErr
     }
     if p.eat_ident("spawn") {
         let kind_name = p.ident()?;
-        let mut kind = parse_kind_name(&kind_name)
+        let mut kind = parse_kind_name(kind_name)
             .ok_or_else(|| p.err(format!("unknown spawn kind `{kind_name}`")))?;
         if matches!(kind, OriginKind::Event { .. }) && matches!(p.peek(), Some(Tok::LParen)) {
             p.next()?;
@@ -695,20 +403,13 @@ fn parse_stmt(p: &mut Parser, mb: &mut MethodBuilder<'_>) -> Result<(), ParseErr
             }
             replicas = n as u8;
         }
-        let mut handle: Option<String> = None;
+        let mut handle = None;
         if matches!(p.peek(), Some(Tok::Arrow)) {
             p.next()?;
             handle = Some(p.ident()?);
         }
         p.expect(Tok::Semi)?;
-        mb.spawn_replicated(
-            handle.as_deref(),
-            &class,
-            &method,
-            &as_refs(&args),
-            kind,
-            replicas,
-        );
+        mb.spawn_replicated(handle, class, method, &args, kind, replicas);
         return Ok(());
     }
     if matches!(p.peek(), Some(Tok::Ident(s)) if s == "atomic")
@@ -722,13 +423,13 @@ fn parse_stmt(p: &mut Parser, mb: &mut MethodBuilder<'_>) -> Result<(), ParseErr
         p.expect(Tok::Eq)?;
         let src = p.ident()?;
         p.expect(Tok::Semi)?;
-        mb.store_atomic(&base, &field, &src);
+        mb.store_atomic(base, field, src);
         return Ok(());
     }
     if p.eat_ident("join") {
         let recv = p.ident()?;
         p.expect(Tok::Semi)?;
-        mb.join(&recv);
+        mb.join(recv);
         return Ok(());
     }
     if p.eat_ident("return") {
@@ -738,7 +439,7 @@ fn parse_stmt(p: &mut Parser, mb: &mut MethodBuilder<'_>) -> Result<(), ParseErr
             None
         };
         p.expect(Tok::Semi)?;
-        mb.ret(src.as_deref());
+        mb.ret(src);
         return Ok(());
     }
 
@@ -747,7 +448,7 @@ fn parse_stmt(p: &mut Parser, mb: &mut MethodBuilder<'_>) -> Result<(), ParseErr
     match p.peek() {
         Some(Tok::Eq) => {
             p.next()?;
-            parse_rhs(p, mb, RhsDst::Var(first))?;
+            parse_rhs(p, mb, first)?;
             p.expect(Tok::Semi)?;
         }
         Some(Tok::Dot) => {
@@ -759,13 +460,13 @@ fn parse_stmt(p: &mut Parser, mb: &mut MethodBuilder<'_>) -> Result<(), ParseErr
                     p.next()?;
                     let src = p.ident()?;
                     p.expect(Tok::Semi)?;
-                    mb.store(&first, &second, &src);
+                    mb.store(first, second, src);
                 }
                 Some(Tok::LParen) => {
                     // x.m(args);
                     let args = parse_args(p)?;
                     p.expect(Tok::Semi)?;
-                    mb.call(None, &first, &second, &as_refs(&args));
+                    mb.call(None, first, second, &args);
                 }
                 _ => return Err(p.err("expected `=` or `(` after field/method name")),
             }
@@ -778,7 +479,7 @@ fn parse_stmt(p: &mut Parser, mb: &mut MethodBuilder<'_>) -> Result<(), ParseErr
             p.expect(Tok::Eq)?;
             let src = p.ident()?;
             p.expect(Tok::Semi)?;
-            mb.store_array(&first, &src);
+            mb.store_array(first, src);
         }
         Some(Tok::ColonColon) => {
             p.next()?;
@@ -789,16 +490,16 @@ fn parse_stmt(p: &mut Parser, mb: &mut MethodBuilder<'_>) -> Result<(), ParseErr
                     p.next()?;
                     let src = p.ident()?;
                     p.expect(Tok::Semi)?;
-                    if !mb.class_exists(&first) {
+                    if !mb.class_exists(first) {
                         return Err(p.err(format!("unknown class {first}")));
                     }
-                    mb.store_static(&first, &second, &src);
+                    mb.store_static(first, second, src);
                 }
                 Some(Tok::LParen) => {
                     // C::m(args);
                     let args = parse_args(p)?;
                     p.expect(Tok::Semi)?;
-                    mb.call_static(None, &first, &second, &as_refs(&args));
+                    mb.call_static(None, first, second, &args);
                 }
                 _ => return Err(p.err("expected `=` or `(` after `::name`")),
             }
@@ -813,23 +514,18 @@ fn parse_stmt(p: &mut Parser, mb: &mut MethodBuilder<'_>) -> Result<(), ParseErr
     Ok(())
 }
 
-enum RhsDst {
-    Var(String),
-}
-
-fn parse_rhs(p: &mut Parser, mb: &mut MethodBuilder<'_>, dst: RhsDst) -> Result<(), ParseError> {
-    let RhsDst::Var(dst) = dst;
+fn parse_rhs(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>, dst: &str) -> Result<(), ParseError> {
     if p.eat_ident("new") {
         let class = p.ident()?;
-        if !mb.class_exists(&class) {
+        if !mb.class_exists(class) {
             return Err(p.err(format!("unknown class {class}")));
         }
         let args = parse_args(p)?;
-        mb.new_obj(&dst, &class, &as_refs(&args));
+        mb.new_obj(dst, class, &args);
         return Ok(());
     }
     if p.eat_ident("newarray") {
-        mb.new_array(&dst);
+        mb.new_array(dst);
         return Ok(());
     }
     if matches!(p.peek(), Some(Tok::Ident(kw)) if kw == "atomic")
@@ -841,7 +537,7 @@ fn parse_rhs(p: &mut Parser, mb: &mut MethodBuilder<'_>, dst: RhsDst) -> Result<
         let base = p.ident()?;
         p.expect(Tok::Dot)?;
         let field = p.ident()?;
-        mb.load_atomic(Some(&dst), &base, &field);
+        mb.load_atomic(Some(dst), base, field);
         return Ok(());
     }
     let first = p.ident()?;
@@ -852,36 +548,36 @@ fn parse_rhs(p: &mut Parser, mb: &mut MethodBuilder<'_>, dst: RhsDst) -> Result<
                 p.next()?;
                 let m = p.ident()?;
                 let args = parse_args(p)?;
-                mb.call(Some(&dst), &first, &m, &as_refs(&args));
+                mb.call(Some(dst), first, m, &args);
             } else {
                 p.next()?;
                 let f = p.ident()?;
-                mb.load(Some(&dst), &first, &f);
+                mb.load(Some(dst), first, f);
             }
         }
         Some(Tok::LBracket) => {
             p.next()?;
             p.expect(Tok::Star)?;
             p.expect(Tok::RBracket)?;
-            mb.load_array(Some(&dst), &first);
+            mb.load_array(Some(dst), first);
         }
         Some(Tok::ColonColon) => {
             if matches!(p.peek3(), Some(Tok::LParen)) {
                 p.next()?;
                 let m = p.ident()?;
                 let args = parse_args(p)?;
-                mb.call_static(Some(&dst), &first, &m, &as_refs(&args));
+                mb.call_static(Some(dst), first, m, &args);
             } else {
                 p.next()?;
                 let f = p.ident()?;
-                if !mb.class_exists(&first) {
+                if !mb.class_exists(first) {
                     return Err(p.err(format!("unknown class {first}")));
                 }
-                mb.load_static(Some(&dst), &first, &f);
+                mb.load_static(Some(dst), first, f);
             }
         }
         _ => {
-            mb.assign(&dst, &first);
+            mb.assign(dst, first);
         }
     }
     Ok(())

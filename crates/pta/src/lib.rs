@@ -375,18 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn step_budget_stops_solver() {
-        let p = parse(FIGURE2).unwrap();
-        let cfg = PtaConfig {
-            policy: Policy::origin1(),
-            max_steps: 1,
-            ..Default::default()
-        };
-        let r = analyze(&o2_ir::ProgramCtx::solo(&p), &cfg);
-        assert!(r.timed_out);
-    }
-
-    #[test]
     fn stats_are_populated() {
         let (_, r) = run(FIGURE2, Policy::origin1());
         assert!(r.stats.num_pointers > 0);

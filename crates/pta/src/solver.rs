@@ -92,6 +92,11 @@ impl CallTarget {
     }
 }
 
+/// Maximum number of distinct wrapper call sites disambiguated per
+/// origin-creating statement (§3.2 sets k=1 for the wrapper call-site
+/// extension; this caps pathological fan-in, soundly merging beyond it).
+const WRAPPER_SITE_LIMIT: usize = 8;
+
 /// Configuration for one pointer-analysis run.
 #[derive(Clone, Debug)]
 pub struct PtaConfig {
@@ -101,13 +106,6 @@ pub struct PtaConfig {
     /// [`PtaResult::timed_out`] set when exceeded (the harness analogue of
     /// the paper's ">4h" entries).
     pub timeout: Option<Duration>,
-    /// Maximum number of solver steps (propagation units) as a
-    /// deterministic budget; `u64::MAX` by default.
-    pub max_steps: u64,
-    /// Maximum number of distinct wrapper call sites disambiguated per
-    /// origin-creating statement (§3.2 sets k=1 for the wrapper call-site
-    /// extension; this caps pathological fan-in, soundly merging beyond it).
-    pub wrapper_site_limit: usize,
     /// Maximum origin nesting depth. Origins created deeper than this are
     /// soundly merged by dropping the parent from their identity key, which
     /// guarantees termination for recursively self-spawning code.
@@ -134,8 +132,6 @@ impl Default for PtaConfig {
         PtaConfig {
             policy: Policy::origin1(),
             timeout: None,
-            max_steps: u64::MAX,
-            wrapper_site_limit: 8,
             max_origin_depth: 8,
             anonymous_external_objects: true,
             difference_propagation: true,
@@ -252,7 +248,7 @@ pub struct PtaResult {
     mi_origins: Vec<SparseSet>,
     /// Run statistics.
     pub stats: PtaStats,
-    /// `true` if the run hit its time or step budget before fixpoint.
+    /// `true` if the run hit its time budget before fixpoint.
     pub timed_out: bool,
     /// Wall-clock duration of the solve.
     pub duration: Duration,
@@ -508,8 +504,8 @@ pub fn analyze(ctx: &ProgramCtx<'_>, config: &PtaConfig) -> PtaResult {
 /// solver's main loop (at its existing 256-iteration deadline cadence)
 /// and *aborts* with a typed error when it trips.
 ///
-/// This is distinct from [`PtaConfig::timeout`] / [`PtaConfig::max_steps`]:
-/// those are per-stage *truncation* budgets (the result comes back with
+/// This is distinct from [`PtaConfig::timeout`]: that is a per-stage
+/// *truncation* budget (the result comes back with
 /// [`PtaResult::timed_out`] set and the pipeline degrades gracefully),
 /// while an exceeded `Budget` means the whole request is over — the
 /// partial solver state is discarded.
@@ -638,10 +634,6 @@ impl<'p> Solver<'p> {
 
     fn budget_exhausted(&mut self) -> bool {
         if self.timed_out {
-            return true;
-        }
-        if self.steps >= self.cfg.max_steps {
-            self.timed_out = true;
             return true;
         }
         // The iteration counter advances by exactly one per main-loop
@@ -1048,10 +1040,10 @@ impl<'p> Solver<'p> {
 
     /// The wrapper call sites currently known for `mi` (§3.2): one origin
     /// is created per call site of the method containing the origin
-    /// allocation, up to [`PtaConfig::wrapper_site_limit`].
+    /// allocation, up to [`WRAPPER_SITE_LIMIT`].
     fn wrapper_sites(&self, mi: Mi) -> Vec<Option<GStmt>> {
         let incoming = &self.mi_info[mi.0 as usize].incoming;
-        if incoming.is_empty() || incoming.len() > self.cfg.wrapper_site_limit {
+        if incoming.is_empty() || incoming.len() > WRAPPER_SITE_LIMIT {
             vec![None]
         } else {
             incoming.iter().copied().map(Some).collect()
@@ -1062,7 +1054,7 @@ impl<'p> Solver<'p> {
     /// origins created here merge several call sites and are flagged as
     /// multi-instance so the detector keeps their self-races.
     fn wrapper_merged(&self, mi: Mi) -> bool {
-        self.mi_info[mi.0 as usize].incoming.len() > self.cfg.wrapper_site_limit
+        self.mi_info[mi.0 as usize].incoming.len() > WRAPPER_SITE_LIMIT
     }
 
     fn create_origins_for_new(
@@ -1231,7 +1223,7 @@ impl<'p> Solver<'p> {
         if !was_processed {
             self.enqueue_mi(callee);
         } else if is_new_site
-            && self.mi_info[callee.0 as usize].incoming.len() <= self.cfg.wrapper_site_limit
+            && self.mi_info[callee.0 as usize].incoming.len() <= WRAPPER_SITE_LIMIT
         {
             let origin_stmts = self.mi_info[callee.0 as usize].origin_stmts.clone();
             for idx in origin_stmts {

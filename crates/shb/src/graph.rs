@@ -15,18 +15,21 @@ use o2_pta::{CallTarget, Mi, ObjId, OriginId, PtaResult};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
+/// Maximum call depth while walking an origin's code paths; truncates the
+/// trace beyond it.
+const MAX_WALK_DEPTH: usize = 2_000;
+
+/// Maximum `(method instance, lockset)` visits per origin; truncates the
+/// trace beyond it (guards against the method-instance explosion of deep
+/// object-sensitive pointer analyses).
+const MAX_VISITED_METHODS: usize = 100_000;
+
 /// Configuration for SHB construction.
 #[derive(Clone, Debug)]
 pub struct ShbConfig {
     /// Maximum number of nodes per origin trace; traces are truncated
     /// beyond this budget (and flagged).
     pub node_budget: usize,
-    /// Maximum call depth while walking an origin's code paths.
-    pub max_walk_depth: usize,
-    /// Maximum `(method instance, lockset)` visits per origin; truncates
-    /// the trace beyond it (guards against the method-instance explosion
-    /// of deep object-sensitive pointer analyses).
-    pub max_visited_methods: usize,
     /// If `true`, all accesses of an event origin carry the implicit
     /// per-dispatcher lock (§4.2), so handlers on the same dispatcher never
     /// race with each other.
@@ -45,8 +48,6 @@ impl Default for ShbConfig {
     fn default() -> Self {
         ShbConfig {
             node_budget: 1_000_000,
-            max_walk_depth: 2_000,
-            max_visited_methods: 100_000,
             event_dispatcher_lock: true,
             main_dispatcher: None,
             timeout: None,
@@ -766,11 +767,11 @@ impl<'a> Builder<'a> {
         if st.truncated {
             return;
         }
-        if st.visited.len() >= self.config.max_visited_methods {
+        if st.visited.len() >= MAX_VISITED_METHODS {
             st.truncated = true;
             return;
         }
-        if depth > self.config.max_walk_depth {
+        if depth > MAX_WALK_DEPTH {
             st.truncated = true;
             return;
         }

@@ -118,6 +118,18 @@ fn extended_models_roundtrip_structurally() {
     }
 }
 
+/// The C-syntax models reach the text frontend through the printer, so
+/// every C model's program passes through both frontends' token paths.
+#[test]
+fn c_models_roundtrip_structurally() {
+    let models = o2_workloads::all_c_models()
+        .into_iter()
+        .chain(o2_workloads::extended_c_models());
+    for model in models {
+        assert_roundtrip(model.name, &model.program);
+    }
+}
+
 /// A kitchen-sink program touching every synchronization statement the
 /// surface syntax has — rwread/rwwrite blocks, wait/notify/notifyall,
 /// await points, and async-task spawns with executor and worker counts —
