@@ -5,7 +5,7 @@
 //! stages (OSA sharing entries, the SHB access index, detect candidates)
 //! store per-location state in plain `Vec`s indexed by `LocId` instead of
 //! `BTreeMap<MemKey, _>` trees — the same §4.1 move that replaced lock
-//! lists with interned [`LockSetId`]s, applied to memory locations.
+//! lists with interned `LockSetId`s (`o2-shb`), applied to memory locations.
 //!
 //! `LocId`s are an accident of interning order and are valid only within
 //! one analysis run: they never enter rendered reports or database images.

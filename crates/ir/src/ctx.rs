@@ -3,7 +3,7 @@
 //!
 //! Every analysis stage (OPA, OSA, SHB, detection, the precision
 //! pipeline) takes a [`ProgramCtx`] instead of a bare
-//! [`Program`](crate::Program). The context carries the dense
+//! [`Program`]. The context carries the dense
 //! [`ProgramId`] that all interned-id tables of the run hang off
 //! (`LocTable`, the SHB graph), so many programs can be
 //! analyzed concurrently in one process without their id spaces ever

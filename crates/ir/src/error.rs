@@ -50,9 +50,9 @@ pub enum O2Error {
     Db(String),
     /// An I/O failure (file read/write, socket).
     Io(String),
-    /// A wall-clock deadline ([`Budget::deadline`]) expired.
+    /// A wall-clock deadline (set by [`Budget::with_deadline`]) expired.
     Timeout(String),
-    /// A step budget ([`Budget::max_steps`]) was exhausted.
+    /// A step budget (set by [`Budget::with_max_steps`]) was exhausted.
     Budget(String),
     /// A caught panic — the backstop of last resort. Request and batch
     /// boundaries convert any residual panic into this variant so one

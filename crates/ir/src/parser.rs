@@ -122,7 +122,7 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
             }
             "event_entry" => {
                 let name = p.ident()?;
-                let d = p.num()? as u16;
+                let d = num_u16(&mut p, "event_entry dispatcher")?;
                 pb.entry_config_mut().add_event_entry(name, d);
             }
             "entry_prefix" => {
@@ -169,6 +169,12 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
         parse_class(&mut p, &mut pb)?;
     }
     pb.finish().map_err(ParseError::from)
+}
+
+/// Reads a dispatcher or executor id, which must fit a `u16`.
+fn num_u16(p: &mut Cursor<'_>, what: &str) -> Result<u16, ParseError> {
+    let n = p.num()?;
+    u16::try_from(n).map_err(|_| p.err(format!("{what} must be between 0 and 65535")))
 }
 
 fn parse_kind_name(name: &str) -> Option<OriginKind> {
@@ -370,14 +376,14 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
             .ok_or_else(|| p.err(format!("unknown spawn kind `{kind_name}`")))?;
         if matches!(kind, OriginKind::Event { .. }) && matches!(p.peek(), Some(Tok::LParen)) {
             p.next()?;
-            let d = p.num()? as u16;
+            let d = num_u16(p, "event dispatcher")?;
             p.expect(Tok::RParen)?;
             kind = OriginKind::Event { dispatcher: d };
         }
         if matches!(kind, OriginKind::AsyncTask { .. }) && matches!(p.peek(), Some(Tok::LParen)) {
             // task(EXECUTOR) or task(EXECUTOR, WORKERS)
             p.next()?;
-            let executor = p.num()? as u16;
+            let executor = num_u16(p, "executor")?;
             let mut workers = 1u8;
             if matches!(p.peek(), Some(Tok::Comma)) {
                 p.next()?;
@@ -746,6 +752,36 @@ mod robustness_tests {
         for bad in [0u64, 256, 1000] {
             let err = parse(&src(bad)).unwrap_err();
             assert!(err.message.contains("replica count"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn dispatcher_and_executor_ranges_are_checked() {
+        let spawn = |kind: &str| {
+            format!(
+                "class C {{ static method w(a) {{ }} static method main() {{ a = new C(); spawn {kind} C::w(a); }} }}"
+            )
+        };
+        let pragma = |n: u64| {
+            format!("pragma event_entry onEvent {n};\nclass C {{ static method main() {{ }} }}")
+        };
+        let sites: [(&dyn Fn(u64) -> String, &str); 4] = [
+            (&|n| spawn(&format!("event({n})")), "event dispatcher"),
+            (&|n| spawn(&format!("task({n})")), "executor"),
+            (&|n| spawn(&format!("task({n}, 2)")), "executor"),
+            (&pragma, "event_entry dispatcher"),
+        ];
+        for (src, what) in sites {
+            assert!(parse(&src(0)).is_ok(), "{}", src(0));
+            assert!(parse(&src(65535)).is_ok(), "{}", src(65535));
+            for bad in [65536u64, 1 << 32] {
+                let err = parse(&src(bad)).unwrap_err();
+                assert!(
+                    err.message
+                        .contains(&format!("{what} must be between 0 and 65535")),
+                    "{bad}: {err}"
+                );
+            }
         }
     }
 

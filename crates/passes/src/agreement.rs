@@ -6,13 +6,14 @@
 //! score — and never a filter: RacerD has no pointer analysis and both
 //! its false negatives and false positives are plentiful, so silence
 //! from it must not demote or drop an O2 race.
+//!
+//! The pass reads only the baseline's per-field warning counts and their
+//! total, which `o2-racerd` computes in closed form.
 
 use crate::triage::RACERD_AGREEMENT_BONUS;
 use crate::{AnalysisCtx, Pass, PassStats, PipelineState};
 use o2_analysis::osa::MemKey;
-use o2_ir::ids::FieldId;
 use o2_racerd::run_racerd;
-use std::collections::BTreeMap;
 
 /// The RacerD-agreement pass.
 pub struct RacerdAgreementPass;
@@ -24,16 +25,13 @@ impl Pass for RacerdAgreementPass {
 
     fn run(&mut self, ctx: &AnalysisCtx<'_>, state: &mut PipelineState) -> PassStats {
         let report = run_racerd(ctx.program);
-        let mut by_field: BTreeMap<FieldId, u64> = BTreeMap::new();
-        for w in &report.warnings {
-            *by_field.entry(w.field).or_insert(0) += 1;
-        }
         let mut agreements = 0u64;
         for tr in &mut state.races {
             let field = match tr.race.key {
                 MemKey::Field(_, f) | MemKey::Static(_, f) => f,
             };
-            if let Some(&n) = by_field.get(&field) {
+            let n = report.field_warnings(field);
+            if n > 0 {
                 tr.score += RACERD_AGREEMENT_BONUS;
                 tr.notes.push(format!(
                     "corroborated by racerd ({n} warning{} on this field)",

@@ -16,6 +16,14 @@
 //! - two warning classes, as in the paper's comparison methodology:
 //!   read/write races and unprotected-write pairs.
 //!
+//! The report carries warning *counts* — per field, per class and in
+//! total — which are all that Tables 5, 8 and 9 and the precision
+//! pipeline's agreement pass read. They are computed in closed form from
+//! each field's numbers of locked/unlocked reads and writes; no warning
+//! list is built. A field with more than [`PAIR_BUDGET`] warning pairs
+//! reports exactly [`PAIR_BUDGET`], unprotected-write pairs counted
+//! first and read/write races filling the rest.
+//!
 //! What is deliberately *not* modeled (the reason O2 wins on precision):
 //! pointer aliasing, origins, happens-before edges from `start`/`join`,
 //! lock identities.
@@ -48,7 +56,7 @@
 
 use o2_ir::ids::{FieldId, GStmt, MethodId, VarId};
 use o2_ir::program::{Callee, Program, Selector, Stmt};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 /// One field access in a method summary.
@@ -64,26 +72,20 @@ pub struct SummaryAccess {
     pub locked: bool,
 }
 
-/// One reported warning: a pair of conflicting accesses on the same field
-/// name.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Warning {
-    /// The conflicting field.
-    pub field: FieldId,
-    /// First access.
-    pub a: SummaryAccess,
-    /// Second access.
-    pub b: SummaryAccess,
-    /// `true` for an unprotected-write violation (both sides unlocked),
-    /// `false` for a read/write race (one side locked).
-    pub unprotected_write: bool,
-}
-
-/// The RacerD-style report.
+/// The RacerD-style report: warning counts, per field and in total.
+///
+/// A warning is a pair of accesses to the same field name, at least one
+/// a write, not both under a lock: an *unprotected write* if neither is
+/// locked, a *read/write race* otherwise. Each statement is at most one
+/// access (`Stmt::field_access` and `Stmt::static_access` are
+/// disjoint), so the pairs of a field are exactly the pairs of its
+/// access list and their counts have a closed form in the numbers of
+/// locked/unlocked reads and writes; no pair is enumerated.
 #[derive(Clone, Debug, Default)]
 pub struct RacerDReport {
-    /// Reported warnings (capped per field by the pair budget).
-    pub warnings: Vec<Warning>,
+    /// Warnings per field, indexed by [`FieldId`] (capped per field by
+    /// the pair budget).
+    per_field: Vec<usize>,
     /// Number of read/write race warnings.
     pub num_read_write_races: usize,
     /// Number of unprotected-write pair warnings.
@@ -100,126 +102,104 @@ impl RacerDReport {
         self.num_read_write_races + self.num_unprotected_writes
     }
 
-    /// Renders a human-readable report.
-    pub fn render(&self, program: &Program) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for (i, w) in self.warnings.iter().enumerate() {
-            let kind = if w.unprotected_write {
-                "unprotected write"
-            } else {
-                "read/write race"
-            };
-            let _ = writeln!(
-                out,
-                "warning #{}: {kind} on `{}` between {} and {}",
-                i + 1,
-                program.field_name(w.field),
-                program.stmt_label(w.a.stmt),
-                program.stmt_label(w.b.stmt),
-            );
-        }
-        out
+    /// Number of warnings on `field`.
+    pub fn field_warnings(&self, field: FieldId) -> usize {
+        self.per_field.get(field.index()).copied().unwrap_or(0)
     }
 }
 
-/// Maximum access pairs reported per field.
-const PAIR_BUDGET: usize = 10_000;
+/// Maximum access pairs reported per field. A field over the budget
+/// reports exactly this many warnings, unprotected writes counted
+/// first.
+pub const PAIR_BUDGET: usize = 10_000;
+
+/// The accesses of one field, by class.
+#[derive(Clone, Copy, Debug, Default)]
+struct FieldTally {
+    /// All accesses.
+    n: usize,
+    /// Writes.
+    writes: usize,
+    /// Locked accesses.
+    locked: usize,
+    /// Locked writes.
+    locked_writes: usize,
+}
+
+/// Pairs among `n` accesses with at least one of the `w` writes.
+fn conflicting_pairs(n: usize, w: usize) -> usize {
+    let pairs = |k: usize| k * k.saturating_sub(1) / 2;
+    pairs(n) - pairs(n - w)
+}
 
 /// Runs the RacerD-style analysis on `program`.
 pub fn run_racerd(program: &Program) -> RacerDReport {
     let start = Instant::now();
-    let analysis = Analysis::new(program);
-    let summaries = analysis.compute_summaries();
-    let concurrent = analysis.concurrent_methods();
+    let mut tallies = vec![FieldTally::default(); program.fields.len()];
+    for_each_concurrent_access(program, |a| {
+        let t = &mut tallies[a.field.index()];
+        t.n += 1;
+        t.writes += usize::from(a.is_write);
+        t.locked += usize::from(a.locked);
+        t.locked_writes += usize::from(a.locked && a.is_write);
+    });
 
-    // Group accesses of concurrent methods by field name.
-    let mut by_field: BTreeMap<FieldId, Vec<SummaryAccess>> = BTreeMap::new();
-    for (m, summary) in summaries.iter().enumerate() {
-        let mid = MethodId::from_usize(m);
-        if !concurrent.contains(&mid) {
-            continue;
-        }
-        // Only the method's own accesses: callee accesses surface in the
-        // callee's own entry (they are in `concurrent` too), so counting
-        // summaries here would double-report.
-        for a in &summary.own {
-            by_field.entry(a.field).or_default().push(*a);
-        }
+    let mut report = RacerDReport {
+        per_field: vec![0; tallies.len()],
+        ..RacerDReport::default()
+    };
+    for (t, count) in tallies.iter().zip(&mut report.per_field) {
+        // Pairs with a write, minus those under a lock on both sides.
+        let warned =
+            conflicting_pairs(t.n, t.writes) - conflicting_pairs(t.locked, t.locked_writes);
+        let unprotected =
+            conflicting_pairs(t.n - t.locked, t.writes - t.locked_writes).min(PAIR_BUDGET);
+        *count = warned.min(PAIR_BUDGET);
+        report.num_unprotected_writes += unprotected;
+        report.num_read_write_races += *count - unprotected;
     }
-
-    let mut report = RacerDReport::default();
-    let mut seen: BTreeSet<(FieldId, GStmt, GStmt)> = BTreeSet::new();
-    for (field, accesses) in by_field {
-        let any_write = accesses.iter().any(|a| a.is_write);
-        if !any_write || accesses.len() < 2 {
-            continue;
-        }
-        let mut pairs = 0usize;
-        for i in 0..accesses.len() {
-            for j in (i + 1)..accesses.len() {
-                let (a, b) = (accesses[i], accesses[j]);
-                if !a.is_write && !b.is_write {
-                    continue;
-                }
-                if a.stmt == b.stmt {
-                    continue;
-                }
-                if a.locked && b.locked {
-                    continue; // RacerD: both under (some) lock → protected.
-                }
-                pairs += 1;
-                if pairs > PAIR_BUDGET {
-                    break;
-                }
-                let key = if a.stmt <= b.stmt {
-                    (field, a.stmt, b.stmt)
-                } else {
-                    (field, b.stmt, a.stmt)
-                };
-                if !seen.insert(key) {
-                    continue;
-                }
-                let unprotected = !a.locked && !b.locked;
-                if unprotected {
-                    report.num_unprotected_writes += 1;
-                } else {
-                    report.num_read_write_races += 1;
-                }
-                report.warnings.push(Warning {
-                    field,
-                    a,
-                    b,
-                    unprotected_write: unprotected,
-                });
-            }
-        }
-    }
-    report
-        .warnings
-        .sort_by_key(|w| (w.field, w.a.stmt, w.b.stmt));
     report.duration = start.elapsed();
     report
 }
 
-#[derive(Clone, Debug, Default)]
-struct MethodSummary {
-    /// The method's own (non-owned) accesses.
-    own: Vec<SummaryAccess>,
+/// The summarized accesses of every method that may run concurrently,
+/// method by method in id order: the input of the warning counts.
+#[doc(hidden)]
+pub fn concurrent_accesses(program: &Program) -> Vec<SummaryAccess> {
+    let mut out = Vec::new();
+    for_each_concurrent_access(program, |a| out.push(a));
+    out
+}
+
+/// Calls `f` on each summarized access of each concurrent method.
+///
+/// Only a method's own accesses: callee accesses surface in the callee's
+/// own summary (the callee is concurrent too), so counting summaries
+/// here would double-report.
+fn for_each_concurrent_access(program: &Program, mut f: impl FnMut(SummaryAccess)) {
+    let analysis = Analysis::new(program);
+    let concurrent = analysis.concurrent_methods();
+    for (m, &is_concurrent) in concurrent.iter().enumerate() {
+        if is_concurrent {
+            analysis.summarize(MethodId::from_usize(m), &mut f);
+        }
+    }
 }
 
 struct Analysis<'p> {
     program: &'p Program,
-    /// CHA dispatch: selector → all concrete targets.
-    cha: HashMap<Selector, Vec<MethodId>>,
+    /// CHA dispatch: (method name, arity) → all concrete targets.
+    cha: HashMap<(&'p str, usize), Vec<MethodId>>,
 }
 
 impl<'p> Analysis<'p> {
     fn new(program: &'p Program) -> Self {
-        let mut cha: HashMap<Selector, Vec<MethodId>> = HashMap::new();
+        let mut cha: HashMap<(&str, usize), Vec<MethodId>> = HashMap::new();
         for class in &program.classes {
             for (sel, mid) in &class.methods {
-                cha.entry(sel.clone()).or_default().push(*mid);
+                cha.entry((sel.name.as_str(), sel.arity))
+                    .or_default()
+                    .push(*mid);
             }
         }
         Analysis { program, cha }
@@ -228,7 +208,8 @@ impl<'p> Analysis<'p> {
     /// Methods that may run concurrently with something else: everything
     /// syntactically reachable from an origin entry point, plus everything
     /// reachable from main if the program creates origins at all.
-    fn concurrent_methods(&self) -> HashSet<MethodId> {
+    /// Indexed by [`MethodId`].
+    fn concurrent_methods(&self) -> Vec<bool> {
         let mut roots: Vec<MethodId> = Vec::new();
         let mut has_origins = false;
         for (mi, method) in self.program.methods.iter().enumerate() {
@@ -247,26 +228,24 @@ impl<'p> Analysis<'p> {
         if has_origins {
             roots.push(self.program.main);
         }
-        let mut reach: HashSet<MethodId> = HashSet::new();
+        let mut reach = vec![false; self.program.methods.len()];
         let mut stack = roots;
         while let Some(m) = stack.pop() {
-            if !reach.insert(m) {
+            if std::mem::replace(&mut reach[m.index()], true) {
                 continue;
             }
             for instr in &self.program.method(m).body {
                 match &instr.stmt {
                     Stmt::Call { callee, args, .. } => match callee {
                         Callee::Virtual { name, .. } => {
-                            let sel = Selector::new(name.clone(), args.len());
-                            if let Some(ts) = self.cha.get(&sel) {
+                            if let Some(ts) = self.cha.get(&(name.as_str(), args.len())) {
                                 stack.extend(ts.iter().copied());
                             }
                             // `start()` reaches the entry methods via the
                             // thread-entry convention.
                             if name == "start" {
                                 for entry_name in &self.program.entry_config.thread_entries {
-                                    let sel = Selector::new(entry_name.clone(), 0);
-                                    if let Some(ts) = self.cha.get(&sel) {
+                                    if let Some(ts) = self.cha.get(&(entry_name.as_str(), 0)) {
                                         stack.extend(ts.iter().copied());
                                     }
                                 }
@@ -288,85 +267,79 @@ impl<'p> Analysis<'p> {
         reach
     }
 
-    /// Per-method summaries: own field accesses with lock bits, with the
-    /// ownership filter applied.
-    fn compute_summaries(&self) -> Vec<MethodSummary> {
-        let mut summaries = Vec::with_capacity(self.program.methods.len());
-        for (mi, method) in self.program.methods.iter().enumerate() {
-            let mid = MethodId::from_usize(mi);
-            // Ownership: variables assigned from `new`/`newarray` in this
-            // method own their object; accesses through them are not
-            // reported (RacerD's ownership domain).
-            let mut owned: HashSet<VarId> = HashSet::new();
-            let mut lock_depth: usize = usize::from(method.is_synchronized);
-            let mut own = Vec::new();
-            for (idx, instr) in method.body.iter().enumerate() {
-                let stmt = GStmt::new(mid, idx);
-                // Record accesses against the ownership state *before* this
-                // statement's own ownership effects.
-                if let Some((base, field, is_write)) = instr.stmt.field_access() {
-                    if !owned.contains(&base) {
-                        own.push(SummaryAccess {
-                            field,
-                            stmt,
-                            is_write,
-                            // RacerD treats atomics as protected accesses.
-                            locked: lock_depth > 0 || instr.stmt.is_atomic_access(),
-                        });
-                    }
-                }
-                if let Some((_, field, is_write)) = instr.stmt.static_access() {
-                    own.push(SummaryAccess {
+    /// The summary of `mid`: calls `f` on each of its own field accesses,
+    /// with its lock bit, after the ownership filter.
+    fn summarize(&self, mid: MethodId, f: &mut impl FnMut(SummaryAccess)) {
+        let method = self.program.method(mid);
+        // Ownership: variables assigned from `new`/`newarray` in this
+        // method own their object; accesses through them are not
+        // reported (RacerD's ownership domain).
+        let mut owned: HashSet<VarId> = HashSet::new();
+        let mut lock_depth: usize = usize::from(method.is_synchronized);
+        for (idx, instr) in method.body.iter().enumerate() {
+            let stmt = GStmt::new(mid, idx);
+            // Record accesses against the ownership state *before* this
+            // statement's own ownership effects.
+            if let Some((base, field, is_write)) = instr.stmt.field_access() {
+                if !owned.contains(&base) {
+                    f(SummaryAccess {
                         field,
                         stmt,
                         is_write,
-                        locked: lock_depth > 0,
+                        // RacerD treats atomics as protected accesses.
+                        locked: lock_depth > 0 || instr.stmt.is_atomic_access(),
                     });
                 }
-                match &instr.stmt {
-                    Stmt::New { dst, args, .. } => {
-                        // Passing an owned object into a constructor
-                        // transfers ownership away.
-                        for a in args {
-                            owned.remove(a);
-                        }
+            }
+            if let Some((_, field, is_write)) = instr.stmt.static_access() {
+                f(SummaryAccess {
+                    field,
+                    stmt,
+                    is_write,
+                    locked: lock_depth > 0,
+                });
+            }
+            match &instr.stmt {
+                Stmt::New { dst, args, .. } => {
+                    // Passing an owned object into a constructor
+                    // transfers ownership away.
+                    for a in args {
+                        owned.remove(a);
+                    }
+                    owned.insert(*dst);
+                }
+                Stmt::NewArray { dst } => {
+                    owned.insert(*dst);
+                }
+                Stmt::Assign { dst, src } => {
+                    if owned.contains(src) {
                         owned.insert(*dst);
+                    } else {
+                        owned.remove(dst);
                     }
-                    Stmt::NewArray { dst } => {
-                        owned.insert(*dst);
+                }
+                Stmt::Call { args, .. } | Stmt::Spawn { args, .. } => {
+                    for a in args {
+                        owned.remove(a);
                     }
-                    Stmt::Assign { dst, src } => {
-                        if owned.contains(src) {
-                            owned.insert(*dst);
-                        } else {
-                            owned.remove(dst);
-                        }
-                    }
-                    Stmt::Call { args, .. } | Stmt::Spawn { args, .. } => {
-                        for a in args {
-                            owned.remove(a);
-                        }
-                    }
-                    Stmt::StoreField { base, src, .. }
-                        // Storing into a non-owned base publishes the value.
-                        if !owned.contains(base) => {
-                            owned.remove(src);
-                        }
-                    Stmt::StoreStatic { src, .. } => {
+                }
+                Stmt::StoreField { base, src, .. }
+                    // Storing into a non-owned base publishes the value.
+                    if !owned.contains(base) => {
                         owned.remove(src);
                     }
-                    // RacerD's coarse model has no reader/writer modes:
-                    // any rwlock region counts as "locked".
-                    Stmt::MonitorEnter { .. } | Stmt::RwEnter { .. } => lock_depth += 1,
-                    Stmt::MonitorExit { .. } | Stmt::RwExit { .. } => {
-                        lock_depth = lock_depth.saturating_sub(1)
-                    }
-                    _ => {}
+                Stmt::StoreStatic { src, .. } => {
+                    owned.remove(src);
                 }
+                // RacerD's coarse model has no reader/writer modes:
+                // any rwlock region counts as "locked".
+                Stmt::MonitorEnter { .. } | Stmt::RwEnter { .. } => lock_depth += 1,
+                Stmt::MonitorExit { .. } | Stmt::RwExit { .. } => {
+                    lock_depth = lock_depth.saturating_sub(1)
+                }
+                _ => {}
             }
-            summaries.push(MethodSummary { own });
         }
-        summaries
     }
 }
 
@@ -422,11 +395,7 @@ mod tests {
         // The only remaining warnings involve the constructor handoff of
         // W.s, not S.data.
         let data = p.field_by_name("data").unwrap();
-        assert!(
-            !r.warnings.iter().any(|w| w.field == data),
-            "{}",
-            r.render(&p)
-        );
+        assert_eq!(r.field_warnings(data), 0, "{r:?}");
     }
 
     #[test]
@@ -464,12 +433,7 @@ mod tests {
         "#;
         let p = parse(src).unwrap();
         let r = run_racerd(&p);
-        assert_eq!(
-            r.total_warnings(),
-            0,
-            "owned accesses are filtered: {}",
-            r.render(&p)
-        );
+        assert_eq!(r.total_warnings(), 0, "owned accesses are filtered: {r:?}");
     }
 
     #[test]
@@ -505,9 +469,8 @@ mod tests {
         let r = run_racerd(&p);
         let data = p.field_by_name("data").unwrap();
         assert!(
-            r.warnings.iter().any(|w| w.field == data),
-            "RacerD conflates same-named fields: {}",
-            r.render(&p)
+            r.field_warnings(data) > 0,
+            "RacerD conflates same-named fields: {r:?}"
         );
     }
 
@@ -531,6 +494,6 @@ mod tests {
         "#;
         let p = parse(src).unwrap();
         let r = run_racerd(&p);
-        assert!(r.num_read_write_races >= 1, "{}", r.render(&p));
+        assert!(r.num_read_write_races >= 1, "{r:?}");
     }
 }

@@ -9,6 +9,8 @@
 //! - The detect pre-loop prune taxonomy on every preset and mega preset:
 //!   the raw access pairs, partitioned into the three pruning stages and
 //!   the candidates that reach the pair loop.
+//! - Table 7's shared-access counts on the DaCapo presets: OSA's and the
+//!   thread-escape baseline's.
 
 use o2::prelude::*;
 use o2_passes::Tier;
@@ -247,4 +249,51 @@ fn prune_taxonomy_is_pinned_on_every_preset_and_mega_preset() {
         })
         .collect();
     assert_eq!(rows, PRUNE_ROWS);
+}
+
+/// Table 7's count columns on the DaCapo presets (equal to
+/// `results/reproduce_all.txt`).
+const TABLE7_ROWS: &[&str] = &[
+    "avrora: osa #S-access 52, escape #S-access 68",
+    "batik: osa #S-access 47, escape #S-access 63",
+    "eclipse: osa #S-access 52, escape #S-access 68",
+    "h2: osa #S-access 42, escape #S-access 58",
+    "jython: osa #S-access 51, escape #S-access 63",
+    "luindex: osa #S-access 32, escape #S-access 40",
+    "lusearch: osa #S-access 26, escape #S-access 38",
+    "pmd: osa #S-access 25, escape #S-access 33",
+    "sunflow: osa #S-access 82, escape #S-access 94",
+    "tomcat: osa #S-access 44, escape #S-access 52",
+    "tradebeans: osa #S-access 22, escape #S-access 34",
+    "tradesoap: osa #S-access 24, escape #S-access 32",
+    "xalan: osa #S-access 17, escape #S-access 25",
+];
+
+/// Table 7's count columns on the DaCapo presets: OSA's `#S-access` on
+/// the origin-sensitive pointer analysis, and the escape baseline's on
+/// 1-CFA, as `reproduce --table 7` computes them.
+fn table7_row(preset: &o2_workloads::Preset) -> String {
+    let w = preset.generate();
+    let ctx = o2_ir::ProgramCtx::solo(&w.program);
+    let analyze = |policy| o2_pta::analyze(&ctx, &PtaConfig::with_policy(policy));
+    let pta = analyze(Policy::origin1());
+    let osa = o2_analysis::run_osa(&ctx, &pta);
+    let pta_cfa = analyze(Policy::cfa1());
+    let esc = o2_analysis::run_escape(&w.program, &pta_cfa);
+    format!(
+        "{}: osa #S-access {}, escape #S-access {}",
+        preset.name,
+        osa.num_shared_accesses(),
+        esc.num_shared_accesses(&w.program, &pta_cfa)
+    )
+}
+
+#[test]
+fn table7_shared_access_counts_are_pinned() {
+    let rows: Vec<String> = o2_workloads::all_presets()
+        .iter()
+        .filter(|p| p.group == o2_workloads::presets::Group::DaCapo)
+        .map(table7_row)
+        .collect();
+    assert_eq!(rows, TABLE7_ROWS);
 }

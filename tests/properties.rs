@@ -394,3 +394,135 @@ fn osa_matches_naive_reference() {
         "no input was large enough to truncate the scan"
     );
 }
+
+/// The pairwise RacerD reference: every pair of a field's accesses with
+/// a write and not both locked, deduplicated by statement pair and
+/// stopped at `PAIR_BUDGET` per field. Returns the per-field counts and
+/// the (read/write, unprotected) split. A capped field's split follows
+/// the documented rule (unprotected pairs first), not the order in which
+/// the loop happened to meet them.
+fn racerd_pairwise_reference(
+    program: &o2_ir::program::Program,
+) -> (
+    std::collections::BTreeMap<o2_ir::ids::FieldId, usize>,
+    usize,
+    usize,
+) {
+    use o2_ir::ids::{FieldId, GStmt};
+    use o2_racerd::{SummaryAccess, PAIR_BUDGET};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    let mut by_field: BTreeMap<FieldId, Vec<SummaryAccess>> = BTreeMap::new();
+    for a in o2_racerd::concurrent_accesses(program) {
+        by_field.entry(a.field).or_default().push(a);
+    }
+    let (mut counts, mut read_write, mut unprotected) = (BTreeMap::new(), 0, 0);
+    let mut seen: BTreeSet<(FieldId, GStmt, GStmt)> = BTreeSet::new();
+    for (field, accesses) in by_field {
+        let (mut pairs, mut field_rw, mut field_unprot, mut all_unprot) = (0, 0, 0, 0);
+        for i in 0..accesses.len() {
+            for j in (i + 1)..accesses.len() {
+                let (a, b) = (accesses[i], accesses[j]);
+                if (!a.is_write && !b.is_write) || a.stmt == b.stmt || (a.locked && b.locked) {
+                    continue;
+                }
+                let unprot = !a.locked && !b.locked;
+                all_unprot += usize::from(unprot);
+                if pairs >= PAIR_BUDGET {
+                    continue;
+                }
+                pairs += 1;
+                let key = (field, a.stmt.min(b.stmt), a.stmt.max(b.stmt));
+                if seen.insert(key) {
+                    if unprot {
+                        field_unprot += 1;
+                    } else {
+                        field_rw += 1;
+                    }
+                }
+            }
+        }
+        if pairs == PAIR_BUDGET {
+            field_unprot = all_unprot.min(PAIR_BUDGET);
+            field_rw = PAIR_BUDGET - field_unprot;
+        }
+        if field_rw + field_unprot > 0 {
+            counts.insert(field, field_rw + field_unprot);
+        }
+        read_write += field_rw;
+        unprotected += field_unprot;
+    }
+    (counts, read_write, unprotected)
+}
+
+/// RacerD's closed-form warning counts equal the pairwise reference, per
+/// field and in total, on every preset (telegram has two fields over the
+/// pair budget), every Java and C real-bug and extended model, the mega
+/// presets, the generated spec sample, and one field with 150 unlocked
+/// writers (11,175 pairs, above the budget).
+#[test]
+fn racerd_counts_match_pairwise_reference() {
+    let mut capped_src = String::from(
+        "class S { field data; }\n\
+         class W impl Runnable {\n  field s;\n  method <init>(s) { this.s = s; }\n  method run() {\n    s = this.s;\n",
+    );
+    for _ in 0..150 {
+        capped_src.push_str("    s.data = s;\n");
+    }
+    capped_src.push_str(
+        "  }\n}\n\
+         class Main { static method main() { s = new S(); w = new W(s); w.start(); } }\n",
+    );
+    let capped = o2_ir::parser::parse(&capped_src).expect("synthetic program parses");
+
+    let presets = o2_workloads::all_presets()
+        .into_iter()
+        .map(|p| (p.name.to_string(), p.generate().program));
+    let models = o2_workloads::all_models()
+        .into_iter()
+        .chain(o2_workloads::all_c_models())
+        .chain(o2_workloads::extended_models())
+        .chain(o2_workloads::extended_c_models())
+        .map(|m| (m.name.to_string(), m.program));
+    let mega = o2_workloads::mega_presets()
+        .into_iter()
+        .map(|m| (m.name.to_string(), m.generate().program));
+    let generated = spec_sample()
+        .into_iter()
+        .enumerate()
+        .map(|(i, spec)| (format!("case {i}"), generate(&spec).program));
+    let synthetic = std::iter::once(("150 writers".to_string(), capped));
+
+    let mut capped_fields = 0;
+    for (name, program) in presets
+        .chain(models)
+        .chain(mega)
+        .chain(generated)
+        .chain(synthetic)
+    {
+        let report = o2_racerd::run_racerd(&program);
+        let (counts, read_write, unprotected) = racerd_pairwise_reference(&program);
+        for f in 0..program.fields.len() {
+            let field = o2_ir::ids::FieldId::from_usize(f);
+            assert_eq!(
+                report.field_warnings(field),
+                counts.get(&field).copied().unwrap_or(0),
+                "{name}: field {}",
+                program.field_name(field)
+            );
+        }
+        capped_fields += counts
+            .values()
+            .filter(|&&n| n == o2_racerd::PAIR_BUDGET)
+            .count();
+        assert_eq!(report.num_read_write_races, read_write, "{name}");
+        assert_eq!(report.num_unprotected_writes, unprotected, "{name}");
+        assert_eq!(
+            report.total_warnings(),
+            counts.values().sum::<usize>(),
+            "{name}"
+        );
+    }
+    // telegram's two fields and the synthetic one.
+    assert_eq!(capped_fields, 3);
+}
