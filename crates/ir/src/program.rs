@@ -458,18 +458,36 @@ impl Program {
         None
     }
 
+    /// [`Program::dispatch`] on a selector given as its parts, so a hot
+    /// caller that holds a borrowed method name builds no [`Selector`].
+    pub fn dispatch_name(&self, class: ClassId, name: &str, arity: usize) -> Option<MethodId> {
+        let mut cur = Some(class);
+        while let Some(c) = cur {
+            let class = &self.classes[c.index()];
+            let local = class
+                .methods
+                .iter()
+                .find(|(s, _)| s.arity == arity && s.name == name);
+            if let Some(&(_, m)) = local {
+                return Some(m);
+            }
+            cur = class.superclass;
+        }
+        None
+    }
+
     /// Returns the origin entry selector defined by `class` (or an
     /// ancestor), together with the origin kind it starts, if any.
     ///
     /// A class defining e.g. `run/0` is an *origin class*: allocating it is
     /// an origin allocation (rule ⓫) and `start()` / direct entry calls on
     /// it enter the origin.
-    pub fn origin_entry_of_class(&self, class: ClassId) -> Option<(Selector, OriginKind)> {
+    pub fn origin_entry_of_class(&self, class: ClassId) -> Option<(&Selector, OriginKind)> {
         let mut cur = Some(class);
         while let Some(c) = cur {
             for (sel, _) in &self.classes[c.index()].methods {
                 if let Some(kind) = self.entry_config.entry_kind(&sel.name) {
-                    return Some((sel.clone(), kind));
+                    return Some((sel, kind));
                 }
             }
             cur = self.classes[c.index()].superclass;

@@ -3,7 +3,7 @@
 //! plus the one JSON string escaper every report writer and the serve
 //! wire protocol use.
 
-use std::collections::HashMap;
+use o2_db::FastMap;
 use std::fmt::Write as _;
 use std::hash::Hash;
 
@@ -328,9 +328,15 @@ impl SplitMix64 {
 ///
 /// Used for contexts, abstract objects, origins, lockset signatures, and
 /// solver node keys. Lookup by key is an indexed `Vec` access.
+///
+/// Lookup by value hashes with the Fx hasher ([`o2_db::FastMap`]), not
+/// SipHash: every key is derived from the analyzed program (ids, contexts,
+/// lock elements), never read raw from a request, so the table needs no
+/// flood resistance. [`Interner::iter`] walks the values in insertion
+/// order, so no output depends on the hasher.
 #[derive(Clone, Debug, Default)]
 pub struct Interner<T: Eq + Hash + Clone> {
-    map: HashMap<T, u32>,
+    map: FastMap<T, u32>,
     items: Vec<T>,
 }
 
@@ -338,7 +344,7 @@ impl<T: Eq + Hash + Clone> Interner<T> {
     /// Creates an empty interner.
     pub fn new() -> Self {
         Interner {
-            map: HashMap::new(),
+            map: FastMap::default(),
             items: Vec::new(),
         }
     }

@@ -26,9 +26,11 @@ use o2_ir::ctx::ProgramCtx;
 use o2_ir::error::{Budget, O2Error};
 use o2_ir::ids::{ClassId, FieldId, GStmt, MethodId, ProgramId, VarId, ARRAY_FIELD};
 use o2_ir::origins::OriginKind;
-use o2_ir::program::{Callee, Program, Selector, Stmt, CTOR_NAME, HANDLE_CLASS_NAME};
+use o2_ir::program::{
+    Callee, Program, Stmt, ARRAY_CLASS_NAME, CTOR_NAME, EXTERNAL_CLASS_NAME, HANDLE_CLASS_NAME,
+};
 use o2_ir::util::{Interner, SparseSet};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 /// An interned method instance: a `(method, context)` pair.
@@ -203,13 +205,31 @@ fn two_nodes(nodes: &mut [NodeData], from: NodeId, to: NodeId) -> (&NodeData, &m
 }
 
 #[derive(Debug)]
-struct VCall {
+struct VCall<'p> {
     caller: Mi,
     stmt_idx: u32,
-    name: String,
+    name: &'p str,
     arity: usize,
     arg_nodes: Vec<NodeId>,
     dst_node: Option<NodeId>,
+}
+
+/// What dispatch needs to know about an origin class (one that declares
+/// or inherits an entry method), computed once per class by
+/// `Solver::new` instead of once per (call, receiver) pair.
+#[derive(Clone, Copy, Debug)]
+struct OriginClass<'p> {
+    /// The entry selector's name and arity.
+    entry_name: &'p str,
+    entry_arity: usize,
+    /// The method the entry selector dispatches to.
+    entry: Option<MethodId>,
+    /// The kind of origin an instance starts.
+    kind: OriginKind,
+    /// `start()` enters the origin: the configuration follows the
+    /// `Thread.start()` convention, the entry takes no arguments, and the
+    /// class does not define a `start()` of its own.
+    implicit_start: bool,
 }
 
 #[derive(Debug)]
@@ -243,7 +263,7 @@ pub struct PtaResult {
     node_keys: Interner<NodeKey>,
     call_edges: BTreeMap<(u32, u32), Vec<CallTarget>>,
     join_edges: BTreeMap<(u32, u32), Vec<OriginId>>,
-    origin_of_obj: HashMap<ObjId, Vec<OriginId>>,
+    origin_of_obj: Vec<Vec<OriginId>>,
     origin_entry_mis: BTreeMap<OriginId, Vec<Mi>>,
     mi_origins: Vec<SparseSet>,
     /// Run statistics.
@@ -396,9 +416,8 @@ impl PtaResult {
     /// Origins created from the thread/handle object `obj`, if any.
     pub fn origins_of_obj(&self, obj: ObjId) -> &[OriginId] {
         self.origin_of_obj
-            .get(&obj)
-            .map(|v| v.as_slice())
-            .unwrap_or(EMPTY_ORIGINS)
+            .get(obj.0 as usize)
+            .map_or(EMPTY_ORIGINS, Vec::as_slice)
     }
 
     /// Entry method instances of an origin.
@@ -550,11 +569,17 @@ struct Solver<'p> {
     nodes: Vec<NodeData>,
     node_keys: Interner<NodeKey>,
     worklist: VecDeque<NodeId>,
-    vcalls: Vec<VCall>,
+    vcalls: Vec<VCall<'p>>,
     joins: Vec<JoinSite>,
+    // Indexed by `ClassId`; `None` for classes that start no origin.
+    origin_classes: Vec<Option<OriginClass<'p>>>,
+    array_class: Option<ClassId>,
+    handle_class: Option<ClassId>,
+    external_class: Option<ClassId>,
     call_edges: BTreeMap<(u32, u32), Vec<CallTarget>>,
     join_edges: BTreeMap<(u32, u32), Vec<OriginId>>,
-    origin_of_obj: HashMap<ObjId, Vec<OriginId>>,
+    // Indexed by `ObjId`: the origins created from each object.
+    origin_of_obj: Vec<Vec<OriginId>>,
     origin_entry_mis: BTreeMap<OriginId, Vec<Mi>>,
     num_edges: u64,
     steps: u64,
@@ -576,6 +601,21 @@ struct Solver<'p> {
 impl<'p> Solver<'p> {
     fn new(program: &'p Program, cfg: PtaConfig) -> Self {
         let deadline = cfg.timeout.map(|t| Instant::now() + t);
+        let origin_classes = (0..program.classes.len())
+            .map(|c| {
+                let class = ClassId::from_usize(c);
+                let (sel, kind) = program.origin_entry_of_class(class)?;
+                Some(OriginClass {
+                    entry_name: &sel.name,
+                    entry_arity: sel.arity,
+                    entry: program.dispatch(class, sel),
+                    kind,
+                    implicit_start: program.entry_config.start_spawns_entry
+                        && sel.arity == 0
+                        && program.dispatch_name(class, "start", 0).is_none(),
+                })
+            })
+            .collect();
         Solver {
             program,
             cfg,
@@ -587,9 +627,13 @@ impl<'p> Solver<'p> {
             worklist: VecDeque::new(),
             vcalls: Vec::new(),
             joins: Vec::new(),
+            origin_classes,
+            array_class: program.class_by_name(ARRAY_CLASS_NAME),
+            handle_class: program.class_by_name(HANDLE_CLASS_NAME),
+            external_class: program.class_by_name(EXTERNAL_CLASS_NAME),
             call_edges: BTreeMap::new(),
             join_edges: BTreeMap::new(),
-            origin_of_obj: HashMap::new(),
+            origin_of_obj: Vec::new(),
             origin_entry_mis: BTreeMap::new(),
             num_edges: 0,
             steps: 0,
@@ -768,41 +812,50 @@ impl<'p> Solver<'p> {
                 continue;
             }
             self.steps += delta.len() as u64;
+            // The firing reads the node's edge lists by index, up to the
+            // lengths they have now. No rule below inserts into `succs`
+            // while the copy loop runs (`add_pts` adds no edge), and
+            // `loads`, `stores`, `vcalls` and `joins` only grow by
+            // appending, when a statement is processed, so each loop sees
+            // exactly the lists a copy taken here would hold.
+            let n = &self.nodes[node as usize];
+            let (num_succs, num_loads, num_stores) = (n.succs.len(), n.loads.len(), n.stores.len());
+            let (num_vcalls, num_joins) = (n.vcalls.len(), n.joins.len());
             // Copy edges.
-            let succs = self.nodes[node as usize].succs.clone();
-            self.propagated += delta.len() as u64 * succs.len() as u64;
-            for s in succs {
+            self.propagated += delta.len() as u64 * num_succs as u64;
+            for i in 0..num_succs {
+                let s = self.nodes[node as usize].succs[i];
                 for &o in &delta {
                     self.add_pts(s, ObjId(o));
                 }
             }
             // Field loads: x = base.f — for each new base object o, edge
             // o.f → dst (rule ❹/❻).
-            let loads = self.nodes[node as usize].loads.clone();
-            for (f, dst) in loads {
+            for i in 0..num_loads {
+                let (f, dst) = self.nodes[node as usize].loads[i];
                 for &o in &delta {
                     let fnode = self.node(NodeKey::ObjField(ObjId(o), f));
                     self.add_edge(fnode, dst);
                 }
             }
             // Field stores: base.f = src — edge src → o.f (rule ❸/❺).
-            let stores = self.nodes[node as usize].stores.clone();
-            for (f, src) in stores {
+            for i in 0..num_stores {
+                let (f, src) = self.nodes[node as usize].stores[i];
                 for &o in &delta {
                     let fnode = self.node(NodeKey::ObjField(ObjId(o), f));
                     self.add_edge(src, fnode);
                 }
             }
             // Virtual call dispatch (rules ❼/⓬).
-            let vcalls = self.nodes[node as usize].vcalls.clone();
-            for vc in vcalls {
+            for i in 0..num_vcalls {
+                let vc = self.nodes[node as usize].vcalls[i];
                 for &o in &delta {
                     self.dispatch(vc, ObjId(o));
                 }
             }
             // Join resolution (rule ⓭).
-            let joins = self.nodes[node as usize].joins.clone();
-            for j in joins {
+            for i in 0..num_joins {
+                let j = self.nodes[node as usize].joins[i];
                 for &o in &delta {
                     self.resolve_join(j, ObjId(o));
                 }
@@ -820,28 +873,27 @@ impl<'p> Solver<'p> {
     // ---- statement processing -------------------------------------------
 
     fn process_mi(&mut self, mi: Mi) {
+        let program = self.program;
         let method_id = self.mi_method(mi);
-        let num_stmts = self.program.method(method_id).body.len();
-        for idx in 0..num_stmts {
-            self.process_stmt(mi, idx);
+        for (idx, instr) in program.method(method_id).body.iter().enumerate() {
+            self.process_stmt(mi, GStmt::new(method_id, idx), &instr.stmt);
         }
     }
 
-    fn process_stmt(&mut self, mi: Mi, idx: usize) {
-        let method_id = self.mi_method(mi);
-        let stmt = self.program.method(method_id).body[idx].stmt.clone();
-        let g = GStmt::new(method_id, idx);
-        match stmt {
-            Stmt::New { dst, class, args } => {
-                self.process_new(mi, g, dst, class, &args);
+    fn process_stmt(&mut self, mi: Mi, g: GStmt, stmt: &'p Stmt) {
+        let idx = g.index as usize;
+        match *stmt {
+            Stmt::New {
+                dst,
+                class,
+                ref args,
+            } => {
+                self.process_new(mi, g, dst, class, args);
             }
             Stmt::NewArray { dst } => {
                 let ctx = self.mi_ctx(mi);
                 let hctx = self.cfg.policy.heap_ctx(&mut self.arena, ctx);
-                let array_class = self
-                    .program
-                    .class_by_name(o2_ir::program::ARRAY_CLASS_NAME)
-                    .expect("builtin array class");
+                let array_class = self.array_class.expect("builtin array class");
                 let obj = self.arena.obj(ObjData {
                     site: AllocSite::Stmt {
                         stmt: g,
@@ -888,8 +940,12 @@ impl<'p> Solver<'p> {
                 let st = self.node(NodeKey::Static(class, field));
                 self.add_edge(st, d);
             }
-            Stmt::Call { dst, callee, args } => match callee {
-                Callee::Virtual { recv, name } => {
+            Stmt::Call {
+                dst,
+                ref callee,
+                ref args,
+            } => match *callee {
+                Callee::Virtual { recv, ref name } => {
                     let recv_node = self.var_node(mi, recv);
                     let arg_nodes: Vec<NodeId> =
                         args.iter().map(|a| self.var_node(mi, *a)).collect();
@@ -898,7 +954,7 @@ impl<'p> Solver<'p> {
                     self.vcalls.push(VCall {
                         caller: mi,
                         stmt_idx: idx as u32,
-                        name,
+                        name: name.as_str(),
                         arity: args.len(),
                         arg_nodes,
                         dst_node,
@@ -918,7 +974,7 @@ impl<'p> Solver<'p> {
                         idx,
                         callee_mi,
                         None,
-                        &args,
+                        args,
                         dst,
                         CallTarget::Normal(callee_mi),
                     );
@@ -927,11 +983,11 @@ impl<'p> Solver<'p> {
             Stmt::Spawn {
                 dst,
                 entry,
-                args,
+                ref args,
                 kind,
                 replicas,
             } => {
-                self.process_spawn(mi, g, dst, entry, &args, kind, replicas);
+                self.process_spawn(mi, g, dst, entry, args, kind, replicas);
             }
             // Synchronization statements add no points-to constraints:
             // lock/cond variables get their points-to sets from ordinary
@@ -987,13 +1043,11 @@ impl<'p> Solver<'p> {
     // ---- allocation -----------------------------------------------------
 
     fn process_new(&mut self, mi: Mi, g: GStmt, dst: VarId, class: ClassId, args: &[VarId]) {
-        if self.program.is_origin_class(class) {
+        if self.origin_classes[class.index()].is_some() {
             // Rule ⓫: origin allocation. Record the statement so new
-            // incoming wrapper call sites re-trigger it.
-            let info = &mut self.mi_info[mi.0 as usize];
-            if !info.origin_stmts.contains(&g.index) {
-                info.origin_stmts.push(g.index);
-            }
+            // incoming wrapper call sites re-trigger it. `process_mi`
+            // runs once per method instance, so no index repeats.
+            self.mi_info[mi.0 as usize].origin_stmts.push(g.index);
             let wrappers = self.wrapper_sites(mi);
             for w in wrappers {
                 self.create_origins_for_new(mi, g, dst, class, args, w);
@@ -1018,10 +1072,7 @@ impl<'p> Solver<'p> {
     /// The anonymous object modeling the unknown return value of an
     /// external call at `site` (§4.3).
     fn external_obj(&mut self, site: GStmt) -> ObjId {
-        let class = self
-            .program
-            .class_by_name(o2_ir::program::EXTERNAL_CLASS_NAME)
-            .expect("builtin external class");
+        let class = self.external_class.expect("builtin external class");
         self.arena.obj(ObjData {
             site: AllocSite::External { stmt: site },
             hctx: Ctx::EMPTY,
@@ -1066,11 +1117,8 @@ impl<'p> Solver<'p> {
         args: &[VarId],
         wrapper: Option<GStmt>,
     ) {
-        let (entry_sel, kind) = self
-            .program
-            .origin_entry_of_class(class)
-            .expect("origin class must have an entry");
-        let Some(entry_method) = self.program.dispatch(class, &entry_sel) else {
+        let oc = self.origin_classes[class.index()].expect("origin class must have an entry");
+        let (Some(entry_method), kind) = (oc.entry, oc.kind) else {
             return;
         };
         let ctx = self.mi_ctx(mi);
@@ -1112,10 +1160,7 @@ impl<'p> Solver<'p> {
             if self.wrapper_merged(mi) {
                 self.arena.mark_origin_multi(origin);
             }
-            let origins = self.origin_of_obj.entry(obj).or_default();
-            if !origins.contains(&origin) {
-                origins.push(origin);
-            }
+            self.add_obj_origin(obj, origin);
             let dst_node = self.var_node(mi, dst);
             self.add_pts(dst_node, obj);
             // Constructor: analyzed in the child origin under OPA.
@@ -1137,8 +1182,7 @@ impl<'p> Solver<'p> {
         args: &[VarId],
         forced_ctx: Option<Ctx>,
     ) {
-        let sel = Selector::new(CTOR_NAME, args.len());
-        let Some(ctor) = self.program.dispatch(class, &sel) else {
+        let Some(ctor) = self.program.dispatch_name(class, CTOR_NAME, args.len()) else {
             return;
         };
         let ctx = self.mi_ctx(mi);
@@ -1225,25 +1269,32 @@ impl<'p> Solver<'p> {
         } else if is_new_site
             && self.mi_info[callee.0 as usize].incoming.len() <= WRAPPER_SITE_LIMIT
         {
-            let origin_stmts = self.mi_info[callee.0 as usize].origin_stmts.clone();
-            for idx in origin_stmts {
+            // `origin_stmts` only grows in `process_new`/`process_spawn`,
+            // which no retriggered statement reaches, so the list is fixed
+            // while this loop indexes it.
+            for i in 0..self.mi_info[callee.0 as usize].origin_stmts.len() {
+                let idx = self.mi_info[callee.0 as usize].origin_stmts[i];
                 self.retrigger_origin_stmt(callee, idx as usize, site);
             }
         }
     }
 
     fn retrigger_origin_stmt(&mut self, mi: Mi, idx: usize, wrapper: GStmt) {
+        let program = self.program;
         let method_id = self.mi_method(mi);
-        let stmt = self.program.method(method_id).body[idx].stmt.clone();
         let g = GStmt::new(method_id, idx);
-        match stmt {
-            Stmt::New { dst, class, args } => {
-                self.create_origins_for_new(mi, g, dst, class, &args, Some(wrapper));
+        match program.method(method_id).body[idx].stmt {
+            Stmt::New {
+                dst,
+                class,
+                ref args,
+            } => {
+                self.create_origins_for_new(mi, g, dst, class, args, Some(wrapper));
             }
             Stmt::Spawn {
                 dst,
                 entry,
-                args,
+                ref args,
                 kind,
                 replicas,
             } => {
@@ -1252,7 +1303,7 @@ impl<'p> Solver<'p> {
                     g,
                     dst,
                     entry,
-                    &args,
+                    args,
                     kind,
                     replicas,
                     Some(wrapper),
@@ -1263,47 +1314,39 @@ impl<'p> Solver<'p> {
     }
 
     fn dispatch(&mut self, vc_idx: u32, obj: ObjId) {
-        let (caller, stmt_idx, name, arity) = {
-            let vc = &self.vcalls[vc_idx as usize];
-            (vc.caller, vc.stmt_idx, vc.name.clone(), vc.arity)
-        };
+        let vc = &self.vcalls[vc_idx as usize];
+        let (name, arity) = (vc.name, vc.arity);
         let class = self.arena.obj_data(obj).class;
-        let entry_cfg = &self.program.entry_config;
         // Entry dispatch: `start()` on an origin class, or a direct call to
-        // an entry-point method (rule ⓬).
-        let origin_entry = self.program.origin_entry_of_class(class);
-        if let Some((entry_sel, _kind)) = origin_entry {
-            let is_start = entry_cfg.start_spawns_entry
-                && name == "start"
-                && arity == 0
-                && entry_sel.arity == 0
-                // A class that defines its own start() keeps it: only the
-                // implicit Thread.start() convention spawns.
-                && self
-                    .program
-                    .dispatch(class, &Selector::new("start", 0))
-                    .is_none();
-            let is_direct_entry =
-                entry_cfg.is_entry(&name) && entry_sel.name == name && entry_sel.arity == arity;
+        // its entry method (rule ⓬). The entry selector's name is an entry
+        // name by construction, so matching it is the whole check.
+        if let Some(oc) = self.origin_classes[class.index()] {
+            let is_start = oc.implicit_start && arity == 0 && name == "start";
+            let is_direct_entry = name == oc.entry_name && arity == oc.entry_arity;
             if is_start || is_direct_entry {
-                self.dispatch_entry(vc_idx, obj, class, &entry_sel);
+                self.dispatch_entry(vc_idx, obj, oc.entry);
                 return;
             }
         }
-        self.dispatch_normal(vc_idx, obj, class, &name, arity, caller, stmt_idx);
+        self.dispatch_normal(vc_idx, obj, class);
     }
 
-    fn dispatch_entry(&mut self, vc_idx: u32, obj: ObjId, class: ClassId, entry_sel: &Selector) {
-        let (caller, stmt_idx, arg_nodes) = {
-            let vc = &self.vcalls[vc_idx as usize];
-            (vc.caller, vc.stmt_idx, vc.arg_nodes.clone())
-        };
-        let Some(target) = self.program.dispatch(class, entry_sel) else {
+    fn dispatch_entry(&mut self, vc_idx: u32, obj: ObjId, entry: Option<MethodId>) {
+        let Some(target) = entry else {
             return;
         };
+        let (caller, stmt_idx) = {
+            let vc = &self.vcalls[vc_idx as usize];
+            (vc.caller, vc.stmt_idx)
+        };
         let g = GStmt::new(self.mi_method(caller), stmt_idx as usize);
-        let origins = self.origin_of_obj.get(&obj).cloned().unwrap_or_default();
-        for origin in origins {
+        // Wiring an entry can retrigger an origin statement that adds to
+        // `obj`'s origins; `add_obj_origin` only appends, so reading by
+        // index up to the starting length sees the origins `obj` had
+        // when this dispatch began.
+        let num_origins = self.origin_of_obj.get(obj.0 as usize).map_or(0, Vec::len);
+        for oi in 0..num_origins {
+            let origin = self.origin_of_obj[obj.0 as usize][oi];
             let entry_ctx = if self.cfg.policy.is_origin() {
                 self.arena.origin_data(origin).entry_ctx
             } else {
@@ -1322,14 +1365,7 @@ impl<'p> Solver<'p> {
                 let this = self.var_node(entry_mi, VarId(0));
                 self.add_pts(this, obj);
             }
-            let first_param = usize::from(!m.is_static);
-            for (i, &actual) in arg_nodes.iter().enumerate() {
-                if i >= m.num_params {
-                    break;
-                }
-                let formal = self.var_node(entry_mi, VarId((first_param + i) as u32));
-                self.add_edge(actual, formal);
-            }
+            self.bind_vcall_args(vc_idx, entry_mi, target);
             let key = (caller.0, stmt_idx);
             let tgt = CallTarget::Entry {
                 origin,
@@ -1339,8 +1375,7 @@ impl<'p> Solver<'p> {
             if !edges.contains(&tgt) {
                 edges.push(tgt);
             }
-            let site = GStmt::new(self.mi_method(caller), stmt_idx as usize);
-            self.note_incoming_site(entry_mi, site);
+            self.note_incoming_site(entry_mi, g);
             // An entry call inside a loop on an object allocated *outside*
             // the loop starts arbitrarily many concurrent activations of
             // one abstract origin — flag it multi-instance. (Objects
@@ -1358,24 +1393,28 @@ impl<'p> Solver<'p> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_normal(
-        &mut self,
-        vc_idx: u32,
-        obj: ObjId,
-        class: ClassId,
-        name: &str,
-        arity: usize,
-        caller: Mi,
-        stmt_idx: u32,
-    ) {
-        let sel = Selector::new(name, arity);
+    /// Copy edges from a virtual call's actuals to `callee`'s formals
+    /// (after `this` for an instance method), up to the callee's arity.
+    fn bind_vcall_args(&mut self, vc_idx: u32, callee: Mi, target: MethodId) {
+        let m = self.program.method(target);
+        let first_param = usize::from(!m.is_static);
+        let num_args = self.vcalls[vc_idx as usize].arg_nodes.len();
+        for i in 0..num_args.min(m.num_params) {
+            let actual = self.vcalls[vc_idx as usize].arg_nodes[i];
+            let formal = self.var_node(callee, VarId((first_param + i) as u32));
+            self.add_edge(actual, formal);
+        }
+    }
+
+    fn dispatch_normal(&mut self, vc_idx: u32, obj: ObjId, class: ClassId) {
+        let vc = &self.vcalls[vc_idx as usize];
+        let (caller, stmt_idx, dst_node) = (vc.caller, vc.stmt_idx, vc.dst_node);
+        let target = self.program.dispatch_name(class, vc.name, vc.arity);
         let g = GStmt::new(self.mi_method(caller), stmt_idx as usize);
-        let Some(target) = self.program.dispatch(class, &sel) else {
+        let Some(target) = target else {
             // §4.3: unresolved target — an external function. If the call
             // produces a value, point it at an anonymous object.
             if self.cfg.anonymous_external_objects {
-                let dst_node = self.vcalls[vc_idx as usize].dst_node;
                 if let Some(d) = dst_node {
                     let obj = self.external_obj(g);
                     self.add_pts(d, obj);
@@ -1386,26 +1425,14 @@ impl<'p> Solver<'p> {
         let ctx = self.mi_ctx(caller);
         let callee_ctx = self.cfg.policy.call_ctx(&mut self.arena, ctx, g, Some(obj));
         let callee_mi = self.mi(target, callee_ctx);
-        let (args, dst_node) = {
-            let vc = &self.vcalls[vc_idx as usize];
-            (vc.arg_nodes.clone(), vc.dst_node)
-        };
-        let m = self.program.method(target);
         // Bind `this` — only for instance targets: a virtual call that
         // resolves to a static method has no receiver slot, and VarId(0)
         // is its first explicit parameter.
-        if !m.is_static {
+        if !self.program.method(target).is_static {
             let this = self.var_node(callee_mi, VarId(0));
             self.add_pts(this, obj);
         }
-        let first_param = usize::from(!m.is_static);
-        for (i, &actual) in args.iter().enumerate() {
-            if i >= m.num_params {
-                break;
-            }
-            let formal = self.var_node(callee_mi, VarId((first_param + i) as u32));
-            self.add_edge(actual, formal);
-        }
+        self.bind_vcall_args(vc_idx, callee_mi, target);
         if let Some(d) = dst_node {
             let ret = self.node(NodeKey::Ret(callee_mi));
             self.add_edge(ret, d);
@@ -1417,6 +1444,18 @@ impl<'p> Solver<'p> {
             edges.push(tgt);
         }
         self.note_incoming_site(callee_mi, g);
+    }
+
+    /// Records that `origin` was created from `obj`.
+    fn add_obj_origin(&mut self, obj: ObjId, origin: OriginId) {
+        let i = obj.0 as usize;
+        if self.origin_of_obj.len() <= i {
+            self.origin_of_obj.resize_with(i + 1, Vec::new);
+        }
+        let origins = &mut self.origin_of_obj[i];
+        if !origins.contains(&origin) {
+            origins.push(origin);
+        }
     }
 
     // ---- spawn / join -----------------------------------------------------
@@ -1432,10 +1471,8 @@ impl<'p> Solver<'p> {
         kind: OriginKind,
         replicas: u8,
     ) {
-        let info = &mut self.mi_info[mi.0 as usize];
-        if !info.origin_stmts.contains(&g.index) {
-            info.origin_stmts.push(g.index);
-        }
+        // `process_mi` runs once per method instance: no index repeats.
+        self.mi_info[mi.0 as usize].origin_stmts.push(g.index);
         let wrappers = self.wrapper_sites(mi);
         for w in wrappers {
             self.create_origins_for_spawn(mi, g, dst, entry, args, kind, replicas, w);
@@ -1461,10 +1498,7 @@ impl<'p> Solver<'p> {
         // The joinable handle object (one per spawn site).
         let handle_obj = dst.map(|d| {
             let hctx = self.cfg.policy.heap_ctx(&mut self.arena, ctx);
-            let handle_class = self
-                .program
-                .class_by_name(HANDLE_CLASS_NAME)
-                .expect("builtin handle class");
+            let handle_class = self.handle_class.expect("builtin handle class");
             let obj = self.arena.obj(ObjData {
                 site: AllocSite::SpawnHandle { stmt: g },
                 hctx,
@@ -1500,10 +1534,7 @@ impl<'p> Solver<'p> {
                 entries.push(entry_mi);
             }
             if let Some(h) = handle_obj {
-                let origins = self.origin_of_obj.entry(h).or_default();
-                if !origins.contains(&origin) {
-                    origins.push(origin);
-                }
+                self.add_obj_origin(h, origin);
             }
             // Parameters.
             let m = self.program.method(entry);
@@ -1529,15 +1560,13 @@ impl<'p> Solver<'p> {
     }
 
     fn resolve_join(&mut self, j_idx: u32, obj: ObjId) {
-        let Some(origins) = self.origin_of_obj.get(&obj).cloned() else {
-            return;
+        let origins = match self.origin_of_obj.get(obj.0 as usize) {
+            Some(origins) if !origins.is_empty() => origins,
+            _ => return,
         };
-        let (caller, stmt_idx) = {
-            let j = &self.joins[j_idx as usize];
-            (j.caller, j.stmt_idx)
-        };
-        let entry = self.join_edges.entry((caller.0, stmt_idx)).or_default();
-        for o in origins {
+        let j = &self.joins[j_idx as usize];
+        let entry = self.join_edges.entry((j.caller.0, j.stmt_idx)).or_default();
+        for &o in origins {
             if !entry.contains(&o) {
                 entry.push(o);
             }
@@ -1569,25 +1598,19 @@ impl<'p> Solver<'p> {
         // context for precision).
         let num_mis = self.mis.len();
         let mut mi_origins: Vec<SparseSet> = vec![SparseSet::new(); num_mis];
-        let origin_ids: Vec<OriginId> = self.origin_entry_mis.keys().copied().collect();
-        for origin in origin_ids {
-            let entries = self
-                .origin_entry_mis
-                .get(&origin)
-                .cloned()
-                .unwrap_or_default();
-            let mut stack: Vec<Mi> = entries;
+        let mut stack: Vec<Mi> = Vec::new();
+        for (origin, entries) in &self.origin_entry_mis {
+            stack.extend_from_slice(entries);
             while let Some(mi) = stack.pop() {
                 if !mi_origins[mi.0 as usize].insert(origin.0) {
                     continue;
                 }
-                let method = self.mis.resolve(mi.0).0;
-                for idx in 0..self.program.method(method).body.len() {
-                    if let Some(edges) = self.call_edges.get(&(mi.0, idx as u32)) {
-                        for e in edges {
-                            if let CallTarget::Normal(callee) = e {
-                                stack.push(*callee);
-                            }
+                // One range walk over the call sites of `mi`, in statement
+                // order (the keys are `(mi, stmt)`).
+                for (_, edges) in self.call_edges.range((mi.0, 0)..(mi.0 + 1, 0)) {
+                    for e in edges {
+                        if let CallTarget::Normal(callee) = e {
+                            stack.push(*callee);
                         }
                     }
                 }

@@ -55,7 +55,7 @@
 #![warn(missing_docs)]
 
 use o2_ir::ids::{FieldId, GStmt, MethodId, VarId};
-use o2_ir::program::{Callee, Program, Selector, Stmt};
+use o2_ir::program::{Callee, Program, Stmt, CTOR_NAME};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
@@ -254,8 +254,9 @@ impl<'p> Analysis<'p> {
                         Callee::Static { method } => stack.push(*method),
                     },
                     Stmt::New { class, args, .. } => {
-                        let sel = Selector::new(o2_ir::program::CTOR_NAME, args.len());
-                        if let Some(ctor) = self.program.dispatch(*class, &sel) {
+                        if let Some(ctor) =
+                            self.program.dispatch_name(*class, CTOR_NAME, args.len())
+                        {
                             stack.push(ctor);
                         }
                     }

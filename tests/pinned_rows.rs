@@ -297,3 +297,162 @@ fn table7_shared_access_counts_are_pinned() {
         .collect();
     assert_eq!(rows, TABLE7_ROWS);
 }
+
+/// Every field of [`o2_pta::PtaStats`] under the default `PtaConfig`:
+/// pointers, objects, edges, origins, method instances, solver steps and
+/// propagated objects. Edge dedup, the fixpoint and the worklist's firing
+/// traffic all show in these numbers.
+const PTA_STATS_ROWS: &[&str] = &[
+    "avrora: \
+     pointers 785, objects 241, edges 2100, origins 4, mis 242, steps 3437, propagated 2701",
+    "batik: \
+     pointers 771, objects 242, edges 5112, origins 4, mis 230, steps 8723, propagated 7038",
+    "eclipse: \
+     pointers 761, objects 233, edges 1534, origins 4, mis 234, steps 2485, propagated 1907",
+    "h2: \
+     pointers 812, objects 309, edges 5171, origins 3, mis 151, steps 8826, propagated 7089",
+    "jython: \
+     pointers 933, objects 367, edges 2315, origins 4, mis 130, steps 3843, propagated 2987",
+    "luindex: \
+     pointers 480, objects 177, edges 1841, origins 3, mis 101, steps 3110, propagated 2451",
+    "lusearch: \
+     pointers 408, objects 139, edges 4677, origins 3, mis 103, steps 8020, propagated 6534",
+    "pmd: \
+     pointers 312, objects 112, edges 1134, origins 3, mis 70, steps 1953, propagated 1514",
+    "sunflow: \
+     pointers 1162, objects 367, edges 1981, origins 9, mis 267, steps 3260, propagated 2536",
+    "tomcat: \
+     pointers 728, objects 246, edges 5047, origins 6, mis 165, steps 8627, propagated 6974",
+    "tradebeans: \
+     pointers 318, objects 111, edges 1133, origins 3, mis 79, steps 1948, propagated 1507",
+    "tradesoap: \
+     pointers 332, objects 115, edges 1143, origins 3, mis 85, steps 1964, propagated 1517",
+    "xalan: \
+     pointers 445, objects 165, edges 4774, origins 3, mis 104, steps 8234, propagated 6665",
+    "connectbot: \
+     pointers 1195, objects 372, edges 5565, origins 11, mis 289, steps 9539, propagated 7711",
+    "sipdroid: \
+     pointers 1827, objects 578, edges 6223, origins 15, mis 397, steps 10785, propagated 8721",
+    "k9mail: \
+     pointers 2650, objects 785, edges 7077, origins 23, mis 639, steps 12446, propagated 10135",
+    "tasks: \
+     pointers 788, objects 257, edges 5871, origins 7, mis 190, steps 10046, propagated 8130",
+    "fbreader: \
+     pointers 1621, objects 500, edges 9275, origins 15, mis 389, steps 16049, propagated 13099",
+    "vlc: \
+     pointers 677, objects 251, edges 5027, origins 4, mis 137, steps 8632, propagated 6953",
+    "firefox_focus: \
+     pointers 979, objects 311, edges 8612, origins 8, mis 249, steps 14765, propagated 12032",
+    "telegram: \
+     pointers 14690, objects 3848, edges 23098, origins 134, mis 3700, steps 98586, propagated 91546",
+    "zoom: \
+     pointers 2055, objects 710, edges 9723, origins 15, mis 389, steps 16791, propagated 13631",
+    "chrome: \
+     pointers 3663, objects 1080, edges 11406, origins 34, mis 835, steps 21067, propagated 17428",
+    "hbase: \
+     pointers 6445, objects 2614, edges 14281, origins 16, mis 665, steps 23912, propagated 18799",
+    "hdfs: \
+     pointers 4964, objects 1974, edges 9523, origins 12, mis 540, steps 15601, propagated 12123",
+    "yarn: \
+     pointers 6293, objects 2521, edges 7963, origins 14, mis 620, steps 12540, propagated 9441",
+    "zookeeper: \
+     pointers 10278, objects 3666, edges 12246, origins 40, mis 1465, steps 24359, propagated 19946",
+    "memcached: \
+     pointers 1263, objects 455, edges 1783, origins 12, mis 166, steps 3105, propagated 2500",
+    "redis: \
+     pointers 2516, objects 1036, edges 5544, origins 15, mis 273, steps 9356, propagated 7369",
+    "sqlite3: \
+     pointers 1933, objects 898, edges 9454, origins 3, mis 114, steps 15884, propagated 12702",
+    "Linux: \
+     pointers 13, objects 4, edges 21, origins 7, mis 7, steps 20, propagated 21",
+    "TDengine: \
+     pointers 11, objects 3, edges 18, origins 3, mis 5, steps 19, propagated 18",
+    "Redis/RedisGraph: \
+     pointers 5, objects 1, edges 14, origins 5, mis 5, steps 10, propagated 14",
+    "OVS: \
+     pointers 8, objects 3, edges 7, origins 3, mis 3, steps 11, propagated 7",
+    "cpqueue: \
+     pointers 17, objects 3, edges 22, origins 3, mis 7, steps 26, propagated 22",
+    "mrlock: \
+     pointers 17, objects 4, edges 19, origins 3, mis 5, steps 25, propagated 19",
+    "Memcached: \
+     pointers 19, objects 5, edges 16, origins 3, mis 5, steps 25, propagated 16",
+    "Firefox: \
+     pointers 8, objects 3, edges 4, origins 3, mis 3, steps 9, propagated 4",
+    "ZooKeeper: \
+     pointers 11, objects 3, edges 8, origins 3, mis 5, steps 14, propagated 8",
+    "HBase: \
+     pointers 13, objects 3, edges 10, origins 3, mis 7, steps 16, propagated 10",
+    "Tomcat: \
+     pointers 11, objects 3, edges 8, origins 3, mis 5, steps 14, propagated 8",
+    "OpenSSL-rwlock: \
+     pointers 18, objects 4, edges 15, origins 4, mis 7, steps 23, propagated 15",
+    "httpd-fdqueue: \
+     pointers 23, objects 5, edges 24, origins 3, mis 5, steps 32, propagated 24",
+    "libuv-loop: \
+     pointers 5, objects 1, edges 7, origins 4, mis 4, steps 7, propagated 7",
+    "Linux (C): \
+     pointers 13, objects 4, edges 21, origins 7, mis 7, steps 20, propagated 21",
+    "TDengine (C): \
+     pointers 5, objects 3, edges 14, origins 3, mis 3, steps 11, propagated 14",
+    "Redis/RedisGraph (C): \
+     pointers 9, objects 5, edges 14, origins 5, mis 5, steps 14, propagated 14",
+    "OVS (C): \
+     pointers 6, objects 2, edges 8, origins 3, mis 3, steps 9, propagated 8",
+    "cpqueue (C): \
+     pointers 9, objects 3, edges 16, origins 3, mis 3, steps 16, propagated 16",
+    "mrlock (C): \
+     pointers 11, objects 4, edges 15, origins 3, mis 3, steps 17, propagated 15",
+    "Memcached (C): \
+     pointers 9, objects 3, edges 9, origins 3, mis 3, steps 12, propagated 9",
+    "OpenSSL-rwlock (C): \
+     pointers 9, objects 4, edges 9, origins 4, mis 4, steps 11, propagated 9",
+    "httpd-fdqueue (C): \
+     pointers 13, objects 5, edges 12, origins 3, mis 3, steps 16, propagated 12",
+    "mega-smoke: \
+     pointers 621, objects 2, edges 949, origins 97, mis 98, steps 542, propagated 853",
+    "mega-grid: \
+     pointers 7236, objects 2, edges 11395, origins 1025, mis 1026, steps 6269, propagated 10371",
+    "mega-skew: \
+     pointers 10211, objects 2, edges 16577, origins 1281, mis 1282, steps 9016, propagated 15297",
+];
+
+fn pta_stats_row(name: &str, program: &o2_ir::program::Program) -> String {
+    let ctx = o2_ir::ProgramCtx::solo(program);
+    let s = o2_pta::analyze(&ctx, &PtaConfig::default()).stats;
+    format!(
+        "{name}: pointers {}, objects {}, edges {}, origins {}, mis {}, steps {}, propagated {}",
+        s.num_pointers,
+        s.num_objects,
+        s.num_edges,
+        s.num_origins,
+        s.num_mis,
+        s.solve_steps,
+        s.propagated_objects
+    )
+}
+
+#[test]
+fn pta_stats_are_pinned_on_every_preset_model_and_mega_preset() {
+    let presets = o2_workloads::all_presets()
+        .into_iter()
+        .map(|p| (p.name.to_string(), p.generate().program));
+    let java = o2_workloads::all_models()
+        .into_iter()
+        .chain(o2_workloads::extended_models())
+        .map(|m| (m.name.to_string(), m.program));
+    let c = o2_workloads::all_c_models()
+        .into_iter()
+        .chain(o2_workloads::extended_c_models())
+        .map(|m| (format!("{} (C)", m.name), m.program));
+    let mega = o2_workloads::mega_presets()
+        .into_iter()
+        .map(|m| (m.name.to_string(), m.generate().program));
+    let rows: Vec<String> = presets
+        .chain(java)
+        .chain(c)
+        .chain(mega)
+        .map(|(name, program)| pta_stats_row(&name, &program))
+        .collect();
+    assert_eq!(rows, PTA_STATS_ROWS);
+}

@@ -526,3 +526,101 @@ fn racerd_counts_match_pairwise_reference() {
     // telegram's two fields and the synthetic one.
     assert_eq!(capped_fields, 3);
 }
+
+/// Every preset, Java and C real-bug and extended model, and mega preset,
+/// then the generated spec sample, each with its name.
+fn registry_and_generated_programs() -> Vec<(String, o2_ir::program::Program)> {
+    let presets = o2_workloads::all_presets()
+        .into_iter()
+        .map(|p| (p.name.to_string(), p.generate().program));
+    let models = o2_workloads::all_models()
+        .into_iter()
+        .chain(o2_workloads::all_c_models())
+        .chain(o2_workloads::extended_models())
+        .chain(o2_workloads::extended_c_models())
+        .map(|m| (m.name.to_string(), m.program));
+    let mega = o2_workloads::mega_presets()
+        .into_iter()
+        .map(|m| (m.name.to_string(), m.generate().program));
+    let generated = spec_sample()
+        .into_iter()
+        .enumerate()
+        .map(|(i, spec)| (format!("case {i}"), generate(&spec).program));
+    presets.chain(models).chain(mega).chain(generated).collect()
+}
+
+/// `PtaResult::mi_origins` equals a reference BFS from each origin's
+/// entry method instances over normal call edges, which probes
+/// `callees(mi, idx)` once per statement of each visited method.
+#[test]
+fn mi_origins_match_per_statement_reference_bfs() {
+    use o2_pta::{CallTarget, Mi, OriginId};
+    use std::collections::BTreeSet;
+
+    for (name, program) in registry_and_generated_programs() {
+        let ctx = o2_ir::ProgramCtx::solo(&program);
+        let pta = o2_pta::analyze(&ctx, &PtaConfig::default());
+        let mut reference = vec![BTreeSet::new(); pta.num_mis()];
+        for o in 0..pta.num_origins() {
+            let origin = OriginId(o as u32);
+            let mut stack: Vec<Mi> = pta.origin_entries(origin).to_vec();
+            while let Some(mi) = stack.pop() {
+                if !reference[mi.0 as usize].insert(origin.0) {
+                    continue;
+                }
+                let (method, _) = pta.mi_data(mi);
+                for idx in 0..program.method(method).body.len() {
+                    for t in pta.callees(mi, idx) {
+                        if let CallTarget::Normal(callee) = t {
+                            stack.push(*callee);
+                        }
+                    }
+                }
+            }
+        }
+        for (mi, want) in reference.iter().enumerate() {
+            let got: BTreeSet<u32> = pta.mi_origins(Mi(mi as u32)).iter().collect();
+            assert_eq!(&got, want, "{name}: mi {mi}");
+        }
+    }
+}
+
+/// `Program::dispatch_name` agrees with `Program::dispatch` for every
+/// class and every selector declared anywhere in the program, and for
+/// names and arities no class declares.
+#[test]
+fn dispatch_name_agrees_with_selector_dispatch() {
+    use o2_ir::ids::ClassId;
+    use o2_ir::program::Selector;
+    use std::collections::BTreeSet;
+
+    for (name, program) in registry_and_generated_programs() {
+        let mut selectors: BTreeSet<Selector> = program
+            .classes
+            .iter()
+            .flat_map(|c| c.methods.iter().map(|(s, _)| s.clone()))
+            .collect();
+        let absent: Vec<Selector> = selectors
+            .iter()
+            .flat_map(|s| {
+                [
+                    Selector::new(s.name.clone(), s.arity + 1),
+                    Selector::new(format!("{}_absent", s.name), s.arity),
+                ]
+            })
+            .collect();
+        selectors.extend(absent);
+        selectors.insert(Selector::new("", 0));
+        for c in 0..program.classes.len() {
+            let class = ClassId::from_usize(c);
+            for sel in &selectors {
+                assert_eq!(
+                    program.dispatch_name(class, &sel.name, sel.arity),
+                    program.dispatch(class, sel),
+                    "{name}: {} {sel}",
+                    program.class(class).name
+                );
+            }
+        }
+    }
+}
