@@ -15,7 +15,7 @@
 use o2_ir::ids::GStmt;
 use o2_ir::program::Program;
 use o2_pta::OriginId;
-use o2_shb::{LockElem, ShbGraph};
+use o2_shb::{ClosureTable, LockElem, ShbGraph};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
@@ -133,6 +133,7 @@ pub fn detect_deadlocks(program: &Program, shb: &ShbGraph) -> DeadlockReport {
         }
     }
     let num_edges = edges.len();
+    let mut hb = ClosureTable::new(shb);
 
     let mut cycles = Vec::new();
     let mut seen: BTreeSet<(u32, u32)> = BTreeSet::new();
@@ -162,7 +163,7 @@ pub fn detect_deadlocks(program: &Program, shb: &ShbGraph) -> DeadlockReport {
                 // interleaving.
                 let p1 = (e1.origin, e1.pos);
                 let p2 = (e2.origin, e2.pos);
-                if shb.happens_before(p1, p2) || shb.happens_before(p2, p1) {
+                if hb.happens_before(p1, p2) || hb.happens_before(p2, p1) {
                     continue;
                 }
                 if seen.insert((a, b)) {
@@ -224,7 +225,7 @@ pub fn detect_deadlocks(program: &Program, shb: &ShbGraph) -> DeadlockReport {
             ];
             let ordered = pts.iter().any(|&x| {
                 pts.iter()
-                    .any(|&y| x != y && (shb.happens_before(x, y) || shb.happens_before(y, x)))
+                    .any(|&y| x != y && (hb.happens_before(x, y) || hb.happens_before(y, x)))
             });
             if ordered {
                 continue;

@@ -68,8 +68,7 @@ use o2_ir::json_escape;
 use o2_ir::program::Program;
 use o2_ir::ProgramCtx;
 use o2_pta::{OriginId, PtaResult};
-use o2_shb::{AccessNode, ShbGraph};
-use std::cell::OnceCell;
+use o2_shb::{AccessNode, ClosureTable, ShbGraph};
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::time::{Duration, Instant};
@@ -81,8 +80,8 @@ const MAX_PAIRS_PER_LOCATION: usize = 100_000;
 #[derive(Clone, Debug)]
 pub struct DetectConfig {
     /// §4.1 optimization 1: integer-id intra-origin happens-before, with
-    /// one [`ShbGraph::segment_closure`] per closure slot (origin and hop
-    /// segment), computed once per run and shared by every candidate. Off,
+    /// one sparse [`ClosureTable`] row per closure slot (origin and hop
+    /// segment), filled once per run and shared by every candidate. Off,
     /// every pair walks the graph node by node
     /// ([`ShbGraph::happens_before_naive`]).
     pub integer_hb: bool,
@@ -328,7 +327,7 @@ struct Candidate {
 /// Phase 1 collects per-location access lists, per-origin flags and
 /// closure slots (the only part that reads the pointer analysis); phase 2
 /// checks the candidates in candidate order against the frozen SHB graph
-/// and one table of happens-before closures filled on first use, keeping
+/// and one sparse [`ClosureTable`] filled on first use, keeping
 /// the first race of each field and unordered statement pair. A
 /// [`DetectConfig::timeout`] stops the pair loop wherever the clock
 /// expires ([`RaceReport::timed_out`]).
@@ -402,7 +401,7 @@ fn run_detect<E>(
         shb,
         config,
         deadline: config.timeout.map(|t| start + t),
-        closures: vec![OnceCell::new(); shb.num_closure_slots()],
+        closures: ClosureTable::new(shb),
         pair_tick: 0,
         seen: FastSet::default(),
         report: RaceReport {
@@ -615,9 +614,9 @@ struct PairLoop<'a> {
     shb: &'a ShbGraph,
     config: &'a DetectConfig,
     deadline: Option<Instant>,
-    /// One closure per [`ShbGraph::closure_slot`], computed on first use
-    /// from the segment's lowest position.
-    closures: Vec<OnceCell<Vec<u32>>>,
+    /// One reachability row per [`ShbGraph::closure_slot`], filled on
+    /// first use.
+    closures: ClosureTable<'a>,
     /// Pairs checked so far; the deadline is read every 4096th.
     pair_tick: u64,
     /// [`dedup_key`]s of the races in `report`: candidate order fixes
@@ -719,14 +718,12 @@ impl PairLoop<'_> {
                 let ordered = if same_origin {
                     false
                 } else if config.integer_hb {
-                    // One reachability closure per closure slot answers
-                    // *every* sink in another origin in O(1), so a slot
-                    // queried against k partners costs one DFS, not k.
-                    let closure = |slot: usize, at| {
-                        self.closures[slot].get_or_init(|| shb.segment_closure(at))
-                    };
-                    closure(cand.slots[i], pa)[ob.0 as usize] <= b.pos
-                        || closure(cand.slots[j], pb)[oa.0 as usize] <= a.pos
+                    // One reachability row per closure slot answers
+                    // *every* sink in another origin with a search of a
+                    // short row, so a slot queried against k partners
+                    // costs one DFS, not k.
+                    self.closures.reach(cand.slots[i], pa, ob) <= b.pos
+                        || self.closures.reach(cand.slots[j], pb, oa) <= a.pos
                 } else {
                     shb.happens_before_naive(pa, pb) || shb.happens_before_naive(pb, pa)
                 };

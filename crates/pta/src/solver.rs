@@ -596,6 +596,8 @@ struct Solver<'p> {
     // Method-instance processing queue (avoids deep recursion on long call
     // chains).
     mi_queue: VecDeque<Mi>,
+    // Reused buffer for `for_each_pts`.
+    pts_scratch: Vec<u32>,
 }
 
 impl<'p> Solver<'p> {
@@ -645,6 +647,7 @@ impl<'p> Solver<'p> {
             budget_hit: false,
             root_origin: OriginId::ROOT,
             mi_queue: VecDeque::new(),
+            pts_scratch: Vec::new(),
         }
     }
 
@@ -960,10 +963,8 @@ impl<'p> Solver<'p> {
                         dst_node,
                     });
                     self.nodes[recv_node as usize].vcalls.push(vc);
-                    let objs: Vec<u32> = self.nodes[recv_node as usize].pts.iter().collect();
-                    for o in objs {
-                        self.dispatch(vc, ObjId(o));
-                    }
+                    // Dispatch can grow the receiver's set (`x = x.m()`).
+                    self.for_each_pts(recv_node, true, |s, o| s.dispatch(vc, o));
                 }
                 Callee::Static { method } => {
                     let ctx = self.mi_ctx(mi);
@@ -1007,10 +1008,7 @@ impl<'p> Solver<'p> {
                     stmt_idx: idx as u32,
                 });
                 self.nodes[recv_node as usize].joins.push(j);
-                let objs: Vec<u32> = self.nodes[recv_node as usize].pts.iter().collect();
-                for o in objs {
-                    self.resolve_join(j, ObjId(o));
-                }
+                self.for_each_pts(recv_node, false, |s, o| s.resolve_join(j, o));
             }
             Stmt::Return { src } => {
                 if let Some(src) = src {
@@ -1022,22 +1020,43 @@ impl<'p> Solver<'p> {
         }
     }
 
+    /// Calls `f` on each object of `node`'s points-to set as it is now.
+    /// If `f` can grow that set (`grows`), the walk reads a copy in the
+    /// reused scratch buffer; otherwise it reads the set in place.
+    fn for_each_pts(&mut self, node: NodeId, grows: bool, mut f: impl FnMut(&mut Self, ObjId)) {
+        let n = node as usize;
+        if grows {
+            let mut objs = std::mem::take(&mut self.pts_scratch);
+            objs.clear();
+            objs.extend_from_slice(self.nodes[n].pts.as_slice());
+            for &o in &objs {
+                f(self, ObjId(o));
+            }
+            self.pts_scratch = objs;
+        } else {
+            let len = self.nodes[n].pts.len();
+            for i in 0..len {
+                f(self, ObjId(self.nodes[n].pts.as_slice()[i]));
+            }
+            debug_assert_eq!(len, self.nodes[n].pts.len(), "walk grew the set it reads");
+        }
+    }
+
     fn register_load(&mut self, base: NodeId, field: FieldId, dst: NodeId) {
         self.nodes[base as usize].loads.push((field, dst));
-        let objs: Vec<u32> = self.nodes[base as usize].pts.iter().collect();
-        for o in objs {
-            let fnode = self.node(NodeKey::ObjField(ObjId(o), field));
-            self.add_edge(fnode, dst);
-        }
+        // `x = x.f` grows the set it walks.
+        self.for_each_pts(base, base == dst, |s, o| {
+            let fnode = s.node(NodeKey::ObjField(o, field));
+            s.add_edge(fnode, dst);
+        });
     }
 
     fn register_store(&mut self, base: NodeId, field: FieldId, src: NodeId) {
         self.nodes[base as usize].stores.push((field, src));
-        let objs: Vec<u32> = self.nodes[base as usize].pts.iter().collect();
-        for o in objs {
-            let fnode = self.node(NodeKey::ObjField(ObjId(o), field));
-            self.add_edge(src, fnode);
-        }
+        self.for_each_pts(base, false, |s, o| {
+            let fnode = s.node(NodeKey::ObjField(o, field));
+            s.add_edge(src, fnode);
+        });
     }
 
     // ---- allocation -----------------------------------------------------

@@ -275,14 +275,11 @@ impl ShbGraph {
     /// Intra- and inter-origin happens-before query between two trace
     /// positions: does `(a_origin, a_pos)` happen before `(b_origin, b_pos)`?
     ///
-    /// Intra-origin is an integer comparison; inter-origin reads the
-    /// target's slot of [`ShbGraph::reach_closure`] over entry, join and
-    /// condvar edges.
+    /// A one-off [`ClosureTable::happens_before`]: intra-origin is an
+    /// integer comparison, inter-origin fills one sparse closure row.
+    /// Callers with many queries keep one [`ClosureTable`] instead.
     pub fn happens_before(&self, a: (OriginId, u32), b: (OriginId, u32)) -> bool {
-        if a.0 == b.0 {
-            return a.1 < b.1;
-        }
-        self.reach_closure(a)[b.0 .0 as usize] <= b.1
+        ClosureTable::new(self).happens_before(a, b)
     }
 
     /// The straw-man happens-before used by the naive baseline: the same
@@ -389,28 +386,6 @@ impl ShbGraph {
             .unwrap_or(&[])
     }
 
-    /// The full inter-origin reachability closure of one trace position:
-    /// `result[o]` is the minimal position in origin `o` reachable from
-    /// `from` over entry, join and condvar edges (`u32::MAX` if
-    /// unreachable), so for `b.0 != from.0`, `from` happens-before `b`
-    /// ⟺ `result[b.0] <= b.1`. A DFS with per-origin minimal-position
-    /// pruning: a hop usable from position `p` is usable from any earlier
-    /// one.
-    pub fn reach_closure(&self, from: (OriginId, u32)) -> Vec<u32> {
-        let mut best: Vec<u32> = vec![u32::MAX; self.traces.len()];
-        let mut stack: Vec<(u32, u32)> = vec![(from.0 .0, from.1)];
-        while let Some((o, p)) = stack.pop() {
-            if best[o as usize] <= p {
-                continue;
-            }
-            best[o as usize] = p;
-            for h in &self.hops.row(o)[self.hops.segment(o, p)..] {
-                stack.push((h.to, h.to_pos));
-            }
-        }
-        best
-    }
-
     /// Number of [`ShbGraph::closure_slot`]s: one per origin and hop segment.
     pub fn num_closure_slots(&self) -> usize {
         self.hops.hops.len() + self.traces.len()
@@ -418,18 +393,107 @@ impl ShbGraph {
 
     /// The dense slot of a trace position's hop segment: two positions
     /// of one origin share it exactly when no hop leaves between them,
-    /// and then their [`ShbGraph::reach_closure`]s differ only in their
-    /// own origin's entry, so one closure per slot serves both.
+    /// and then they reach the same positions in every other origin, so
+    /// one [`ClosureTable`] row serves both.
     pub fn closure_slot(&self, (o, p): (OriginId, u32)) -> usize {
         self.hops.offsets[o.0 as usize] as usize + o.0 as usize + self.hops.segment(o.0, p)
     }
 
-    /// [`ShbGraph::reach_closure`] from the lowest position of `(o, p)`'s
-    /// hop segment: the same for every position of the segment.
-    pub fn segment_closure(&self, (o, p): (OriginId, u32)) -> Vec<u32> {
+    /// The lowest position of `(o, p)`'s hop segment.
+    fn segment_start(&self, (o, p): (OriginId, u32)) -> u32 {
         let prev = self.hops.segment(o.0, p).checked_sub(1);
-        let start = prev.map_or(0, |k| self.hops.row(o.0)[k].from_pos + 1);
-        self.reach_closure((o, start))
+        prev.map_or(0, |k| self.hops.row(o.0)[k].from_pos + 1)
+    }
+}
+
+/// Memoized inter-origin reachability over a frozen [`ShbGraph`], one
+/// sparse row per [`ShbGraph::closure_slot`], filled on first use.
+///
+/// A row lists the `(origin, minimal position)` pairs reachable over
+/// entry, join and condvar edges from its hop segment's lowest position,
+/// sorted by origin, the segment's own origin left out (intra-origin
+/// order is position order). Every row lives in one flat arena, and a
+/// fill is a DFS with per-origin minimal-position pruning (a hop usable
+/// from position `p` is usable from any earlier one) over a `best`
+/// scratch array that it resets origin by origin from its touched list,
+/// so a fill costs O(origins reached) and allocates nothing of its own.
+#[derive(Debug)]
+pub struct ClosureTable<'g> {
+    shb: &'g ShbGraph,
+    /// `(start, len)` of each slot's row in `entries`; `len` is
+    /// `usize::MAX` until the row is filled.
+    rows: Vec<(usize, usize)>,
+    /// Every filled row, back to back.
+    entries: Vec<(u32, u32)>,
+    /// Minimal position reached per origin during a fill; all
+    /// `u32::MAX` between fills.
+    best: Vec<u32>,
+    /// The origins whose `best` the current fill lowered.
+    touched: Vec<u32>,
+    /// DFS stack of `(origin, position)`.
+    stack: Vec<(u32, u32)>,
+}
+
+impl<'g> ClosureTable<'g> {
+    /// An empty table over `shb`: no row is filled yet.
+    pub fn new(shb: &'g ShbGraph) -> Self {
+        ClosureTable {
+            shb,
+            rows: vec![(0, usize::MAX); shb.num_closure_slots()],
+            entries: Vec::new(),
+            best: vec![u32::MAX; shb.traces.len()],
+            touched: Vec::new(),
+            stack: Vec::new(),
+        }
+    }
+
+    /// Happens-before between two trace positions, as
+    /// [`ShbGraph::happens_before`], memoizing `a`'s row.
+    pub fn happens_before(&mut self, a: (OriginId, u32), b: (OriginId, u32)) -> bool {
+        if a.0 == b.0 {
+            return a.1 < b.1;
+        }
+        self.reach(self.shb.closure_slot(a), a, b.0) <= b.1
+    }
+
+    /// The minimal position of origin `to` reachable from `at`, whose
+    /// [`ShbGraph::closure_slot`] is `slot` (`u32::MAX` if none). `to`
+    /// must be another origin than `at`'s.
+    pub fn reach(&mut self, slot: usize, at: (OriginId, u32), to: OriginId) -> u32 {
+        if self.rows[slot].1 == usize::MAX {
+            self.fill(slot, at);
+        }
+        let (start, len) = self.rows[slot];
+        let row = &self.entries[start..][..len];
+        row.binary_search_by_key(&to.0, |&(o, _)| o)
+            .map_or(u32::MAX, |i| row[i].1)
+    }
+
+    fn fill(&mut self, slot: usize, at: (OriginId, u32)) {
+        let shb = self.shb;
+        self.stack.push((at.0 .0, shb.segment_start(at)));
+        while let Some((o, p)) = self.stack.pop() {
+            let best = &mut self.best[o as usize];
+            if *best <= p {
+                continue;
+            }
+            if *best == u32::MAX {
+                self.touched.push(o);
+            }
+            *best = p;
+            for h in &shb.hops.row(o)[shb.hops.segment(o, p)..] {
+                self.stack.push((h.to, h.to_pos));
+            }
+        }
+        self.touched.sort_unstable();
+        let start = self.entries.len();
+        for o in self.touched.drain(..) {
+            let p = std::mem::replace(&mut self.best[o as usize], u32::MAX);
+            if o != at.0 .0 {
+                self.entries.push((o, p));
+            }
+        }
+        self.rows[slot] = (start, self.entries.len() - start);
     }
 }
 
@@ -953,5 +1017,34 @@ impl<'a> Builder<'a> {
         }
         // Allow re-walking this method when encountered under a different
         // lockset later; keep it visited for the same lockset.
+    }
+}
+
+#[cfg(test)]
+impl ShbGraph {
+    /// Test reference for [`ClosureTable`]: the dense inter-origin
+    /// reachability closure of one trace position. `result[o]` is the
+    /// minimal position in origin `o` reachable from `from` over entry,
+    /// join and condvar edges (`u32::MAX` if unreachable), so for
+    /// `b.0 != from.0`, `from` happens-before `b` ⟺ `result[b.0] <= b.1`.
+    pub(crate) fn reach_closure(&self, from: (OriginId, u32)) -> Vec<u32> {
+        let mut best: Vec<u32> = vec![u32::MAX; self.traces.len()];
+        let mut stack: Vec<(u32, u32)> = vec![(from.0 .0, from.1)];
+        while let Some((o, p)) = stack.pop() {
+            if best[o as usize] <= p {
+                continue;
+            }
+            best[o as usize] = p;
+            for h in &self.hops.row(o)[self.hops.segment(o, p)..] {
+                stack.push((h.to, h.to_pos));
+            }
+        }
+        best
+    }
+
+    /// [`ShbGraph::reach_closure`] from the lowest position of `at`'s hop
+    /// segment, the same for every position of the segment.
+    pub(crate) fn segment_closure(&self, at: (OriginId, u32)) -> Vec<u32> {
+        self.reach_closure((at.0, self.segment_start(at)))
     }
 }

@@ -43,8 +43,8 @@ pub mod graph;
 pub mod locks;
 
 pub use graph::{
-    build_shb, AccessNode, AcquireNode, EntryEdge, JoinEdge, OriginTrace, ShbConfig, ShbGraph,
-    ShbStats,
+    build_shb, AccessNode, AcquireNode, ClosureTable, EntryEdge, JoinEdge, OriginTrace, ShbConfig,
+    ShbGraph, ShbStats,
 };
 pub use locks::{LockElem, LockSetId, LockTable};
 

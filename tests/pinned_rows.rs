@@ -11,6 +11,8 @@
 //!   the candidates that reach the pair loop.
 //! - Table 7's shared-access counts on the DaCapo presets: OSA's and the
 //!   thread-escape baseline's.
+//! - The deadlock cycles (locks, origins, statements) on every preset,
+//!   real-bug model and mega preset, and three lock-order programs.
 
 use o2::prelude::*;
 use o2_passes::Tier;
@@ -455,4 +457,156 @@ fn pta_stats_are_pinned_on_every_preset_model_and_mega_preset() {
         .map(|(name, program)| pta_stats_row(&name, &program))
         .collect();
     assert_eq!(rows, PTA_STATS_ROWS);
+}
+
+/// `program: cycles` rows of
+/// [`detect_deadlocks`](o2_detect::detect_deadlocks) on every preset,
+/// every Java and C real-bug and extended model, every mega preset and
+/// three lock-order programs ([`LOCK_ORDER`]); each cycle is
+/// `locks / origins / statements`, in cycle order.
+const DEADLOCK_ROWS: &[&str] = &[
+    "avrora: ",
+    "batik: ",
+    "eclipse: ",
+    "h2: ",
+    "jython: ",
+    "luindex: ",
+    "lusearch: ",
+    "pmd: ",
+    "sunflow: ",
+    "tomcat: ",
+    "tradebeans: ",
+    "tradesoap: ",
+    "xalan: ",
+    "connectbot: ",
+    "sipdroid: ",
+    "k9mail: ",
+    "tasks: ",
+    "fbreader: ",
+    "vlc: ",
+    "firefox_focus: ",
+    "telegram: ",
+    "zoom: ",
+    "chrome: ",
+    "hbase: ",
+    "hdfs: ",
+    "yarn: ",
+    "zookeeper: ",
+    "memcached: ",
+    "redis: ",
+    "sqlite3: ",
+    "Linux: ",
+    "TDengine: ",
+    "Redis/RedisGraph: ",
+    "OVS: ",
+    "cpqueue: ",
+    "mrlock: ",
+    "Memcached: ",
+    "Firefox: ",
+    "ZooKeeper: ",
+    "HBase: ",
+    "Tomcat: ",
+    "OpenSSL-rwlock: ",
+    "httpd-fdqueue: ",
+    "libuv-loop: ",
+    "Linux (C): ",
+    "TDengine (C): ",
+    "Redis/RedisGraph (C): ",
+    "OVS (C): ",
+    "cpqueue (C): ",
+    "mrlock (C): ",
+    "Memcached (C): ",
+    "OpenSSL-rwlock (C): ",
+    "httpd-fdqueue (C): ",
+    "mega-smoke: ",
+    "mega-grid: ",
+    "mega-skew: ",
+    "ab-ba: [Obj(ObjId(0)), Obj(ObjId(1))] / [1, 2] / [\"Transfer.run:8\", \"Transfer.run:8\"]",
+    "ab-ba joined: ",
+    "abc: [Obj(ObjId(0)), Obj(ObjId(1)), Obj(ObjId(2))] / [1, 2, 3] / [\"Transfer.run:8\", \"Transfer.run:8\", \"Transfer.run:8\"]",
+];
+
+/// Lock-order programs for [`DEADLOCK_ROWS`]: `Transfer(x, y)` takes
+/// `x` then `y`, and `{main}` starts the workers.
+const LOCK_ORDER: &str = r#"
+    class L { }
+    class Transfer impl Runnable {
+        field from; field to;
+        method <init>(from, to) { this.from = from; this.to = to; }
+        method run() {
+            a = this.from; b = this.to;
+            sync (a) { sync (b) { x = a; } }
+        }
+    }
+    class Main {
+        static method main() {
+            a = new L(); b = new L(); c = new L();
+            {main}
+        }
+    }
+"#;
+
+fn deadlock_row(name: &str, program: &o2_ir::program::Program) -> String {
+    let report = O2Builder::new().build().analyze(program);
+    let cycles: Vec<String> = report
+        .detect_deadlocks(program)
+        .cycles
+        .iter()
+        .map(|c| {
+            let origins: Vec<u32> = c.origins.iter().map(|o| o.0).collect();
+            let stmts: Vec<String> = c.stmts.iter().map(|&s| program.stmt_label(s)).collect();
+            format!("{:?} / {origins:?} / {stmts:?}", c.locks)
+        })
+        .collect();
+    format!("{name}: {}", cycles.join("; "))
+}
+
+#[test]
+fn deadlock_cycles_are_pinned_on_every_model_and_mega_preset() {
+    let presets = o2_workloads::all_presets()
+        .into_iter()
+        .map(|p| (p.name.to_string(), p.generate().program));
+    let java = o2_workloads::all_models()
+        .into_iter()
+        .chain(o2_workloads::extended_models())
+        .map(|m| (m.name.to_string(), m.program));
+    let c = o2_workloads::all_c_models()
+        .into_iter()
+        .chain(o2_workloads::extended_c_models())
+        .map(|m| (format!("{} (C)", m.name), m.program));
+    let mega = o2_workloads::mega_presets()
+        .into_iter()
+        .map(|m| (m.name.to_string(), m.generate().program));
+    let lock_order = [
+        // AB-BA between two unordered workers: one 2-cycle.
+        (
+            "ab-ba",
+            "t1 = new Transfer(a, b); t2 = new Transfer(b, a); t1.start(); t2.start();",
+        ),
+        // The same, but the second worker starts after the first is
+        // joined: happens-before kills the cycle.
+        (
+            "ab-ba joined",
+            "t1 = new Transfer(a, b); t2 = new Transfer(b, a); \
+             t1.start(); join t1; t2.start();",
+        ),
+        // A → B → C → A across three unordered workers: one 3-cycle.
+        (
+            "abc",
+            "t1 = new Transfer(a, b); t2 = new Transfer(b, c); t3 = new Transfer(c, a); \
+             t1.start(); t2.start(); t3.start();",
+        ),
+    ]
+    .map(|(name, main)| {
+        let src = LOCK_ORDER.replace("{main}", main);
+        (name.to_string(), o2_ir::parser::parse(&src).unwrap())
+    });
+    let rows: Vec<String> = presets
+        .chain(java)
+        .chain(c)
+        .chain(mega)
+        .chain(lock_order)
+        .map(|(name, program)| deadlock_row(&name, &program))
+        .collect();
+    assert_eq!(rows, DEADLOCK_ROWS);
 }

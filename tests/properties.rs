@@ -170,6 +170,90 @@ fn hb_implementations_agree() {
     }
 }
 
+/// The dense reference for [`ClosureTable`](o2_shb::ClosureTable) rows,
+/// read off the graph's public edge lists: `result[k]` is the minimal
+/// position of origin `k` reachable from the lowest position of `at`'s
+/// hop segment (`u32::MAX` if none). `hops[o]` lists the edges leaving
+/// origin `o` as `(from_pos, to, to_pos)`: usable from any position at
+/// or before `from_pos`.
+fn segment_closure(hops: &[Vec<(u32, u32, u32)>], (o, p): (u32, u32)) -> Vec<u32> {
+    let start = hops[o as usize]
+        .iter()
+        .map(|h| h.0)
+        .filter(|&f| f < p)
+        .max()
+        .map_or(0, |f| f + 1);
+    let mut best = vec![u32::MAX; hops.len()];
+    let mut stack = vec![(o, start)];
+    while let Some((o, p)) = stack.pop() {
+        if best[o as usize] <= p {
+            continue;
+        }
+        best[o as usize] = p;
+        stack.extend(
+            hops[o as usize]
+                .iter()
+                .filter(|h| h.0 >= p)
+                .map(|h| (h.1, h.2)),
+        );
+    }
+    best
+}
+
+/// Every sparse [`ClosureTable`](o2_shb::ClosureTable) row answers
+/// exactly what the dense [`segment_closure`] holds for every origin but
+/// the slot's own, with rows filled one after another in one table (so a
+/// fill that leaves its scratch dirty shows up in the next), on every
+/// preset, real-bug and extended model, mega preset and drawn spec.
+#[test]
+fn sparse_closure_rows_match_the_dense_reference() {
+    let presets = o2_workloads::all_presets()
+        .into_iter()
+        .map(|p| (p.name.to_string(), p.generate().program));
+    let models = o2_workloads::all_models()
+        .into_iter()
+        .chain(o2_workloads::extended_models())
+        .chain(o2_workloads::all_c_models())
+        .chain(o2_workloads::extended_c_models())
+        .map(|m| (m.name.to_string(), m.program));
+    let mega = o2_workloads::mega_presets()
+        .into_iter()
+        .map(|m| (m.name.to_string(), m.generate().program));
+    let drawn = spec_sample()
+        .into_iter()
+        .enumerate()
+        .map(|(i, spec)| (format!("case {i}"), generate(&spec).program));
+    for (name, program) in presets.chain(models).chain(mega).chain(drawn) {
+        let shb = O2Builder::new().build().analyze(&program).shb;
+        let mut hops = vec![Vec::new(); shb.traces.len()];
+        for e in &shb.entry_edges {
+            hops[e.parent.0 as usize].push((e.pos, e.child.0, 0));
+        }
+        for c in &shb.cond_edges {
+            hops[c.from.0 as usize].push((c.from_pos, c.to.0, c.to_pos));
+        }
+        for j in &shb.join_edges {
+            hops[j.child.0 as usize].push((u32::MAX, j.parent.0, j.pos));
+        }
+        let mut table = o2_shb::ClosureTable::new(&shb);
+        let mut filled = vec![false; shb.num_closure_slots()];
+        for (o, trace) in shb.traces.iter().enumerate() {
+            for pos in 0..trace.len {
+                let at = (o2_pta::OriginId(o as u32), pos);
+                let slot = shb.closure_slot(at);
+                if std::mem::replace(&mut filled[slot], true) {
+                    continue;
+                }
+                let dense = segment_closure(&hops, (o as u32, pos));
+                for (k, &want) in dense.iter().enumerate().filter(|&(k, _)| k != o) {
+                    let got = table.reach(slot, at, o2_pta::OriginId(k as u32));
+                    assert_eq!(got, want, "{name}: slot {slot} of {at:?} in origin {k}");
+                }
+            }
+        }
+    }
+}
+
 /// Protected and fork-join fields never appear in any O2 report.
 #[test]
 fn benign_fields_never_reported() {
