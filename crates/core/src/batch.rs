@@ -131,9 +131,9 @@ pub struct BatchReport {
     /// report `o2 <file> --quiet` prints for that entry (or, for an entry
     /// that failed, the `error: ...` line it prints instead).
     pub text: String,
-    /// The merged JSON report ([`o2_passes::corpus_json`] bytes).
+    /// The merged JSON report ([`o2_passes::corpus_json_with_errors`] bytes).
     pub json: String,
-    /// The merged SARIF report ([`o2_passes::corpus_sarif`] bytes).
+    /// The merged SARIF report ([`o2_passes::corpus_sarif_with_errors`] bytes).
     pub sarif: String,
     /// Wall time of the whole batch.
     pub wall_ms: f64,

@@ -11,36 +11,30 @@
 //! total, which `o2-racerd` computes in closed form.
 
 use crate::triage::RACERD_AGREEMENT_BONUS;
-use crate::{AnalysisCtx, Pass, PassStats, PipelineState};
+use crate::{PassStats, TriagedRace};
 use o2_analysis::osa::MemKey;
+use o2_ir::program::Program;
 use o2_racerd::run_racerd;
 
-/// The RacerD-agreement pass.
-pub struct RacerdAgreementPass;
-
-impl Pass for RacerdAgreementPass {
-    fn name(&self) -> &'static str {
-        "racerd-agreement"
-    }
-
-    fn run(&mut self, ctx: &AnalysisCtx<'_>, state: &mut PipelineState) -> PassStats {
-        let report = run_racerd(ctx.program);
-        let mut agreements = 0u64;
-        for tr in &mut state.races {
-            let field = match tr.race.key {
-                MemKey::Field(_, f) | MemKey::Static(_, f) => f,
-            };
-            let n = report.field_warnings(field);
-            if n > 0 {
-                tr.score += RACERD_AGREEMENT_BONUS;
-                tr.notes.push(format!(
-                    "corroborated by racerd ({n} warning{} on this field)",
-                    if n == 1 { "" } else { "s" }
-                ));
-                agreements += 1;
-            }
+/// The RacerD-agreement pass: raises the score of every race on a field
+/// the baseline also warns about.
+pub fn score_agreement(program: &Program, races: &mut [TriagedRace]) -> PassStats {
+    let report = run_racerd(program);
+    let mut agreements = 0u64;
+    for tr in races {
+        let field = match tr.race.key {
+            MemKey::Field(_, f) | MemKey::Static(_, f) => f,
+        };
+        let n = report.field_warnings(field);
+        if n > 0 {
+            tr.score += RACERD_AGREEMENT_BONUS;
+            tr.notes.push(format!(
+                "corroborated by racerd ({n} warning{} on this field)",
+                if n == 1 { "" } else { "s" }
+            ));
+            agreements += 1;
         }
-        let total = report.total_warnings() as u64;
-        vec![("racerd_warnings", total), ("agreements", agreements)]
     }
+    let total = report.total_warnings() as u64;
+    vec![("racerd_warnings", total), ("agreements", agreements)]
 }

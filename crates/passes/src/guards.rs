@@ -18,7 +18,7 @@
 //! `realbugs` models, which hold no locks at all) are untouched.
 
 use crate::triage::{GUARD_VIOLATION_BONUS, MOSTLY_GUARDED_PENALTY};
-use crate::{AnalysisCtx, Pass, PassStats, PipelineState};
+use crate::{AnalysisCtx, PassStats, TriagedRace};
 use o2_analysis::osa::MemKey;
 use o2_ir::program::Program;
 use o2_pta::PtaResult;
@@ -36,52 +36,45 @@ pub struct GuardInference {
     pub total: u32,
 }
 
-/// The guarded-by inference pass.
-pub struct GuardedByPass;
-
-impl Pass for GuardedByPass {
-    fn name(&self) -> &'static str {
-        "guarded-by"
-    }
-
-    fn run(&mut self, ctx: &AnalysisCtx<'_>, state: &mut PipelineState) -> PassStats {
-        // Infer a dominant guard per racy location.
-        let keys: BTreeMap<MemKey, ()> = state.races.iter().map(|tr| (tr.race.key, ())).collect();
-        let mut inferred: BTreeMap<MemKey, GuardInference> = BTreeMap::new();
-        for &key in keys.keys() {
-            if let Some(inf) = infer_guard(ctx, key) {
-                inferred.insert(key, inf);
-            }
+/// The guarded-by inference pass: infers a dominant guard per racy
+/// location and demotes or promotes the races on it.
+pub fn score_guards(ctx: &AnalysisCtx<'_>, races: &mut [TriagedRace]) -> PassStats {
+    // Infer a dominant guard per racy location.
+    let keys: BTreeMap<MemKey, ()> = races.iter().map(|tr| (tr.race.key, ())).collect();
+    let mut inferred: BTreeMap<MemKey, GuardInference> = BTreeMap::new();
+    for &key in keys.keys() {
+        if let Some(inf) = infer_guard(ctx, key) {
+            inferred.insert(key, inf);
         }
-        let mut demoted = 0u64;
-        let mut promoted = 0u64;
-        for tr in &mut state.races {
-            let Some(inf) = inferred.get(&tr.race.key) else {
-                continue;
-            };
-            let label = lock_elem_label(ctx.program, ctx.pta, ctx.locks(), inf.elem);
-            if inf.covered + 1 == inf.total {
-                tr.score += MOSTLY_GUARDED_PENALTY;
-                tr.notes.push(format!(
-                    "mostly guarded by {label}: {}/{} accesses hold it (single stray access)",
-                    inf.covered, inf.total
-                ));
-                demoted += 1;
-            } else {
-                tr.score += GUARD_VIOLATION_BONUS;
-                tr.notes.push(format!(
-                    "inconsistent guard {label}: held on {}/{} accesses",
-                    inf.covered, inf.total
-                ));
-                promoted += 1;
-            }
-        }
-        vec![
-            ("locations_inferred", inferred.len() as u64),
-            ("demoted", demoted),
-            ("promoted", promoted),
-        ]
     }
+    let mut demoted = 0u64;
+    let mut promoted = 0u64;
+    for tr in races {
+        let Some(inf) = inferred.get(&tr.race.key) else {
+            continue;
+        };
+        let label = lock_elem_label(ctx.program, ctx.pta, ctx.locks(), inf.elem);
+        if inf.covered + 1 == inf.total {
+            tr.score += MOSTLY_GUARDED_PENALTY;
+            tr.notes.push(format!(
+                "mostly guarded by {label}: {}/{} accesses hold it (single stray access)",
+                inf.covered, inf.total
+            ));
+            demoted += 1;
+        } else {
+            tr.score += GUARD_VIOLATION_BONUS;
+            tr.notes.push(format!(
+                "inconsistent guard {label}: held on {}/{} accesses",
+                inf.covered, inf.total
+            ));
+            promoted += 1;
+        }
+    }
+    vec![
+        ("locations_inferred", inferred.len() as u64),
+        ("demoted", demoted),
+        ("promoted", promoted),
+    ]
 }
 
 /// Infers the dominant guard of `key` from the SHB access index: the

@@ -1,16 +1,16 @@
-//! Post-detection precision pipeline (the paper's §7 precision claim as a
-//! reusable pass framework).
+//! Post-detection precision pipeline (the paper's §7 precision claim).
 //!
 //! The race detector emits every SHB/lockset-surviving access pair as a
-//! flat list. This crate adds the second phase that makes that list
-//! usable: a [`PassManager`] runs a sequence of [`Pass`]es over a shared
-//! read-only [`AnalysisCtx`] and a mutable [`PipelineState`], each pass
-//! either *pruning* races it can prove impossible (ownership/publication
-//! reasoning), *re-scoring* them (guarded-by inference, RacerD
-//! agreement), or *attaching* companion reports (deadlocks,
-//! over-synchronization). The result is a [`PipelineReport`] with a
-//! stable `high`/`medium`/`low` confidence tier per race, a deterministic
-//! ranking, and hand-rolled JSON / SARIF 2.1.0 serializations.
+//! flat list. This crate adds the fixed follow-up that makes that list
+//! usable: [`run_pipeline`] calls six passes in order over a shared
+//! read-only [`AnalysisCtx`], each a plain function over the races under
+//! construction that returns its [`PassStats`]. Suppression and ownership
+//! *prune* races (annotations, ownership/publication reasoning),
+//! guarded-by inference and RacerD agreement *re-score* them, and the
+//! deadlock and over-synchronization checks *attach* companion reports.
+//! The result is a [`PipelineReport`] with a stable `high`/`medium`/`low`
+//! confidence tier per race, a deterministic ranking, and hand-rolled
+//! JSON / SARIF 2.1.0 serializations.
 //!
 //! ```
 //! use o2_ir::parser::parse;
@@ -50,19 +50,17 @@
 pub mod agreement;
 pub mod guards;
 pub mod ownership;
-pub mod reports;
 pub mod sarif;
 pub mod triage;
 
 use o2_analysis::osa::OsaResult;
-use o2_detect::{DeadlockReport, OversyncReport, RaceReport};
+use o2_detect::{detect_deadlocks, find_oversync, DeadlockReport, OversyncReport, RaceReport};
 use o2_ir::program::Program;
 use o2_ir::ProgramCtx;
 use o2_pta::PtaResult;
 use o2_shb::{LockTable, ShbGraph};
-use std::time::{Duration, Instant};
 
-pub use sarif::{corpus_sarif, corpus_sarif_with_errors};
+pub use sarif::corpus_sarif_with_errors;
 pub use triage::{PrunedRace, Tier, TriagedRace};
 
 /// The shared, immutable inputs every pass runs over: the program and the
@@ -86,102 +84,17 @@ impl<'a> AnalysisCtx<'a> {
     }
 }
 
-/// Everything the passes read and mutate: the still-live triaged races
-/// plus the companion reports attached along the way.
-#[derive(Clone, Debug, Default)]
-pub struct PipelineState {
-    /// Candidate races still in the report, with their running scores.
-    pub races: Vec<TriagedRace>,
-    /// Races a pass proved impossible, with the pruning reason.
-    pub pruned: Vec<PrunedRace>,
-    /// Races matched by an `@suppress(race)` annotation.
-    pub suppressed: Vec<TriagedRace>,
-    /// Lock-order deadlock report (attached by the deadlock pass).
-    pub deadlocks: Option<DeadlockReport>,
-    /// Over-synchronization report (attached by the over-sync pass).
-    pub oversync: Option<OversyncReport>,
-}
-
 /// Per-pass counters, rendered into the pipeline text and JSON. Keys are
 /// static so reports stay deterministic.
 pub type PassStats = Vec<(&'static str, u64)>;
 
-/// One precision pass over the shared [`AnalysisCtx`].
-pub trait Pass {
-    /// Stable pass name used in reports and timings.
-    fn name(&self) -> &'static str;
-    /// Runs the pass, mutating `state`; returns its counters.
-    fn run(&mut self, ctx: &AnalysisCtx<'_>, state: &mut PipelineState) -> PassStats;
-}
-
-/// Timing and counters of one executed pass.
+/// The counters of one executed pass.
 #[derive(Clone, Debug)]
 pub struct PassRun {
     /// The pass name.
     pub name: &'static str,
-    /// Wall-clock duration of the pass.
-    pub duration: Duration,
     /// The counters the pass reported.
     pub stats: PassStats,
-}
-
-/// Runs an ordered sequence of passes and assembles the final report.
-#[derive(Default)]
-pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
-}
-
-impl PassManager {
-    /// An empty manager; add passes with [`Self::add`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The standard pipeline: suppression, ownership pruning, guarded-by
-    /// inference, RacerD agreement, deadlocks, over-synchronization.
-    pub fn standard() -> Self {
-        let mut pm = Self::new();
-        pm.add(Box::new(triage::SuppressionPass));
-        pm.add(Box::new(ownership::OwnershipPass));
-        pm.add(Box::new(guards::GuardedByPass));
-        pm.add(Box::new(agreement::RacerdAgreementPass));
-        pm.add(Box::new(reports::DeadlockPass));
-        pm.add(Box::new(reports::OversyncPass));
-        pm
-    }
-
-    /// Appends a pass to the sequence.
-    pub fn add(&mut self, pass: Box<dyn Pass>) {
-        self.passes.push(pass);
-    }
-
-    /// Seeds the pipeline state from a raw detector report, runs every
-    /// pass in order with per-pass timing, and ranks the survivors.
-    pub fn run(&mut self, ctx: &AnalysisCtx<'_>, races: &RaceReport) -> PipelineReport {
-        let mut state = PipelineState {
-            races: races.races.iter().map(TriagedRace::seed).collect(),
-            ..Default::default()
-        };
-        let mut runs = Vec::new();
-        for pass in &mut self.passes {
-            let t0 = Instant::now();
-            let stats = pass.run(ctx, &mut state);
-            runs.push(PassRun {
-                name: pass.name(),
-                duration: t0.elapsed(),
-                stats,
-            });
-        }
-        triage::finalize(&mut state);
-        PipelineReport {
-            races: state.races,
-            pruned: state.pruned,
-            suppressed: state.suppressed,
-            deadlocks: state.deadlocks,
-            oversync: state.oversync,
-            passes: runs,
-        }
-    }
 }
 
 /// The triaged output of the precision pipeline.
@@ -194,11 +107,11 @@ pub struct PipelineReport {
     pub pruned: Vec<PrunedRace>,
     /// Races matched by `@suppress(race)` annotations.
     pub suppressed: Vec<TriagedRace>,
-    /// Deadlock report, if the deadlock pass ran.
-    pub deadlocks: Option<DeadlockReport>,
-    /// Over-synchronization report, if that pass ran.
-    pub oversync: Option<OversyncReport>,
-    /// Per-pass timings and counters, in execution order.
+    /// Lock-order deadlock report.
+    pub deadlocks: DeadlockReport,
+    /// Over-synchronization report.
+    pub oversync: OversyncReport,
+    /// Per-pass counters, in execution order.
     pub passes: Vec<PassRun>,
 }
 
@@ -208,8 +121,7 @@ impl PipelineReport {
         self.races.iter().filter(|r| r.tier == tier).count()
     }
 
-    /// Serializes the deterministic part of the report as JSON (no
-    /// durations, so the output is byte-stable across runs).
+    /// Serializes the report as JSON (byte-stable across runs).
     pub fn to_json(&self, program: &Program) -> String {
         triage::report_to_json(self, program)
     }
@@ -227,18 +139,12 @@ impl PipelineReport {
 
 /// Serializes a whole corpus as one JSON document: entries sorted by
 /// program name, each carrying its full per-program report (the same
-/// bytes [`PipelineReport::to_json`] emits, embedded verbatim). Like the
-/// per-program serializers it contains no durations or scheduling
-/// artifacts, so batch output is byte-stable across worker counts.
-pub fn corpus_json(entries: &[(&str, &PipelineReport, &Program)]) -> String {
-    corpus_json_with_errors(entries, &[])
-}
-
-/// [`corpus_json`] for a corpus where some programs failed: failed
-/// entries appear in the same name-sorted `programs` array as
+/// bytes [`PipelineReport::to_json`] emits, embedded verbatim). Failed
+/// programs appear in the same name-sorted `programs` array as
 /// `{"name": ..., "error": {"stage": ..., "message": ...}}` objects.
-/// With no errors the bytes are identical to [`corpus_json`], so a
-/// clean corpus is unaffected by the error plane.
+/// Like the per-program serializers it contains no durations or
+/// scheduling artifacts, so batch output is byte-stable across worker
+/// counts.
 pub fn corpus_json_with_errors(
     entries: &[(&str, &PipelineReport, &Program)],
     errors: &[(&str, &o2_ir::O2Error)],
@@ -272,8 +178,10 @@ pub fn corpus_json_with_errors(
     out
 }
 
-/// Convenience entry point: runs the standard pipeline over the usual
-/// four analysis artifacts.
+/// Runs the precision pipeline over the usual four analysis artifacts:
+/// suppression, ownership pruning, guarded-by inference, RacerD
+/// agreement, deadlocks and over-synchronization, in that order; then
+/// clamps scores, derives tiers and ranks every list.
 pub fn run_pipeline(
     pctx: &ProgramCtx<'_>,
     pta: &PtaResult,
@@ -297,5 +205,51 @@ pub fn run_pipeline(
         osa,
         shb,
     };
-    PassManager::standard().run(&ctx, races)
+    let mut races: Vec<TriagedRace> = races.races.iter().map(TriagedRace::seed).collect();
+    let mut suppressed = Vec::new();
+    let mut pruned = Vec::new();
+    let mut passes = vec![
+        PassRun {
+            name: "suppression",
+            stats: triage::suppress(ctx.program, &mut races, &mut suppressed),
+        },
+        PassRun {
+            name: "ownership",
+            stats: ownership::prune_owned(&ctx, &mut races, &mut pruned),
+        },
+        PassRun {
+            name: "guarded-by",
+            stats: guards::score_guards(&ctx, &mut races),
+        },
+        PassRun {
+            name: "racerd-agreement",
+            stats: agreement::score_agreement(ctx.program, &mut races),
+        },
+    ];
+    let deadlocks = detect_deadlocks(ctx.program, ctx.shb);
+    passes.push(PassRun {
+        name: "deadlock",
+        stats: vec![
+            ("cycles", deadlocks.cycles.len() as u64),
+            ("lock_order_edges", deadlocks.num_edges as u64),
+        ],
+    });
+    let oversync = find_oversync(ctx.program, ctx.osa, ctx.shb);
+    passes.push(PassRun {
+        name: "oversync",
+        stats: vec![
+            ("warnings", oversync.warnings.len() as u64),
+            ("useful_sites", oversync.useful_sites as u64),
+        ],
+    });
+    let mut report = PipelineReport {
+        races,
+        pruned,
+        suppressed,
+        deadlocks,
+        oversync,
+        passes,
+    };
+    triage::finalize(&mut report);
+    report
 }

@@ -25,63 +25,54 @@
 //! policies (0-ctx, k-CFA), where conflated bait objects survive into
 //! the race list — the Table 8 precision gap.
 
-use crate::{AnalysisCtx, Pass, PassStats, PipelineState, PrunedRace};
+use crate::{AnalysisCtx, PassStats, PrunedRace, TriagedRace};
 use o2_analysis::osa::MemKey;
 use o2_analysis::run_escape;
 use o2_ir::ids::GStmt;
 use o2_ir::program::{Callee, Method, Stmt};
 use o2_pta::{AllocSite, Mi, ObjId, PtaResult};
 
-/// The ownership/publication pruning pass.
-pub struct OwnershipPass;
-
-impl Pass for OwnershipPass {
-    fn name(&self) -> &'static str {
-        "ownership"
-    }
-
-    fn run(&mut self, ctx: &AnalysisCtx<'_>, state: &mut PipelineState) -> PassStats {
-        let escape = run_escape(ctx.program, ctx.pta);
-        let mut owned_pruned = 0u64;
-        let mut prepub_pruned = 0u64;
-        let mut kept = Vec::with_capacity(state.races.len());
-        for tr in state.races.drain(..) {
-            let obj = match tr.race.key {
-                MemKey::Field(obj, _) if obj.0 != u32::MAX => obj,
-                _ => {
-                    kept.push(tr);
-                    continue;
-                }
-            };
-            if !escape.escapes(obj) {
-                owned_pruned += 1;
-                state.pruned.push(PrunedRace {
-                    race: tr.race,
-                    reason: format!(
-                        "owned object: {} never escapes its allocating origin",
-                        obj_label(ctx, obj)
-                    ),
-                });
-            } else if pre_publication_pair(ctx, obj, tr.race.a.stmt, tr.race.b.stmt) {
-                prepub_pruned += 1;
-                state.pruned.push(PrunedRace {
-                    race: tr.race,
-                    reason: format!(
-                        "pre-publication accesses: both touch {} before it is first published",
-                        obj_label(ctx, obj)
-                    ),
-                });
-            } else {
-                kept.push(tr);
-            }
-        }
-        state.races = kept;
-        vec![
-            ("owned_pruned", owned_pruned),
-            ("prepub_pruned", prepub_pruned),
-            ("kept", state.races.len() as u64),
-        ]
-    }
+/// The ownership/publication pruning pass: moves every race that rule 1
+/// or rule 2 proves impossible from `races` to `pruned`.
+pub fn prune_owned(
+    ctx: &AnalysisCtx<'_>,
+    races: &mut Vec<TriagedRace>,
+    pruned: &mut Vec<PrunedRace>,
+) -> PassStats {
+    let escape = run_escape(ctx.program, ctx.pta);
+    let mut owned_pruned = 0u64;
+    let mut prepub_pruned = 0u64;
+    races.retain(|tr| {
+        let obj = match tr.race.key {
+            MemKey::Field(obj, _) if obj.0 != u32::MAX => obj,
+            _ => return true,
+        };
+        let reason = if !escape.escapes(obj) {
+            owned_pruned += 1;
+            format!(
+                "owned object: {} never escapes its allocating origin",
+                obj_label(ctx, obj)
+            )
+        } else if pre_publication_pair(ctx, obj, tr.race.a.stmt, tr.race.b.stmt) {
+            prepub_pruned += 1;
+            format!(
+                "pre-publication accesses: both touch {} before it is first published",
+                obj_label(ctx, obj)
+            )
+        } else {
+            return true;
+        };
+        pruned.push(PrunedRace {
+            race: tr.race,
+            reason,
+        });
+        false
+    });
+    vec![
+        ("owned_pruned", owned_pruned),
+        ("prepub_pruned", prepub_pruned),
+        ("kept", races.len() as u64),
+    ]
 }
 
 fn obj_label(ctx: &AnalysisCtx<'_>, obj: ObjId) -> String {

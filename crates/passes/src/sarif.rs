@@ -146,16 +146,6 @@ fn result_objects(
     program: &Program,
     program_label: Option<&str>,
 ) -> Vec<String> {
-    let deadlocks = report
-        .deadlocks
-        .as_ref()
-        .map(|d| d.cycles.as_slice())
-        .unwrap_or(&[]);
-    let oversync = report
-        .oversync
-        .as_ref()
-        .map(|o| o.warnings.as_slice())
-        .unwrap_or(&[]);
     let mut objects = Vec::new();
 
     for tr in &report.races {
@@ -164,7 +154,7 @@ fn result_objects(
     for tr in &report.suppressed {
         objects.push(race_result(program, tr, true, program_label));
     }
-    for cycle in deadlocks {
+    for cycle in &report.deadlocks.cycles {
         let locks: Vec<String> = cycle.locks.iter().map(|e| lock_label(e, program)).collect();
         let stmts: Vec<String> = cycle.stmts.iter().map(|&s| program.stmt_label(s)).collect();
         let mut out = String::new();
@@ -185,7 +175,7 @@ fn result_objects(
         finish_locations(&mut out, program_label);
         objects.push(out);
     }
-    for w in oversync {
+    for w in &report.oversync.warnings {
         let mut out = String::new();
         out.push_str("        {\n");
         out.push_str("          \"ruleId\": \"o2/oversync\",\n");
@@ -274,20 +264,13 @@ pub fn to_sarif(report: &PipelineReport, program: &Program) -> String {
 /// Serializes a whole corpus as one SARIF 2.1.0 document: a single run
 /// (`automationDetails.id` is `o2/batch`), results grouped by program in
 /// ascending program-name order, every result carrying its program name
-/// in `properties.program`. The bytes are a pure function of the
-/// (name, report, program) entries — worker count and claim order of the
-/// batch run that produced them cannot leak in.
-pub fn corpus_sarif(entries: &[(&str, &PipelineReport, &Program)]) -> String {
-    corpus_sarif_with_errors(entries, &[])
-}
-
-/// [`corpus_sarif`] for a corpus where some programs failed: each failed
-/// program contributes one `o2/analysis-error` result at level `error`,
-/// carrying the program name and failing stage in `properties`, merged
-/// into the same ascending program-name order as the analyzed results.
-/// The rule is referenced by id only (not added to the driver's rule
-/// array), so a corpus with no errors serializes byte-identically to
-/// [`corpus_sarif`].
+/// in `properties.program`. Each failed program contributes one
+/// `o2/analysis-error` result at level `error`, carrying the program
+/// name and failing stage in `properties`, merged into the same order.
+/// That rule is referenced by id only (not added to the driver's rule
+/// array), so a corpus with no errors carries no trace of it. The bytes
+/// are a pure function of the entries — worker count and claim order of
+/// the batch run that produced them cannot leak in.
 pub fn corpus_sarif_with_errors(
     entries: &[(&str, &PipelineReport, &Program)],
     errors: &[(&str, &o2_ir::O2Error)],

@@ -8,7 +8,7 @@
 //! so they always stay in the `high` tier; generated bait accumulates
 //! demotions or is pruned outright.
 
-use crate::{AnalysisCtx, Pass, PassStats, PipelineReport, PipelineState};
+use crate::{PassStats, PipelineReport};
 use o2_detect::Race;
 use o2_ir::json_escape;
 use o2_ir::program::Program;
@@ -113,36 +113,32 @@ pub struct PrunedRace {
     pub reason: String,
 }
 
-/// Moves races whose accesses fall in `@suppress(race)` methods to the
-/// suppressed list. Runs first so later passes only score live races.
-pub struct SuppressionPass;
-
-impl Pass for SuppressionPass {
-    fn name(&self) -> &'static str {
-        "suppression"
+/// The suppression pass: moves races whose accesses fall in
+/// `@suppress(race)` methods from `races` to `suppressed`. Runs first so
+/// later passes only score live races.
+pub fn suppress(
+    program: &Program,
+    races: &mut Vec<TriagedRace>,
+    suppressed: &mut Vec<TriagedRace>,
+) -> PassStats {
+    let (hit, live): (Vec<_>, Vec<_>) = races.drain(..).partition(|tr| {
+        program.is_race_suppressed(tr.race.a.stmt) || program.is_race_suppressed(tr.race.b.stmt)
+    });
+    *races = live;
+    for mut tr in hit {
+        tr.notes.push("@suppress(race) annotation".to_string());
+        suppressed.push(tr);
     }
-
-    fn run(&mut self, ctx: &AnalysisCtx<'_>, state: &mut PipelineState) -> PassStats {
-        let program = ctx.program;
-        let (suppressed, live): (Vec<_>, Vec<_>) = state.races.drain(..).partition(|tr| {
-            program.is_race_suppressed(tr.race.a.stmt) || program.is_race_suppressed(tr.race.b.stmt)
-        });
-        state.races = live;
-        for mut tr in suppressed {
-            tr.notes.push("@suppress(race) annotation".to_string());
-            state.suppressed.push(tr);
-        }
-        vec![
-            ("suppressed", state.suppressed.len() as u64),
-            ("kept", state.races.len() as u64),
-        ]
-    }
+    vec![
+        ("suppressed", suppressed.len() as u64),
+        ("kept", races.len() as u64),
+    ]
 }
 
 /// Clamps scores, derives tiers, and sorts every list into its stable
 /// ranking: tier, then score descending, then location order.
-pub fn finalize(state: &mut PipelineState) {
-    for tr in state.races.iter_mut().chain(state.suppressed.iter_mut()) {
+pub fn finalize(report: &mut PipelineReport) {
+    for tr in report.races.iter_mut().chain(report.suppressed.iter_mut()) {
         tr.score = tr.score.clamp(0, 100);
         tr.tier = Tier::of(tr.score);
     }
@@ -157,9 +153,9 @@ pub fn finalize(state: &mut PipelineState) {
             tr.race.b.origin.0,
         )
     };
-    state.races.sort_by_key(rank);
-    state.suppressed.sort_by_key(rank);
-    state
+    report.races.sort_by_key(rank);
+    report.suppressed.sort_by_key(rank);
+    report
         .pruned
         .sort_by_key(|p| (p.race.key, p.race.a.stmt, p.race.b.stmt));
 }
@@ -190,8 +186,8 @@ fn triaged_json(program: &Program, tr: &TriagedRace) -> String {
     )
 }
 
-/// The deterministic JSON rendering of a pipeline report (no durations,
-/// byte-stable across runs).
+/// The deterministic JSON rendering of a pipeline report (byte-stable
+/// across runs).
 pub fn report_to_json(report: &PipelineReport, program: &Program) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"races\": [\n");
@@ -237,16 +233,8 @@ pub fn report_to_json(report: &PipelineReport, program: &Program) -> String {
         );
     }
     out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"deadlocks\": {},",
-        report.deadlocks.as_ref().map_or(0, |d| d.cycles.len())
-    );
-    let _ = writeln!(
-        out,
-        "  \"oversync\": {},",
-        report.oversync.as_ref().map_or(0, |o| o.warnings.len())
-    );
+    let _ = writeln!(out, "  \"deadlocks\": {},", report.deadlocks.cycles.len());
+    let _ = writeln!(out, "  \"oversync\": {},", report.oversync.warnings.len());
     out.push_str("  \"passes\": [\n");
     for (i, run) in report.passes.iter().enumerate() {
         let stats: Vec<String> = run
@@ -312,10 +300,9 @@ pub fn render(report: &PipelineReport, program: &Program) -> String {
             program.stmt_label(tr.race.b.stmt),
         );
     }
-    // Deliberately no per-pass durations: the text rendering, like the
-    // JSON and SARIF ones, is byte-stable across runs so that warm
-    // (database-replayed) runs compare equal to cold runs. Timings live
-    // in `PipelineReport::passes` for callers that want them.
+    // The text rendering, like the JSON and SARIF ones, holds no
+    // durations: it is byte-stable across runs, so warm
+    // (database-replayed) runs compare equal to cold runs.
     for run in &report.passes {
         let stats: Vec<String> = run.stats.iter().map(|(k, v)| format!("{k}={v}")).collect();
         let _ = writeln!(out, "  pass {:<12} {}", run.name, stats.join(" "));

@@ -5,6 +5,7 @@
 use o2_analysis::run_osa;
 use o2_detect::{detect, DetectConfig};
 use o2_ir::parser::parse;
+use o2_passes::triage::RACERD_AGREEMENT_BONUS;
 use o2_passes::{run_pipeline, PipelineReport, Tier};
 use o2_pta::{analyze, Policy, PtaConfig};
 use o2_shb::{build_shb, ShbConfig};
@@ -163,9 +164,9 @@ fn reports_are_deterministic_across_runs() {
 
 #[test]
 fn refactored_passes_match_the_standalone_clients() {
-    // The DeadlockPass/OversyncPass re-host `detect_deadlocks` and
-    // `find_oversync`; their pipeline results must match the standalone
-    // entry points on a program that triggers both.
+    // The pipeline's deadlock and over-sync passes call
+    // `detect_deadlocks` and `find_oversync`; their reports must match
+    // the standalone entry points on a program that triggers both.
     let src = r#"
         class L { }
         class S { field data; }
@@ -219,8 +220,8 @@ fn refactored_passes_match_the_standalone_clients() {
 
     let standalone_dl = o2_detect::detect_deadlocks(&program, &shb);
     let standalone_os = o2_detect::find_oversync(&program, &osa, &shb);
-    let dl = report.deadlocks.as_ref().expect("deadlock pass ran");
-    let os = report.oversync.as_ref().expect("oversync pass ran");
+    let dl = &report.deadlocks;
+    let os = &report.oversync;
     assert_eq!(dl.cycles.len(), standalone_dl.cycles.len());
     assert_eq!(dl.num_edges, standalone_dl.num_edges);
     assert_eq!(os.warnings.len(), standalone_os.warnings.len());
@@ -275,4 +276,19 @@ fn guarded_by_inference_demotes_mostly_guarded_locations() {
         report.render(&program)
     );
     assert!(demoted.iter().all(|tr| tr.tier != Tier::High));
+    // Exact tiers and scores. Both races sit in `medium` only because
+    // RacerD agreement adds its bonus on top of the mostly-guarded
+    // penalty: without it they would score 35 and 30, which is `low`.
+    let rows: Vec<_> = report.races.iter().map(|tr| (tr.tier, tr.score)).collect();
+    assert_eq!(
+        rows,
+        [(Tier::Medium, 45), (Tier::Medium, 40)],
+        "{}",
+        report.render(&program)
+    );
+    let racerd_note = "corroborated by racerd (2 warnings on this field)";
+    for tr in &report.races {
+        assert!(tr.notes.iter().any(|n| n == racerd_note), "{:?}", tr.notes);
+        assert_eq!(Tier::of(tr.score - RACERD_AGREEMENT_BONUS), Tier::Low);
+    }
 }

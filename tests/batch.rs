@@ -133,8 +133,9 @@ fn programs_sharing_function_bodies_report_exactly_as_solo() {
     // Solo ground truth: each program analyzed alone, no sharing.
     let solo_a = engine.analyze(&a).run_pipeline(&a);
     let solo_b = engine.analyze(&b).run_pipeline(&b);
-    let solo_json = o2_passes::corpus_json(&[("a", &solo_a, &a), ("b", &solo_b, &b)]);
-    let solo_sarif = o2_passes::corpus_sarif(&[("a", &solo_a, &a), ("b", &solo_b, &b)]);
+    let solo = [("a", &solo_a, &a), ("b", &solo_b, &b)];
+    let solo_json = o2_passes::corpus_json_with_errors(&solo, &[]);
+    let solo_sarif = o2_passes::corpus_sarif_with_errors(&solo, &[]);
 
     for workers in [1usize, 2] {
         let entries = vec![

@@ -305,12 +305,21 @@ fn clean_corpus_bytes_are_unchanged_by_the_error_plane() {
     let report = engine.analyze(&w.program);
     let pipeline = report.run_pipeline(&w.program);
     let entries = [("avrora", &pipeline, &w.program)];
+    // With no failed entry the JSON document is the solo report wrapped
+    // in its name entry, and nothing else.
     assert_eq!(
-        o2_passes::corpus_json(&entries),
         o2_passes::corpus_json_with_errors(&entries, &[]),
+        format!(
+            "{{\n  \"programs\": [\n    {{\"name\": \"avrora\", \"report\": {}}}\n  ]\n}}\n",
+            pipeline.to_json(&w.program).trim_end()
+        )
     );
+    // The SARIF document carries the solo results and no trace of the
+    // error rule or an error stage.
+    let sarif = o2_passes::corpus_sarif_with_errors(&entries, &[]);
+    assert!(!sarif.contains("o2/analysis-error") && !sarif.contains("\"stage\""));
     assert_eq!(
-        o2_passes::corpus_sarif(&entries),
-        o2_passes::corpus_sarif_with_errors(&entries, &[]),
+        sarif.matches("\"ruleId\"").count(),
+        pipeline.to_sarif(&w.program).matches("\"ruleId\"").count()
     );
 }
