@@ -133,12 +133,11 @@ pub fn parse_c(src: &str) -> Result<Program, ParseError> {
 }
 
 fn parse_block(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
-    p.expect(Tok::LBrace)?;
+    p.open_block()?;
     while !matches!(p.peek(), Some(Tok::RBrace)) {
         parse_stmt(p, mb)?;
     }
-    p.expect(Tok::RBrace)?;
-    Ok(())
+    p.close_block()
 }
 
 fn parse_args<'a>(p: &mut Cursor<'a>) -> Result<Vec<&'a str>, ParseError> {
@@ -688,5 +687,20 @@ mod tests {
     fn error_has_line() {
         let err = parse_c("struct S {\n any;\n};").unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let n = 100_000;
+        let src = format!(
+            "void main() {{ {} {} }}",
+            "if (c) {".repeat(n),
+            "}".repeat(n)
+        );
+        let err = parse_c(&src).unwrap_err();
+        assert!(err.message.contains("nested deeper than 512"), "{err}");
+        // The `{` of the 512th `if`: after main's.
+        let brace = src.match_indices('{').nth(512).unwrap().0;
+        assert_eq!((err.line, err.col as usize), (1, brace + 1));
     }
 }

@@ -215,18 +215,32 @@ fn lex(src: &str) -> Result<(Vec<Tok<'_>>, Vec<Pos>), ParseError> {
     Ok((toks, at))
 }
 
+/// How many blocks may be open at once. Both grammars parse a block by
+/// recursion, so the ceiling bounds the parser's stack: deeper input is
+/// a parse error at the `{` that exceeds it, not a stack overflow that
+/// takes down the process (and, under `o2 serve`, every connection).
+/// Low enough for an unoptimized build on a 2 MiB thread.
+const MAX_NESTING: u32 = 512;
+
 /// A recursive-descent cursor over the tokens of one source text.
 pub(crate) struct Cursor<'a> {
     toks: Vec<Tok<'a>>,
     at: Vec<Pos>,
     pos: usize,
+    /// Blocks opened by [`Self::open_block`] and not yet closed.
+    depth: u32,
 }
 
 impl<'a> Cursor<'a> {
     /// Lexes `src`.
     pub(crate) fn new(src: &'a str) -> Result<Self, ParseError> {
         let (toks, at) = lex(src)?;
-        Ok(Cursor { toks, at, pos: 0 })
+        Ok(Cursor {
+            toks,
+            at,
+            pos: 0,
+            depth: 0,
+        })
     }
 
     /// The tokens not yet consumed, for look-ahead pre-scans.
@@ -281,6 +295,24 @@ impl<'a> Cursor<'a> {
             self.pos -= 1;
             Err(self.err(format!("expected `{want}`, found `{got}`")))
         }
+    }
+
+    /// Consumes the `{` that opens a block, failing at it when
+    /// [`MAX_NESTING`] blocks are already open.
+    pub(crate) fn open_block(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING && self.peek() == Some(Tok::LBrace) {
+            return Err(self.err(format!("blocks nested deeper than {MAX_NESTING}")));
+        }
+        self.expect(Tok::LBrace)?;
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Consumes the `}` that closes the innermost open block.
+    pub(crate) fn close_block(&mut self) -> Result<(), ParseError> {
+        self.expect(Tok::RBrace)?;
+        self.depth -= 1;
+        Ok(())
     }
 
     pub(crate) fn ident(&mut self) -> Result<&'a str, ParseError> {

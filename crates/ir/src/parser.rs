@@ -276,12 +276,11 @@ fn parse_class(p: &mut Cursor<'_>, pb: &mut ProgramBuilder) -> Result<(), ParseE
 }
 
 fn parse_block(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), ParseError> {
-    p.expect(Tok::LBrace)?;
+    p.open_block()?;
     while !matches!(p.peek(), Some(Tok::RBrace)) {
         parse_stmt(p, mb)?;
     }
-    p.expect(Tok::RBrace)?;
-    Ok(())
+    p.close_block()
 }
 
 fn parse_args<'a>(p: &mut Cursor<'a>) -> Result<Vec<&'a str>, ParseError> {
@@ -782,6 +781,33 @@ mod robustness_tests {
                     "{bad}: {err}"
                 );
             }
+        }
+    }
+
+    /// `main` with `n` nested `sync (k) { ... }` blocks in its body.
+    fn nested_syncs(n: usize) -> String {
+        format!(
+            "class C {{ static method main() {{ k = new C(); {} {} }} }}",
+            "sync (k) {".repeat(n),
+            "}".repeat(n)
+        )
+    }
+
+    #[test]
+    fn nesting_up_to_the_ceiling_parses() {
+        // The body of `main` is the first open block.
+        assert!(parse(&nested_syncs(511)).is_ok());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_at_the_brace_not_a_stack_overflow() {
+        for n in [512, 100_000] {
+            let src = nested_syncs(n);
+            let err = parse(&src).unwrap_err();
+            assert!(err.message.contains("nested deeper than 512"), "{err}");
+            // The `{` of the 512th `sync`: after the class's and main's.
+            let brace = src.match_indices('{').nth(513).unwrap().0;
+            assert_eq!((err.line, err.col as usize), (1, brace + 1));
         }
     }
 

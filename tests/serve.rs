@@ -153,6 +153,40 @@ fn oversized_lines_error_without_killing_the_connection() {
     server.shutdown().unwrap();
 }
 
+/// A deeply nested inline source is a parse error at the `{` that
+/// would open a 513th nested block, not a stack overflow in a worker
+/// that takes the daemon down: the same connection answers `ping`
+/// afterwards.
+#[test]
+fn deeply_nested_source_is_a_parse_error_and_the_daemon_keeps_serving() {
+    let server = start(
+        O2::default(),
+        ServeOptions {
+            workers: 2,
+            ..ServeOptions::default()
+        },
+    );
+    let mut client = Client::connect(server.addr()).unwrap();
+    let n = 6000;
+    let src = format!(
+        "class C {{ static method main() {{ k = new C(); {} {} }} }}",
+        "sync (k) {".repeat(n),
+        "}".repeat(n)
+    );
+    let map = client
+        .request(&format!("{{\"op\":\"analyze\",\"source\":\"{src}\"}}"))
+        .unwrap();
+    assert_eq!(map["ok"].as_bool(), Some(false));
+    assert_eq!(get_str(&map, "stage"), "parse");
+    assert!(
+        get_str(&map, "error").contains("nested deeper than 512"),
+        "{map:?}"
+    );
+    let ok = client.request("{\"op\":\"ping\"}").unwrap();
+    assert_eq!(ok["ok"].as_bool(), Some(true));
+    server.shutdown().unwrap();
+}
+
 /// A request that trickles in over many small reads is one line: the
 /// daemon answers it once, byte-identical to the solo oracle, and the
 /// next line on the connection gets its own answer.
