@@ -106,6 +106,22 @@ fn object_sensitivity_false_positives_come_from_factories() {
         .build()
         .analyze(&w.program);
     let ropa = O2Builder::new().build().analyze(&w.program);
+    // The 1-obj baseline's cost, pinned so that a change to the solver
+    // shows what it moves (about 325 edges per pointer node, against
+    // 2,100 edges in all under the origin policy).
+    assert_eq!(
+        robj.pta.stats,
+        o2_pta::PtaStats {
+            num_pointers: 12_931,
+            num_objects: 4_303,
+            num_edges: 4_198_296,
+            num_origins: 4,
+            num_mis: 4_294,
+            solve_steps: 8_395_839,
+            propagated_objects: 6_293_043,
+        }
+    );
+    assert_eq!(robj.num_races(), 25);
     assert!(
         robj.num_races() > ropa.num_races(),
         "1-obj {} vs O2 {}",
