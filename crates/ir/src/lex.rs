@@ -219,8 +219,7 @@ fn lex(src: &str) -> Result<(Vec<Tok<'_>>, Vec<Pos>), ParseError> {
 /// recursion, so the ceiling bounds the parser's stack: deeper input is
 /// a parse error at the `{` that exceeds it, not a stack overflow that
 /// takes down the process (and, under `o2 serve`, every connection).
-/// Low enough for the dev profile on a 2 MiB thread (the test and
-/// `o2 serve` worker default).
+/// Sized for the dev profile on a default 2 MiB test or worker thread.
 const MAX_NESTING: u32 = 512;
 
 /// A recursive-descent cursor over the tokens of one source text.
