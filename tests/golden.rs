@@ -203,6 +203,101 @@ fn bytes_row(name: &str, text: &str, json: &str, sarif: &str) -> String {
     )
 }
 
+/// `name: tiers <fnv>, suppressed <n>, pruned <n>`: an FNV-1a hash of
+/// the sorted `(location, stmt a, stmt b, tier)` tuples of `races`, plus
+/// the sizes of the suppressed and pruned lists. Unlike [`bytes_row`] it
+/// ignores scores, notes and pass rows, so it pins which races survive
+/// and in which tier.
+fn tier_row(name: &str, tuples: &mut [String], suppressed: usize, pruned: usize) -> String {
+    tuples.sort();
+    format!(
+        "{name}: tiers {:016x}, suppressed {suppressed}, pruned {pruned}",
+        fnv1a(&tuples.join("\n"))
+    )
+}
+
+/// The `(location, stmt a, stmt b, tier)` tuples of `pipeline`'s races,
+/// each prefixed by `prefix`.
+fn tier_tuples(prefix: &str, pipeline: &PipelineReport, program: &Program) -> Vec<String> {
+    pipeline
+        .races
+        .iter()
+        .map(|tr| {
+            format!(
+                "{prefix}{}\t{}\t{}\t{}",
+                o2_detect::mem_key_label(program, tr.race.key),
+                program.stmt_label(tr.race.a.stmt),
+                program.stmt_label(tr.race.b.stmt),
+                tr.tier
+            )
+        })
+        .collect()
+}
+
+/// [`tier_row`] of every program of [`REPORT_BYTES_ROWS`], then of the
+/// same batch corpus (its successful entries' tuples, each prefixed by
+/// the entry name). These rows hold across changes to scoring that move
+/// no race between tiers.
+const TIER_ROWS: &[&str] = &[
+    "avrora: tiers c3a4a7ae13e05622, suppressed 0, pruned 0",
+    "batik: tiers 8e5a445ea573d54c, suppressed 0, pruned 0",
+    "eclipse: tiers c3a4a7ae13e05622, suppressed 0, pruned 0",
+    "h2: tiers 26f9a9c5f889f6dc, suppressed 0, pruned 0",
+    "jython: tiers 1f1f69638a55c901, suppressed 0, pruned 0",
+    "luindex: tiers 2706cef68a432125, suppressed 0, pruned 0",
+    "lusearch: tiers 4516529b0a7715d7, suppressed 0, pruned 0",
+    "pmd: tiers ec26712b253b1252, suppressed 0, pruned 0",
+    "sunflow: tiers 72ea14db3a11dd69, suppressed 0, pruned 0",
+    "tomcat: tiers 81a520b5619caca6, suppressed 0, pruned 0",
+    "tradebeans: tiers 46f43bd5d42937d1, suppressed 0, pruned 0",
+    "tradesoap: tiers 2e04dc034f3586bb, suppressed 0, pruned 0",
+    "xalan: tiers ed7c71720d09d399, suppressed 0, pruned 0",
+    "connectbot: tiers 81a520b5619caca6, suppressed 0, pruned 0",
+    "sipdroid: tiers 0086a179c9c58e32, suppressed 0, pruned 0",
+    "k9mail: tiers e063ad6998548631, suppressed 0, pruned 0",
+    "tasks: tiers d8bfe092e157f283, suppressed 0, pruned 0",
+    "fbreader: tiers 8067f317b9c680a4, suppressed 0, pruned 0",
+    "vlc: tiers 8e5a445ea573d54c, suppressed 0, pruned 0",
+    "firefox_focus: tiers 579dbc33f370e6c4, suppressed 0, pruned 0",
+    "telegram: tiers 6a2a359ac991f5b2, suppressed 0, pruned 0",
+    "zoom: tiers 0086a179c9c58e32, suppressed 0, pruned 0",
+    "chrome: tiers 44fc508a7f6e6023, suppressed 0, pruned 0",
+    "hbase: tiers 88b61ae94ab29918, suppressed 0, pruned 0",
+    "hdfs: tiers eb070480da1503cc, suppressed 0, pruned 0",
+    "yarn: tiers 28d4765394c6b529, suppressed 0, pruned 0",
+    "zookeeper: tiers 1de655c254bcc77a, suppressed 0, pruned 0",
+    "memcached: tiers 37a1bcbf454c0fb5, suppressed 0, pruned 0",
+    "redis: tiers 231e50544bda02fe, suppressed 0, pruned 0",
+    "sqlite3: tiers 46f43bd5d42937d1, suppressed 0, pruned 0",
+    "Linux: tiers 6efb885abb665c63, suppressed 0, pruned 0",
+    "TDengine: tiers 0e98657acd889012, suppressed 0, pruned 0",
+    "Redis/RedisGraph: tiers 806129f70bebab43, suppressed 0, pruned 0",
+    "OVS: tiers b873cb3dddcf0ead, suppressed 0, pruned 0",
+    "cpqueue: tiers 1f8be722c43be7ef, suppressed 0, pruned 0",
+    "mrlock: tiers 5ce160e689392faf, suppressed 0, pruned 0",
+    "Memcached: tiers da0ec2474391bbae, suppressed 0, pruned 0",
+    "Firefox: tiers 81f067b539289978, suppressed 0, pruned 0",
+    "ZooKeeper: tiers 30e48d5f10c75dce, suppressed 0, pruned 0",
+    "HBase: tiers 533d728cd329255a, suppressed 0, pruned 0",
+    "Tomcat: tiers 67195fff7cc53fc1, suppressed 0, pruned 0",
+    "OpenSSL-rwlock: tiers 93a59b4f4ca7ddbe, suppressed 0, pruned 0",
+    "httpd-fdqueue: tiers 11bf0294ac143384, suppressed 0, pruned 0",
+    "libuv-loop: tiers d28937355a96bb73, suppressed 0, pruned 0",
+    "Linux (C): tiers acda54abe96ea50a, suppressed 0, pruned 0",
+    "TDengine (C): tiers 1f4c2f36b23690b0, suppressed 0, pruned 0",
+    "Redis/RedisGraph (C): tiers 7e09502679bb26a1, suppressed 0, pruned 0",
+    "OVS (C): tiers cd53faf5b8b47f29, suppressed 0, pruned 0",
+    "cpqueue (C): tiers ffa3ccc91e0496f1, suppressed 0, pruned 0",
+    "mrlock (C): tiers 13a26b09cea67d14, suppressed 0, pruned 0",
+    "Memcached (C): tiers 8a5506094df162df, suppressed 0, pruned 0",
+    "OpenSSL-rwlock (C): tiers f4dfb0cc2db830a6, suppressed 0, pruned 0",
+    "httpd-fdqueue (C): tiers 5cb70ba61dc3bfe5, suppressed 0, pruned 0",
+    "mega-smoke: tiers c56379780162a744, suppressed 0, pruned 0",
+    "mega-grid: tiers a6d3ee29e190a96c, suppressed 0, pruned 0",
+    "mega-skew: tiers bd702b3e1eaf1a74, suppressed 0, pruned 0",
+    "corpus: tiers 70a77dfc853dba91, suppressed 0, pruned 0",
+];
+
 /// [`bytes_row`] of the text, JSON and SARIF reports of every preset,
 /// every Java and C real-bug and extended model and every mega preset
 /// under `O2::default()`, then of one `run_batch` corpus (two models, a
@@ -284,12 +379,19 @@ fn every_report_byte_is_pinned_on_every_program_and_a_corpus() {
         .into_iter()
         .map(|m| (m.name.to_string(), m.generate().program));
     let engine = O2::default();
+    let mut tiers = Vec::new();
     let mut rows: Vec<String> = presets
         .chain(java)
         .chain(c)
         .chain(mega)
         .map(|(name, program)| {
             let pipeline = engine.analyze(&program).run_pipeline(&program);
+            tiers.push(tier_row(
+                &name,
+                &mut tier_tuples("", &pipeline, &program),
+                pipeline.suppressed.len(),
+                pipeline.pruned.len(),
+            ));
             bytes_row(
                 &name,
                 &pipeline.render(&program),
@@ -318,5 +420,33 @@ fn every_report_byte_is_pinned_on_every_program_and_a_corpus() {
     });
     let run = o2::run_batch(&engine, &entries, 2);
     rows.push(bytes_row("corpus", &run.text, &run.json, &run.sarif));
+    let (mut tuples, mut suppressed, mut pruned) = (Vec::new(), 0, 0);
+    for entry in &entries {
+        let Ok(program) = &entry.program else {
+            continue;
+        };
+        let pipeline = engine.analyze(program).run_pipeline(program);
+        // The batch's own per-entry tier counts agree with the solo run.
+        let outcome = run.programs.iter().find(|o| o.name == entry.name);
+        assert_eq!(
+            outcome.map(|o| o.tiers),
+            Some((
+                pipeline.tier_count(Tier::High),
+                pipeline.tier_count(Tier::Medium),
+                pipeline.tier_count(Tier::Low)
+            )),
+            "{}",
+            entry.name
+        );
+        tuples.extend(tier_tuples(
+            &format!("{}\t", entry.name),
+            &pipeline,
+            program,
+        ));
+        suppressed += pipeline.suppressed.len();
+        pruned += pipeline.pruned.len();
+    }
+    tiers.push(tier_row("corpus", &mut tuples, suppressed, pruned));
+    assert_eq!(tiers, TIER_ROWS);
     assert_eq!(rows, REPORT_BYTES_ROWS);
 }
