@@ -135,10 +135,9 @@ impl AnalysisReport {
     }
 
     /// Runs the post-detection precision pipeline over this report and
-    /// returns the triaged result: [`o2_passes::run_pipeline`], six
+    /// returns the triaged result: [`o2_passes::run_pipeline`], five
     /// function calls in a fixed order (suppression, ownership pruning,
-    /// guarded-by inference, RacerD agreement, deadlock and over-sync
-    /// checks).
+    /// guarded-by inference, deadlock and over-sync checks).
     pub fn run_pipeline(&self, program: &Program) -> o2_passes::PipelineReport {
         // Rebuild a context in this report's own namespace so the
         // pipeline's ProgramCtx agreement asserts hold for batch reports.

@@ -130,7 +130,7 @@ pub fn parse_flat_json(line: &str) -> Result<BTreeMap<String, JsonValue>, String
         pos: 0,
     };
     p.skip_ws();
-    p.expect(b'{')?;
+    p.want(b'{')?;
     let mut map = BTreeMap::new();
     p.skip_ws();
     if p.peek() == Some(b'}') {
@@ -141,7 +141,7 @@ pub fn parse_flat_json(line: &str) -> Result<BTreeMap<String, JsonValue>, String
         p.skip_ws();
         let key = p.parse_string()?;
         p.skip_ws();
-        p.expect(b':')?;
+        p.want(b':')?;
         p.skip_ws();
         let value = p.parse_value()?;
         map.insert(key, value);
@@ -174,7 +174,7 @@ impl FlatParser<'_> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn want(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -196,7 +196,7 @@ impl FlatParser<'_> {
     }
 
     fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
+        self.want(b'"')?;
         let mut out = String::new();
         loop {
             // Copy the run of plain characters up to the next quote or

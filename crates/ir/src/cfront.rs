@@ -83,15 +83,15 @@ pub fn parse_c(src: &str) -> Result<Program, ParseError> {
             let _class = pb
                 .class_id(name)
                 .ok_or_else(|| p.err("struct not pre-registered"))?;
-            p.expect(Tok::LBrace)?;
+            p.want(Tok::LBrace)?;
             while !matches!(p.peek(), Some(Tok::RBrace)) {
                 // `any fieldname;` — untyped field declarations.
                 let _ty = p.ident()?;
                 let fname = p.ident()?;
                 pb.field(fname);
-                p.expect(Tok::Semi)?;
+                p.want(Tok::Semi)?;
             }
-            p.expect(Tok::RBrace)?;
+            p.want(Tok::RBrace)?;
             if matches!(p.peek(), Some(Tok::Semi)) {
                 p.next()?;
             }
@@ -100,7 +100,7 @@ pub fn parse_c(src: &str) -> Result<Program, ParseError> {
         if p.eat_ident("global") {
             let name = p.ident()?;
             pb.field(name);
-            p.expect(Tok::Semi)?;
+            p.want(Tok::Semi)?;
             continue;
         }
         // Function: `void|any name(params) { ... }`
@@ -109,7 +109,7 @@ pub fn parse_c(src: &str) -> Result<Program, ParseError> {
             return Err(p.err(format!("expected declaration, found `{ret_ty}`")));
         }
         let name = p.ident()?;
-        p.expect(Tok::LParen)?;
+        p.want(Tok::LParen)?;
         let mut params = Vec::new();
         while !matches!(p.peek(), Some(Tok::RParen)) {
             // `any x` or bare `x`.
@@ -124,7 +124,7 @@ pub fn parse_c(src: &str) -> Result<Program, ParseError> {
                 p.next()?;
             }
         }
-        p.expect(Tok::RParen)?;
+        p.want(Tok::RParen)?;
         let mut mb = pb.begin_static_method(cunit, name, &params);
         parse_block(&mut p, &mut mb)?;
         mb.finish();
@@ -141,7 +141,7 @@ fn parse_block(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Par
 }
 
 fn parse_args<'a>(p: &mut Cursor<'a>) -> Result<Vec<&'a str>, ParseError> {
-    p.expect(Tok::LParen)?;
+    p.want(Tok::LParen)?;
     let mut args = Vec::new();
     while !matches!(p.peek(), Some(Tok::RParen)) {
         if matches!(p.peek(), Some(Tok::Amp)) {
@@ -152,7 +152,7 @@ fn parse_args<'a>(p: &mut Cursor<'a>) -> Result<Vec<&'a str>, ParseError> {
             p.next()?;
         }
     }
-    p.expect(Tok::RParen)?;
+    p.want(Tok::RParen)?;
     Ok(args)
 }
 
@@ -162,9 +162,9 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
     // `while`/`for` are included in the static trace; `while`/`for` mark
     // the loop flag for origin doubling.
     if p.eat_ident("if") {
-        p.expect(Tok::LParen)?;
+        p.want(Tok::LParen)?;
         let _cond = p.ident()?;
-        p.expect(Tok::RParen)?;
+        p.want(Tok::RParen)?;
         parse_block(p, mb)?;
         if p.eat_ident("else") {
             parse_block(p, mb)?;
@@ -172,11 +172,11 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
         return Ok(());
     }
     if p.eat_ident("while") || p.eat_ident("for") {
-        p.expect(Tok::LParen)?;
+        p.want(Tok::LParen)?;
         while !matches!(p.peek(), Some(Tok::RParen)) {
             p.next()?;
         }
-        p.expect(Tok::RParen)?;
+        p.want(Tok::RParen)?;
         mb.loop_open();
         parse_block(p, mb)?;
         mb.loop_close();
@@ -188,54 +188,54 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
         } else {
             None
         };
-        p.expect(Tok::Semi)?;
+        p.want(Tok::Semi)?;
         mb.ret(src);
         return Ok(());
     }
     // pthread / event-loop intrinsics.
     if p.eat_ident("pthread_create") {
-        p.expect(Tok::LParen)?;
-        p.expect(Tok::Amp)?;
+        p.want(Tok::LParen)?;
+        p.want(Tok::Amp)?;
         let handle = p.ident()?;
-        p.expect(Tok::Comma)?;
+        p.want(Tok::Comma)?;
         let func = p.ident()?;
         let mut args = Vec::new();
         while matches!(p.peek(), Some(Tok::Comma)) {
             p.next()?;
             args.push(p.ident()?);
         }
-        p.expect(Tok::RParen)?;
-        p.expect(Tok::Semi)?;
+        p.want(Tok::RParen)?;
+        p.want(Tok::Semi)?;
         mb.spawn(Some(handle), C_UNIT_CLASS, func, &args, OriginKind::Thread);
         return Ok(());
     }
     if p.eat_ident("pthread_join") {
-        p.expect(Tok::LParen)?;
+        p.want(Tok::LParen)?;
         let h = p.ident()?;
-        p.expect(Tok::RParen)?;
-        p.expect(Tok::Semi)?;
+        p.want(Tok::RParen)?;
+        p.want(Tok::Semi)?;
         mb.join(h);
         return Ok(());
     }
     if p.eat_ident("pthread_mutex_lock") {
-        p.expect(Tok::LParen)?;
+        p.want(Tok::LParen)?;
         if matches!(p.peek(), Some(Tok::Amp)) {
             p.next()?;
         }
         let m = p.ident()?;
-        p.expect(Tok::RParen)?;
-        p.expect(Tok::Semi)?;
+        p.want(Tok::RParen)?;
+        p.want(Tok::Semi)?;
         mb.sync_open(m);
         return Ok(());
     }
     if p.eat_ident("pthread_mutex_unlock") {
-        p.expect(Tok::LParen)?;
+        p.want(Tok::LParen)?;
         if matches!(p.peek(), Some(Tok::Amp)) {
             p.next()?;
         }
         let m = p.ident()?;
-        p.expect(Tok::RParen)?;
-        p.expect(Tok::Semi)?;
+        p.want(Tok::RParen)?;
+        p.want(Tok::Semi)?;
         mb.sync_close(m);
         return Ok(());
     }
@@ -244,42 +244,42 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
         ("pthread_rwlock_wrlock", RwMode::Write),
     ] {
         if p.eat_ident(kw) {
-            p.expect(Tok::LParen)?;
+            p.want(Tok::LParen)?;
             if matches!(p.peek(), Some(Tok::Amp)) {
                 p.next()?;
             }
             let m = p.ident()?;
-            p.expect(Tok::RParen)?;
-            p.expect(Tok::Semi)?;
+            p.want(Tok::RParen)?;
+            p.want(Tok::Semi)?;
             mb.rw_open(m, mode);
             return Ok(());
         }
     }
     if p.eat_ident("pthread_rwlock_unlock") {
-        p.expect(Tok::LParen)?;
+        p.want(Tok::LParen)?;
         if matches!(p.peek(), Some(Tok::Amp)) {
             p.next()?;
         }
         let m = p.ident()?;
-        p.expect(Tok::RParen)?;
-        p.expect(Tok::Semi)?;
+        p.want(Tok::RParen)?;
+        p.want(Tok::Semi)?;
         mb.rw_close(m);
         return Ok(());
     }
     if p.eat_ident("pthread_cond_wait") {
         // pthread_cond_wait(c, m) — releases and reacquires m.
-        p.expect(Tok::LParen)?;
+        p.want(Tok::LParen)?;
         if matches!(p.peek(), Some(Tok::Amp)) {
             p.next()?;
         }
         let c = p.ident()?;
-        p.expect(Tok::Comma)?;
+        p.want(Tok::Comma)?;
         if matches!(p.peek(), Some(Tok::Amp)) {
             p.next()?;
         }
         let m = p.ident()?;
-        p.expect(Tok::RParen)?;
-        p.expect(Tok::Semi)?;
+        p.want(Tok::RParen)?;
+        p.want(Tok::Semi)?;
         mb.wait(c, m);
         return Ok(());
     }
@@ -288,13 +288,13 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
         ("pthread_cond_broadcast", true),
     ] {
         if p.eat_ident(kw) {
-            p.expect(Tok::LParen)?;
+            p.want(Tok::LParen)?;
             if matches!(p.peek(), Some(Tok::Amp)) {
                 p.next()?;
             }
             let c = p.ident()?;
-            p.expect(Tok::RParen)?;
-            p.expect(Tok::Semi)?;
+            p.want(Tok::RParen)?;
+            p.want(Tok::Semi)?;
             mb.notify(c, all);
             return Ok(());
         }
@@ -317,7 +317,7 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
                     _ => return Err(p.err("expected replica count")),
                 }
             }
-            p.expect(Tok::Semi)?;
+            p.want(Tok::Semi)?;
             mb.spawn_replicated(None, C_UNIT_CLASS, func, &args, kind, replicas);
             return Ok(());
         }
@@ -325,12 +325,12 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
 
     if p.eat_ident("global_write") {
         // `global_write(name, v);` — write a global variable.
-        p.expect(Tok::LParen)?;
+        p.want(Tok::LParen)?;
         let name = p.ident()?;
-        p.expect(Tok::Comma)?;
+        p.want(Tok::Comma)?;
         let v = p.ident()?;
-        p.expect(Tok::RParen)?;
-        p.expect(Tok::Semi)?;
+        p.want(Tok::RParen)?;
+        p.want(Tok::Semi)?;
         mb.store_static(C_GLOBALS_CLASS, name, v);
         return Ok(());
     }
@@ -341,14 +341,14 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
         Some(Tok::Eq) => {
             p.next()?;
             parse_rhs(p, mb, first)?;
-            p.expect(Tok::Semi)?;
+            p.want(Tok::Semi)?;
         }
         Some(Tok::Arrow) => {
             p.next()?;
             let field = p.ident()?;
-            p.expect(Tok::Eq)?;
+            p.want(Tok::Eq)?;
             let src = p.ident()?;
-            p.expect(Tok::Semi)?;
+            p.want(Tok::Semi)?;
             mb.store(first, field, src);
         }
         Some(Tok::LBracket) => {
@@ -357,15 +357,15 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
             while !matches!(p.peek(), Some(Tok::RBracket)) {
                 p.next()?;
             }
-            p.expect(Tok::RBracket)?;
-            p.expect(Tok::Eq)?;
+            p.want(Tok::RBracket)?;
+            p.want(Tok::Eq)?;
             let src = p.ident()?;
-            p.expect(Tok::Semi)?;
+            p.want(Tok::Semi)?;
             mb.store_array(first, src);
         }
         Some(Tok::LParen) => {
             let args = parse_args(p)?;
-            p.expect(Tok::Semi)?;
+            p.want(Tok::Semi)?;
             mb.call_static(None, C_UNIT_CLASS, first, &args);
         }
         other => {
@@ -380,9 +380,9 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
 
 fn parse_rhs(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>, dst: &str) -> Result<(), ParseError> {
     if p.eat_ident("malloc") {
-        p.expect(Tok::LParen)?;
+        p.want(Tok::LParen)?;
         let struct_name = p.ident()?;
-        p.expect(Tok::RParen)?;
+        p.want(Tok::RParen)?;
         if !mb.class_exists(struct_name) {
             return Err(p.err(format!("unknown struct {struct_name}")));
         }
@@ -390,19 +390,19 @@ fn parse_rhs(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>, dst: &str) -> Resul
         return Ok(());
     }
     if p.eat_ident("calloc_array") {
-        p.expect(Tok::LParen)?;
+        p.want(Tok::LParen)?;
         while !matches!(p.peek(), Some(Tok::RParen)) {
             p.next()?;
         }
-        p.expect(Tok::RParen)?;
+        p.want(Tok::RParen)?;
         mb.new_array(dst);
         return Ok(());
     }
     if p.eat_ident("global_read") {
         // `x = global_read(name);` — read a global variable.
-        p.expect(Tok::LParen)?;
+        p.want(Tok::LParen)?;
         let name = p.ident()?;
-        p.expect(Tok::RParen)?;
+        p.want(Tok::RParen)?;
         mb.load_static(Some(dst), C_GLOBALS_CLASS, name);
         return Ok(());
     }
@@ -418,7 +418,7 @@ fn parse_rhs(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>, dst: &str) -> Resul
             while !matches!(p.peek(), Some(Tok::RBracket)) {
                 p.next()?;
             }
-            p.expect(Tok::RBracket)?;
+            p.want(Tok::RBracket)?;
             mb.load_array(Some(dst), first);
         }
         Some(Tok::LParen) => {

@@ -287,13 +287,14 @@ impl<'a> Cursor<'a> {
         Ok(t)
     }
 
-    pub(crate) fn expect(&mut self, want: Tok<'_>) -> Result<(), ParseError> {
+    /// Consumes `tok`, or fails at the current token.
+    pub(crate) fn want(&mut self, tok: Tok<'_>) -> Result<(), ParseError> {
         let got = self.next()?;
-        if got == want {
+        if got == tok {
             Ok(())
         } else {
             self.pos -= 1;
-            Err(self.err(format!("expected `{want}`, found `{got}`")))
+            Err(self.err(format!("expected `{tok}`, found `{got}`")))
         }
     }
 
@@ -303,14 +304,14 @@ impl<'a> Cursor<'a> {
         if self.depth == MAX_NESTING && self.peek() == Some(Tok::LBrace) {
             return Err(self.err(format!("blocks nested deeper than {MAX_NESTING}")));
         }
-        self.expect(Tok::LBrace)?;
+        self.want(Tok::LBrace)?;
         self.depth += 1;
         Ok(())
     }
 
     /// Consumes the `}` that closes the innermost open block.
     pub(crate) fn close_block(&mut self) -> Result<(), ParseError> {
-        self.expect(Tok::RBrace)?;
+        self.want(Tok::RBrace)?;
         self.depth -= 1;
         Ok(())
     }

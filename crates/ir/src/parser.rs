@@ -133,7 +133,7 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
             }
             other => return Err(p.err(format!("unknown pragma `{other}`"))),
         }
-        p.expect(Tok::Semi)?;
+        p.want(Tok::Semi)?;
     }
 
     // Pre-scan: register every class name so `new` and `extends` can be
@@ -215,12 +215,12 @@ fn parse_class(p: &mut Cursor<'_>, pb: &mut ProgramBuilder) -> Result<(), ParseE
             }
         }
     }
-    p.expect(Tok::LBrace)?;
+    p.want(Tok::LBrace)?;
     while !matches!(p.peek(), Some(Tok::RBrace)) {
         if p.eat_ident("field") {
             let fname = p.ident()?;
             pb.field(fname);
-            p.expect(Tok::Semi)?;
+            p.want(Tok::Semi)?;
             continue;
         }
         // `@suppress(race)` before a method excludes its accesses from
@@ -232,12 +232,12 @@ fn parse_class(p: &mut Cursor<'_>, pb: &mut ProgramBuilder) -> Result<(), ParseE
             if ann != "suppress" {
                 return Err(p.err(format!("unknown annotation `@{ann}`")));
             }
-            p.expect(Tok::LParen)?;
+            p.want(Tok::LParen)?;
             let what = p.ident()?;
             if what != "race" {
                 return Err(p.err(format!("unknown suppression kind `{what}`")));
             }
-            p.expect(Tok::RParen)?;
+            p.want(Tok::RParen)?;
             true
         } else {
             false
@@ -248,7 +248,7 @@ fn parse_class(p: &mut Cursor<'_>, pb: &mut ProgramBuilder) -> Result<(), ParseE
             return Err(p.err("expected `field`, `method`, or `}`"));
         }
         let mname = p.ident()?;
-        p.expect(Tok::LParen)?;
+        p.want(Tok::LParen)?;
         let mut params = Vec::new();
         while !matches!(p.peek(), Some(Tok::RParen)) {
             params.push(p.ident()?);
@@ -256,7 +256,7 @@ fn parse_class(p: &mut Cursor<'_>, pb: &mut ProgramBuilder) -> Result<(), ParseE
                 p.next()?;
             }
         }
-        p.expect(Tok::RParen)?;
+        p.want(Tok::RParen)?;
         let mut mb = if is_static {
             pb.begin_static_method(class, mname, &params)
         } else {
@@ -271,7 +271,7 @@ fn parse_class(p: &mut Cursor<'_>, pb: &mut ProgramBuilder) -> Result<(), ParseE
         parse_block(p, &mut mb)?;
         mb.finish();
     }
-    p.expect(Tok::RBrace)?;
+    p.want(Tok::RBrace)?;
     Ok(())
 }
 
@@ -284,7 +284,7 @@ fn parse_block(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Par
 }
 
 fn parse_args<'a>(p: &mut Cursor<'a>) -> Result<Vec<&'a str>, ParseError> {
-    p.expect(Tok::LParen)?;
+    p.want(Tok::LParen)?;
     let mut args = Vec::new();
     while !matches!(p.peek(), Some(Tok::RParen)) {
         args.push(p.ident()?);
@@ -292,7 +292,7 @@ fn parse_args<'a>(p: &mut Cursor<'a>) -> Result<Vec<&'a str>, ParseError> {
             p.next()?;
         }
     }
-    p.expect(Tok::RParen)?;
+    p.want(Tok::RParen)?;
     Ok(args)
 }
 
@@ -303,9 +303,9 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
         && matches!(p.peek2(), Some(Tok::LParen))
     {
         p.next()?;
-        p.expect(Tok::LParen)?;
+        p.want(Tok::LParen)?;
         let lock = p.ident()?;
-        p.expect(Tok::RParen)?;
+        p.want(Tok::RParen)?;
         // Manual open/close to keep the recursive descent simple.
         mb.sync_open(lock);
         parse_block(p, mb)?;
@@ -317,9 +317,9 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
             && matches!(p.peek2(), Some(Tok::LParen))
         {
             p.next()?;
-            p.expect(Tok::LParen)?;
+            p.want(Tok::LParen)?;
             let lock = p.ident()?;
-            p.expect(Tok::RParen)?;
+            p.want(Tok::RParen)?;
             mb.rw_open(lock, mode);
             parse_block(p, mb)?;
             mb.rw_close(lock);
@@ -331,12 +331,12 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
     {
         // wait (cond, lock);
         p.next()?;
-        p.expect(Tok::LParen)?;
+        p.want(Tok::LParen)?;
         let cond = p.ident()?;
-        p.expect(Tok::Comma)?;
+        p.want(Tok::Comma)?;
         let lock = p.ident()?;
-        p.expect(Tok::RParen)?;
-        p.expect(Tok::Semi)?;
+        p.want(Tok::RParen)?;
+        p.want(Tok::Semi)?;
         mb.wait(cond, lock);
         return Ok(());
     }
@@ -347,7 +347,7 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
         {
             p.next()?;
             let cond = p.ident()?;
-            p.expect(Tok::Semi)?;
+            p.want(Tok::Semi)?;
             mb.notify(cond, all);
             return Ok(());
         }
@@ -356,7 +356,7 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
         && matches!(p.peek2(), Some(Tok::Semi))
     {
         p.next()?;
-        p.expect(Tok::Semi)?;
+        p.want(Tok::Semi)?;
         mb.await_point();
         return Ok(());
     }
@@ -376,7 +376,7 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
         if matches!(kind, OriginKind::Event { .. }) && matches!(p.peek(), Some(Tok::LParen)) {
             p.next()?;
             let d = num_u16(p, "event dispatcher")?;
-            p.expect(Tok::RParen)?;
+            p.want(Tok::RParen)?;
             kind = OriginKind::Event { dispatcher: d };
         }
         if matches!(kind, OriginKind::AsyncTask { .. }) && matches!(p.peek(), Some(Tok::LParen)) {
@@ -392,11 +392,11 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
                 }
                 workers = w as u8;
             }
-            p.expect(Tok::RParen)?;
+            p.want(Tok::RParen)?;
             kind = OriginKind::AsyncTask { executor, workers };
         }
         let class = p.ident()?;
-        p.expect(Tok::ColonColon)?;
+        p.want(Tok::ColonColon)?;
         let method = p.ident()?;
         let args = parse_args(p)?;
         let mut replicas = 1u8;
@@ -413,7 +413,7 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
             p.next()?;
             handle = Some(p.ident()?);
         }
-        p.expect(Tok::Semi)?;
+        p.want(Tok::Semi)?;
         mb.spawn_replicated(handle, class, method, &args, kind, replicas);
         return Ok(());
     }
@@ -423,17 +423,17 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
         // atomic x.f = y;
         p.next()?;
         let base = p.ident()?;
-        p.expect(Tok::Dot)?;
+        p.want(Tok::Dot)?;
         let field = p.ident()?;
-        p.expect(Tok::Eq)?;
+        p.want(Tok::Eq)?;
         let src = p.ident()?;
-        p.expect(Tok::Semi)?;
+        p.want(Tok::Semi)?;
         mb.store_atomic(base, field, src);
         return Ok(());
     }
     if p.eat_ident("join") {
         let recv = p.ident()?;
-        p.expect(Tok::Semi)?;
+        p.want(Tok::Semi)?;
         mb.join(recv);
         return Ok(());
     }
@@ -443,7 +443,7 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
         } else {
             None
         };
-        p.expect(Tok::Semi)?;
+        p.want(Tok::Semi)?;
         mb.ret(src);
         return Ok(());
     }
@@ -454,7 +454,7 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
         Some(Tok::Eq) => {
             p.next()?;
             parse_rhs(p, mb, first)?;
-            p.expect(Tok::Semi)?;
+            p.want(Tok::Semi)?;
         }
         Some(Tok::Dot) => {
             p.next()?;
@@ -464,13 +464,13 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
                     // x.f = y;
                     p.next()?;
                     let src = p.ident()?;
-                    p.expect(Tok::Semi)?;
+                    p.want(Tok::Semi)?;
                     mb.store(first, second, src);
                 }
                 Some(Tok::LParen) => {
                     // x.m(args);
                     let args = parse_args(p)?;
-                    p.expect(Tok::Semi)?;
+                    p.want(Tok::Semi)?;
                     mb.call(None, first, second, &args);
                 }
                 _ => return Err(p.err("expected `=` or `(` after field/method name")),
@@ -479,11 +479,11 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
         Some(Tok::LBracket) => {
             // x[*] = y;
             p.next()?;
-            p.expect(Tok::Star)?;
-            p.expect(Tok::RBracket)?;
-            p.expect(Tok::Eq)?;
+            p.want(Tok::Star)?;
+            p.want(Tok::RBracket)?;
+            p.want(Tok::Eq)?;
             let src = p.ident()?;
-            p.expect(Tok::Semi)?;
+            p.want(Tok::Semi)?;
             mb.store_array(first, src);
         }
         Some(Tok::ColonColon) => {
@@ -494,7 +494,7 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
                     // C::f = y;
                     p.next()?;
                     let src = p.ident()?;
-                    p.expect(Tok::Semi)?;
+                    p.want(Tok::Semi)?;
                     if !mb.class_exists(first) {
                         return Err(p.err(format!("unknown class {first}")));
                     }
@@ -503,7 +503,7 @@ fn parse_stmt(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>) -> Result<(), Pars
                 Some(Tok::LParen) => {
                     // C::m(args);
                     let args = parse_args(p)?;
-                    p.expect(Tok::Semi)?;
+                    p.want(Tok::Semi)?;
                     mb.call_static(None, first, second, &args);
                 }
                 _ => return Err(p.err("expected `=` or `(` after `::name`")),
@@ -540,7 +540,7 @@ fn parse_rhs(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>, dst: &str) -> Resul
         // the keyword form always continues with an identifier).
         p.next()?;
         let base = p.ident()?;
-        p.expect(Tok::Dot)?;
+        p.want(Tok::Dot)?;
         let field = p.ident()?;
         mb.load_atomic(Some(dst), base, field);
         return Ok(());
@@ -562,8 +562,8 @@ fn parse_rhs(p: &mut Cursor<'_>, mb: &mut MethodBuilder<'_>, dst: &str) -> Resul
         }
         Some(Tok::LBracket) => {
             p.next()?;
-            p.expect(Tok::Star)?;
-            p.expect(Tok::RBracket)?;
+            p.want(Tok::Star)?;
+            p.want(Tok::RBracket)?;
             mb.load_array(Some(dst), first);
         }
         Some(Tok::ColonColon) => {

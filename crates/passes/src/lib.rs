@@ -2,12 +2,12 @@
 //!
 //! The race detector emits every SHB/lockset-surviving access pair as a
 //! flat list. This crate adds the fixed follow-up that makes that list
-//! usable: [`run_pipeline`] calls six passes in order over a shared
+//! usable: [`run_pipeline`] calls five passes in order over a shared
 //! read-only [`AnalysisCtx`], each a plain function over the races under
 //! construction that returns its [`PassStats`]. Suppression and ownership
 //! *prune* races (annotations, ownership/publication reasoning),
-//! guarded-by inference and RacerD agreement *re-score* them, and the
-//! deadlock and over-synchronization checks *attach* companion reports.
+//! guarded-by inference *re-scores* them, and the deadlock and
+//! over-synchronization checks *attach* companion reports.
 //! The result is a [`PipelineReport`] with a stable `high`/`medium`/`low`
 //! confidence tier per race, a deterministic ranking, and hand-rolled
 //! JSON / SARIF 2.1.0 serializations.
@@ -47,7 +47,6 @@
 
 #![warn(missing_docs)]
 
-pub mod agreement;
 pub mod guards;
 pub mod ownership;
 pub mod sarif;
@@ -179,9 +178,9 @@ pub fn corpus_json_with_errors(
 }
 
 /// Runs the precision pipeline over the usual four analysis artifacts:
-/// suppression, ownership pruning, guarded-by inference, RacerD
-/// agreement, deadlocks and over-synchronization, in that order; then
-/// clamps scores, derives tiers and ranks every list.
+/// suppression, ownership pruning, guarded-by inference, deadlocks and
+/// over-synchronization, in that order; then clamps scores, derives
+/// tiers and ranks every list.
 pub fn run_pipeline(
     pctx: &ProgramCtx<'_>,
     pta: &PtaResult,
@@ -220,10 +219,6 @@ pub fn run_pipeline(
         PassRun {
             name: "guarded-by",
             stats: guards::score_guards(&ctx, &mut races),
-        },
-        PassRun {
-            name: "racerd-agreement",
-            stats: agreement::score_agreement(ctx.program, &mut races),
         },
     ];
     let deadlocks = detect_deadlocks(ctx.program, ctx.shb);

@@ -16,12 +16,10 @@ use std::fmt;
 use std::fmt::Write as _;
 
 /// Starting score of every detector-reported race.
-pub const BASE_SCORE: i32 = 80;
+pub const BASE_SCORE: i32 = 90;
 /// Bonus for write-write races (strictly stronger evidence than
 /// read-write: no interleaving of the pair is benign).
 pub const WRITE_WRITE_BONUS: i32 = 5;
-/// Bonus when the RacerD baseline independently warns about the field.
-pub const RACERD_AGREEMENT_BONUS: i32 = 10;
 /// Bonus for a consistent-guard violation (a dominant lock exists and
 /// more than one access ignores it).
 pub const GUARD_VIOLATION_BONUS: i32 = 10;

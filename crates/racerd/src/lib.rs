@@ -17,12 +17,12 @@
 //!   read/write races and unprotected-write pairs.
 //!
 //! The report carries warning *counts* — per field, per class and in
-//! total — which are all that Tables 5, 8 and 9 and the precision
-//! pipeline's agreement pass read. They are computed in closed form from
-//! each field's numbers of locked/unlocked reads and writes; no warning
-//! list is built. A field with more than [`PAIR_BUDGET`] warning pairs
-//! reports exactly [`PAIR_BUDGET`], unprotected-write pairs counted
-//! first and read/write races filling the rest.
+//! total — which are all that Tables 5, 8 and 9 read. They are computed
+//! in closed form from each field's numbers of locked/unlocked reads and
+//! writes; no warning list is built. A field with more than
+//! [`PAIR_BUDGET`] warning pairs reports exactly [`PAIR_BUDGET`],
+//! unprotected-write pairs counted first and read/write races filling
+//! the rest.
 //!
 //! What is deliberately *not* modeled (the reason O2 wins on precision):
 //! pointer aliasing, origins, happens-before edges from `start`/`join`,

@@ -303,63 +303,63 @@ const TIER_ROWS: &[&str] = &[
 /// under `O2::default()`, then of one `run_batch` corpus (two models, a
 /// preset and a failing entry).
 const REPORT_BYTES_ROWS: &[&str] = &[
-    "avrora: text 689 696e1e322745b71b, json 1155 c7b473a107ca3e82, sarif 2293 79627a7b6dcf8c7c",
-    "batik: text 1317 af011f3c55e60a67, json 2201 f77049d796bfa2c0, sarif 5035 9d5386677a09fb1a",
-    "eclipse: text 689 1e4fdc801e962661, json 1155 34d3048a67902054, sarif 2293 79627a7b6dcf8c7c",
-    "h2: text 2869 265533bdada4e681, json 4797 c3dc5c5e7b248446, sarif 11845 bce45de01ad0e72b",
-    "jython: text 3485 244cf13df2041565, json 5831 3a979e0066fbc38b, sarif 14567 b7634217c9cdcc50",
-    "luindex: text 2237 85f9f5a142e23c16, json 3747 0e652eec977a9067, sarif 9091 25fc83d626124aaa",
-    "lusearch: text 1621 f1d243c849206d98, json 2714 a76432c1f192e72e, sarif 6384 310f502d06a3d698",
-    "pmd: text 1930 461003a8a87e4860, json 3231 a57d570c848075e8, sarif 7733 76f61d56f73e819c",
-    "sunflow: text 1937 2ad2242fe929c6e3, json 3238 0d675df34398adc5, sarif 7754 52b7df545fc8055f",
-    "tomcat: text 1317 f960a21f055cdaef, json 2201 3917d5d366805980, sarif 5035 34dedc038c1ad536",
-    "tradebeans: text 1013 24ab37a7633e2ac4, json 1688 34bfb1f0f9610e12, sarif 3686 21046554ba2a77d6",
-    "tradesoap: text 1013 33a64cb8cdafcdb6, json 1688 1601f7a65b2dc826, sarif 3686 07f5e3cae13aaad4",
-    "xalan: text 706 61551bf0b958d26a, json 1172 a4997bdfea9ba8af, sarif 2328 c59c384ead4ad5d7",
-    "connectbot: text 1721 a1574b7026703197, json 2557 be509d7bb0253070, sarif 5379 66dc5eb380a47e75",
-    "sipdroid: text 2168 ee997bac8e0896a8, json 3197 2bab550462f21cb8, sarif 6857 ee1f387b3a193f27",
-    "k9mail: text 2169 a954675d1966c3a8, json 3198 b22bc5139bb071d6, sarif 6860 4f6c09d8281444f4",
-    "tasks: text 1257 b2094c08148580f1, json 1900 6cf9df2c11964987, sarif 3866 8a337db26421f282",
-    "fbreader: text 1726 d58bfc44c0650ded, json 2562 22a453477928ce24, sarif 5383 9571ec53ffe257bb",
-    "vlc: text 1713 5b1a3cd6caba9296, json 2549 77a835815180af0b, sarif 5371 aea348357f379cf3",
-    "firefox_focus: text 1718 a3a98244d1d04590, json 2554 ac05e55d10282e0b, sarif 5375 e002ccaa6f8ef227",
-    "telegram: text 3088 a1a16c69a5a419e5, json 4502 5d585bb35aec8fae, sarif 9854 c5f6a3eaebac1757",
-    "zoom: text 2169 3ecae16c136be3ec, json 3198 96f923ee9aecc94a, sarif 6857 ee1f387b3a193f27",
-    "chrome: text 2170 0f044e77f440ada9, json 3199 9e2de056cafa283f, sarif 6860 f4a959db41f0547a",
-    "hbase: text 5335 33e1f570a2cd7bfe, json 8935 2316008eb24ebaa1, sarif 22736 e2cfe459b9b4cbdd",
-    "hdfs: text 6565 de389b4a19a9bc3d, json 11001 8d23026d94f9229f, sarif 28177 32d6278487ff305b",
-    "yarn: text 7795 3575391e2c23c240, json 13067 561643b7f9b39ade, sarif 33615 0ad4a362b8271c16",
-    "zookeeper: text 5646 1e44c0b875da790c, json 9455 c5b39c09e562ee30, sarif 24109 1d266c6503fe255a",
-    "memcached: text 2890 b63beab2510dce69, json 4818 93294a397e664286, sarif 11895 1e233c51b0b9ebd8",
-    "redis: text 1954 5f99403db39c1bbe, json 3255 7bbf67328d5e77fa, sarif 7789 a374ec172790f3b4",
-    "sqlite3: text 1014 51ff0da9e5877b85, json 1689 46a88e0e320583f5, sarif 3686 21046554ba2a77d6",
-    "Linux: text 1271 87eac4a1188ebefc, json 2173 df86e6dbabb51d11, sarif 5285 9b4d7a2e286c9145",
-    "TDengine: text 1009 d6002135de6058ae, json 1920 e5f7df189a4dece6, sarif 4682 f5aec3a1d1cce2fc",
-    "Redis/RedisGraph: text 955 83808b0f8b94f5db, json 1757 592ecc33ca656250, sarif 4212 5323b99354deead4",
-    "OVS: text 855 e4fbdffc75f3b416, json 1430 3bceb3fd104530cc, sarif 3039 29268ce6506630a8",
-    "cpqueue: text 1405 18abf5b1b563d7dc, json 2398 461f66f026b3a666, sarif 5602 b5c585f2fa5e1d4b",
-    "mrlock: text 1108 3df57b8c7715d78c, json 1892 4397bea71275538f, sarif 4257 658d73e87e44b452",
-    "Memcached: text 814 ae00849fc003b5c4, json 1398 70b611f7194c4ced, sarif 3005 ec0a6bb8d8b7e91c",
-    "Firefox: text 694 ae0a3c3314367f6c, json 1169 1c63c2263a854d9e, sarif 2380 1cbc966ff5ae8299",
-    "ZooKeeper: text 553 22c470289206fcfd, json 910 7e4afb6c78b7dfe1, sarif 1638 7c56b022a39aa3ca",
-    "HBase: text 514 c5f578ae4c4daff3, json 880 401bc5ba1bcf38f2, sarif 1652 dcb96e214cc4c116",
-    "Tomcat: text 487 ee2f07f9840f8022, json 853 2f849c60fdbec5a7, sarif 1574 9ab0f85a43604bba",
-    "OpenSSL-rwlock: text 483 f084d3da5da2f4ab, json 849 f9be42060cbf8b6c, sarif 1562 26e252c76c3a68d6",
-    "httpd-fdqueue: text 549 f682f06ab56a5a88, json 906 bb74fba0fc3dd77c, sarif 1622 4946c7227b90f7e3",
-    "libuv-loop: text 509 1a6ce2118ef6e691, json 875 a8b20567f7880924, sarif 1584 630d3774a9f594d9",
-    "Linux (C): text 1258 8eb7854bbdd97725, json 2160 7d907780cb7f9bfc, sarif 5247 faec8de1e07d8f75",
-    "TDengine (C): text 1099 3e3034cabe8438ff, json 2010 583a2addef5187e7, sarif 4952 199d371b4b97717e",
-    "Redis/RedisGraph (C): text 955 7a8edd93d4708135, json 1757 08936f1e95c366b2, sarif 4212 953b50e88e36b94a",
-    "OVS (C): text 895 b67582c6329372ac, json 1470 6f5dcb3aa7d4045c, sarif 3147 5044385e77faa1fa",
-    "cpqueue (C): text 1417 5f13a5e7b1446fcc, json 2410 3dff832181b152ee, sarif 5641 9d071bb913c52fe7",
-    "mrlock (C): text 1124 76e7c79a4dd81391, json 1908 4df2949dfad8df2a, sarif 4308 645b7999625c580f",
-    "Memcached (C): text 869 36b447728ae45d6f, json 1453 e04ac92a79d6dd6c, sarif 3158 0fd8984919adbdc9",
-    "OpenSSL-rwlock (C): text 485 3aa2c1f02c78eea0, json 851 26ca031f96da6593, sarif 1568 1869a74233778062",
-    "httpd-fdqueue (C): text 552 eeaaeb91b02e293f, json 909 9b71bff3466a702b, sarif 1634 5e55158bf696603e",
-    "mega-smoke: text 4292 9f6e22f8ddac45db, json 7086 7ba0cd7608fd5f77, sarif 17753 e45543a9cd79d2c5",
-    "mega-grid: text 16181 9181c34c12300e14, json 26703 46b8459483a1669f, sarif 68779 76ec5dcbc8f4ea19",
-    "mega-skew: text 24140 17f5dd8a381d8362, json 39859 1613de25046eb313, sarif 102927 08de7fce0a3efd49",
-    "corpus: text 2597 4f3a1a4798f74e44, json 4597 9d30d51196b31672, sarif 8261 945dd49724e269e5",
+    "avrora: text 509 b6f7c052458bdbf4, json 966 ba29cbb1c7a59134, sarif 2193 c28ef0525b2d8876",
+    "batik: text 893 c661f849b8db53ca, json 1808 6404f77683dd233c, sarif 4735 1849a3a8719e1dae",
+    "eclipse: text 509 b6f7c052458bdbf4, json 966 ba29cbb1c7a59134, sarif 2193 c28ef0525b2d8876",
+    "h2: text 1834 eabc2dd3e7155e97, json 3893 2520e1070199e89f, sarif 11045 e0f5b8bc20a6f94b",
+    "jython: text 2206 84f15b82a029b92a, json 4723 57ef535ad207f4f5, sarif 13567 375a29b8001b69d6",
+    "luindex: text 1446 e6d1c5dc268efccd, json 3047 856830370e01f1d3, sarif 8491 3137233a21c6c528",
+    "lusearch: text 1075 f1c5fe82064b2d05, json 2219 839341f63a997f26, sarif 5984 fafa7570c7a82468",
+    "pmd: text 1261 8b81cc2c08f2f29c, json 2633 e51bafc5818b9f31, sarif 7233 c63e41434a05fc92",
+    "sunflow: text 1268 4ee87d09adacfd03, json 2640 6ad53f9c7879fdca, sarif 7254 239830f21bb7f437",
+    "tomcat: text 893 c68f11ff8a6797ac, json 1808 1a6845751b68f71a, sarif 4735 24cd6119a188634a",
+    "tradebeans: text 711 4b3cac50008c25a1, json 1397 6b1bb28ca9f1b5b6, sarif 3486 5d7e645d07665c34",
+    "tradesoap: text 711 2b583a94b232077b, json 1397 593f90ea460dbc2e, sarif 3486 1f792f810e0dc53a",
+    "xalan: text 526 24fab50fb2189ec7, json 983 31e3c56c76a7c1b7, sarif 2228 979a2a497dbdf9c3",
+    "connectbot: text 1297 a0cb490629d1d0fd, json 2158 863a1095d3472e33, sarif 5079 e264f428f9ccdc21",
+    "sipdroid: text 1622 74e85b305df2d6fd, json 2694 5dd37edb3e5e1f42, sarif 6457 219ce993c1a5d49d",
+    "k9mail: text 1623 b1a8ec0b2b3903fe, json 2695 7288b6d7f6b0322d, sarif 6460 fa909f80adc3beae",
+    "tasks: text 955 aefd511731705360, json 1605 9fd867ad51da3aed, sarif 3666 349c52a2e2906ac2",
+    "fbreader: text 1301 9843c4641ec9e0e5, json 2162 8ebe5e4e157dcd01, sarif 5083 f960e16f5aa92dbd",
+    "vlc: text 1289 4b5508e3b04d70d1, json 2150 e0bf7f875ba07615, sarif 5071 14b49062abf39279",
+    "firefox_focus: text 1293 acc7b27fca4128c1, json 2154 0f79f7276c6561f7, sarif 5075 ad56dc7bfee79a75",
+    "telegram: text 2296 463130f670be70b1, json 3789 9007afebcd1ad967, sarif 9254 248c88889bc7d5ab",
+    "zoom: text 1622 74e85b305df2d6fd, json 2694 5dd37edb3e5e1f42, sarif 6457 219ce993c1a5d49d",
+    "chrome: text 1623 588e722a73f12510, json 2695 7826e5300dbf0adf, sarif 6460 b5e722e9140d8e18",
+    "hbase: text 3323 1dbaf5745aadd41e, json 7214 2b421c94898fe3ee, sarif 21136 09d27c1d0a2af7d1",
+    "hdfs: text 4066 a5bc5b58af4698f0, json 8873 d73fcf2cddfdfdd3, sarif 26177 9305ad82cdcf6ba7",
+    "yarn: text 4808 022ccb72d9fff13f, json 10531 178a5d9e9fe235d8, sarif 31215 4017493d30f6b156",
+    "zookeeper: text 3513 49ed88e3bb0e7395, json 7633 d2147e2a943e5978, sarif 22409 fc97119d03ec0b28",
+    "memcached: text 1856 2f09e9dc7799fdc6, json 3915 024cd87a9f80792e, sarif 11095 ae8d122a6c40fd04",
+    "redis: text 1285 d3b102687343863a, json 2657 8bdb15f5eda83ed5, sarif 7289 00ecba3f18e0d272",
+    "sqlite3: text 711 4b3cac50008c25a1, json 1397 6b1bb28ca9f1b5b6, sarif 3486 5d7e645d07665c34",
+    "Linux: text 1094 cdaa3ca970999f17, json 1987 cf00452e91ed56d1, sarif 5185 0e147ca019e83d49",
+    "TDengine: text 954 00abeac194ef910c, json 1836 f6c3d41d181e643d, sarif 4682 ea9a6c7647a639ec",
+    "Redis/RedisGraph: text 900 593dec1c98711963, json 1673 55cb05434d69e37d, sarif 4212 a7eb463a51294c61",
+    "OVS: text 617 9a33dc4a6eb59dbb, json 1194 bea977c50b5cbd7b, sarif 2889 0c698276a411a9c3",
+    "cpqueue: text 922 903555d4604fec57, json 1957 51540bd1b151ce3d, sarif 5252 f62f08f913339f9a",
+    "mrlock: text 747 81f0ddcb3af64439, json 1553 0c9f5cbaa8f3d856, sarif 4007 10f4acbbd14817a5",
+    "Memcached: text 576 4b40c81b32df327d, json 1164 f914ad2d9c51428e, sarif 2855 578e061985258d0d",
+    "Firefox: text 515 043863a295d1a01f, json 983 8da4de49c5cb1606, sarif 2278 3320d73feb4c8fff",
+    "ZooKeeper: text 437 f688fc91742f9d7b, json 774 e07265183c4a1523, sarif 1588 e8be5aa14e260c73",
+    "HBase: text 459 ca790ea46cfd11ee, json 796 0f958d6d9d3b53d2, sarif 1652 a0a9b52481194a43",
+    "Tomcat: text 432 a211a28b7009a0e7, json 769 70888b993fba5e73, sarif 1574 893215e5fc730227",
+    "OpenSSL-rwlock: text 428 5accc2f62a0010b4, json 765 1ac371e252e72190, sarif 1562 4e607b0470b9d403",
+    "httpd-fdqueue: text 432 3a29cf7c2038be9e, json 769 933bc5b1854a5f0c, sarif 1572 55125a66350c0c58",
+    "libuv-loop: text 393 69a8d4828ff0b027, json 741 79b6ca8514f0fcce, sarif 1534 54950bf5b4b934da",
+    "Linux (C): text 1081 a2d36cdc0a65a6b2, json 1974 6ccf253b4b3d758e, sarif 5147 f6b402e5cdc4fb33",
+    "TDengine (C): text 1044 09506028e850eac6, json 1926 ff5d1dc659220d23, sarif 4952 1b819de709f53d4a",
+    "Redis/RedisGraph (C): text 900 d461b2ef7ea3e015, json 1673 3a588ba7a27e16e3, sarif 4212 a7768aa5079757d3",
+    "OVS (C): text 657 9d7da89274248343, json 1234 948089268f2bda2d, sarif 2997 1dcc19fd9ae5e7d7",
+    "cpqueue (C): text 935 a349c007e8f8cfff, json 1970 2a79710c1beb4f85, sarif 5291 9cd02c621c98b3de",
+    "mrlock (C): text 764 1289a8114a339b56, json 1570 b82b06b012e446bd, sarif 4058 a3a5bb581fb25904",
+    "Memcached (C): text 631 37bec0d2353b69a4, json 1219 4460785be7b315e9, sarif 3008 f3ad2204e4db8fec",
+    "OpenSSL-rwlock (C): text 430 09db9200c080b804, json 767 6421bf7a6356fdec, sarif 1568 e4fd1f3bf37ffd6f",
+    "httpd-fdqueue (C): text 436 cd6da20426e4c091, json 773 d2ab0662e7afcb19, sarif 1584 ad038ed1845ca87d",
+    "mega-smoke: text 2771 c388112b77e13689, json 5776 e16799add96b01a4, sarif 16553 d97ef6f3d5551583",
+    "mega-grid: text 10268 f9f5014c6e5903fe, json 21721 e5be5f0ffe4998ee, sarif 63979 fd9093074fa15581",
+    "mega-skew: text 15298 e77184c506e18ef9, json 32428 ef1e6c053e483d01, sarif 95727 a4d87546fbd19197",
+    "corpus: text 2124 2956b769b779bdc2, json 4090 1f8128f85a9f5986, sarif 8011 5feb836db913acd3",
 ];
 
 #[test]

@@ -24,56 +24,48 @@ const TRIAGE_ROWS: &[&str] = &[
      suppression suppressed=0 kept=2; \
      ownership owned_pruned=0 prepub_pruned=0 kept=2; \
      guarded-by locations_inferred=0 demoted=0 promoted=0; \
-     racerd-agreement racerd_warnings=2842 agreements=2; \
      deadlock cycles=0 lock_order_edges=0; \
      oversync warnings=0 useful_sites=2",
     "avrora 0-ctx: detected 120, high 18, medium 0, low 0, pruned 102, suppressed 0; \
      suppression suppressed=0 kept=120; \
      ownership owned_pruned=102 prepub_pruned=0 kept=18; \
      guarded-by locations_inferred=0 demoted=0 promoted=0; \
-     racerd-agreement racerd_warnings=2842 agreements=18; \
      deadlock cycles=0 lock_order_edges=0; \
      oversync warnings=0 useful_sites=2",
     "lusearch O2: detected 8, high 8, medium 0, low 0, pruned 0, suppressed 0; \
      suppression suppressed=0 kept=8; \
      ownership owned_pruned=0 prepub_pruned=0 kept=8; \
      guarded-by locations_inferred=0 demoted=0 promoted=0; \
-     racerd-agreement racerd_warnings=7841 agreements=8; \
      deadlock cycles=0 lock_order_edges=0; \
      oversync warnings=0 useful_sites=2",
     "lusearch 0-ctx: detected 66, high 20, medium 0, low 0, pruned 46, suppressed 0; \
      suppression suppressed=0 kept=66; \
      ownership owned_pruned=46 prepub_pruned=0 kept=20; \
      guarded-by locations_inferred=0 demoted=0 promoted=0; \
-     racerd-agreement racerd_warnings=7841 agreements=20; \
      deadlock cycles=0 lock_order_edges=0; \
      oversync warnings=0 useful_sites=2",
     "zookeeper O2: detected 34, high 34, medium 0, low 0, pruned 0, suppressed 0; \
      suppression suppressed=0 kept=34; \
      ownership owned_pruned=0 prepub_pruned=0 kept=34; \
      guarded-by locations_inferred=0 demoted=0 promoted=0; \
-     racerd-agreement racerd_warnings=5316 agreements=34; \
      deadlock cycles=0 lock_order_edges=1; \
      oversync warnings=0 useful_sites=4",
     "zookeeper 0-ctx: detected 218, high 42, medium 0, low 0, pruned 176, suppressed 0; \
      suppression suppressed=0 kept=218; \
      ownership owned_pruned=176 prepub_pruned=0 kept=42; \
      guarded-by locations_inferred=0 demoted=0 promoted=0; \
-     racerd-agreement racerd_warnings=5316 agreements=42; \
      deadlock cycles=0 lock_order_edges=1; \
      oversync warnings=0 useful_sites=4",
     "memcached O2: detected 16, high 16, medium 0, low 0, pruned 0, suppressed 0; \
      suppression suppressed=0 kept=16; \
      ownership owned_pruned=0 prepub_pruned=0 kept=16; \
      guarded-by locations_inferred=0 demoted=0 promoted=0; \
-     racerd-agreement racerd_warnings=852 agreements=16; \
      deadlock cycles=0 lock_order_edges=1; \
      oversync warnings=0 useful_sites=2",
     "memcached 0-ctx: detected 92, high 28, medium 0, low 0, pruned 64, suppressed 0; \
      suppression suppressed=0 kept=92; \
      ownership owned_pruned=64 prepub_pruned=0 kept=28; \
      guarded-by locations_inferred=0 demoted=0 promoted=0; \
-     racerd-agreement racerd_warnings=852 agreements=28; \
      deadlock cycles=0 lock_order_edges=1; \
      oversync warnings=0 useful_sites=2",
 ];
